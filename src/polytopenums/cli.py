@@ -10,10 +10,8 @@ import argparse
 import json
 import sys
 
-from . import identities, oracle
-from .exact import binomial
+from . import checks, identities, oracle
 from .rectified import (
-    eval_shift_identity,
     rectified_decomposition,
     rectified_decomposition_gbinom,
     rectified_simplex_interior,
@@ -287,174 +285,33 @@ def _cmd_decompose(args, parser) -> int:
 # --- verify ------------------------------------------------------------------
 
 
-def _identity_suite(grid_path: str | None):
-    grid = identities.load_grid(grid_path) if grid_path else identities.default_grid()
-    result = identities.run_suite(grid)
-    failures = [check.describe() for check in result.failures]
-    return len(result.by_identity), result.total, failures
-
-
-def _oracle_suite(d_max: int | None, n_max: int | None):
-    """Closed formulas against the recursion, plus census structure checks."""
-    checks = 0
-    failures: list[str] = []
-
-    def expect(ok: bool, describe: str) -> None:
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(describe)
-
-    n_hi = n_max if n_max is not None else 40
-
-    def cap(default: int) -> int:
-        return min(default, d_max) if d_max is not None else default
-
-    for d in range(cap(8) + 1):
-        p = oracle.simplex(d)
-        for n in range(1, n_hi + 1):
-            expect(oracle.polytope_number(p, n) == simplex_number(d, n),
-                   f"simplex value d={d} n={n}")
-            expect(oracle.interior_number(p, n) == simplex_interior(d, n),
-                   f"simplex interior d={d} n={n}")
-    for d in range(1, cap(6) + 1):
-        for n in range(1, n_hi + 1):
-            expect(oracle.polytope_number(oracle.cross_polytope(d), n)
-                   == cross_polytope_number(d, n), f"cross-polytope d={d} n={n}")
-            expect(oracle.polytope_number(oracle.hypercube(d), n)
-                   == hypercube_number(d, n), f"hypercube d={d} n={n}")
-    for d in range(2, cap(7) + 1):
-        for r in range(1, d):
-            p = oracle.rectified_simplex_descriptor(d, r)
-            for n in range(1, n_hi + 1):
-                expect(oracle.polytope_number(p, n) == rectified_simplex_number(d, r, n),
-                       f"rectified value d={d} r={r} n={n}")
-                expect(oracle.interior_number(p, n) == rectified_simplex_interior(d, r, n),
-                       f"rectified interior d={d} r={r} n={n}")
-
-    # Known-sequence bridges.
-    for n in range(1, (n_max if n_max is not None else 200) + 1):
-        octahedral, rem = divmod(n * (2 * n * n + 1), 3)
-        expect(rem == 0 and rectified_simplex_number(3, 1, n) == octahedral,
-               f"octahedral bridge n={n}")
-    for d in range(1, cap(8) + 1):
-        for n in range(1, min(n_hi, 60) + 1):
-            expect(rectified_simplex_number(d, 0, n) == simplex_number(d, n),
-                   f"zero rectification d={d} n={n}")
-            if d >= 2:
-                expect(rectified_simplex_number(d, d - 1, n) == simplex_number(d, n),
-                       f"dual rectification d={d} n={n}")
-    for d in range(1, cap(10) + 1):
-        for r in range(d):
-            expect(rectified_simplex_number(d, r, 2) == binomial(d + 1, r + 1),
-                   f"vertex count d={d} r={r}")
-
-    # Degenerate-family conventions (d <= r), valid from n = 2.
-    for r in range(1, cap(8) + 1):
-        for n in range(1, min(n_hi, 40) + 1):
-            expect(rectified_simplex_number(r, r, n) == 1, f"constant family r={r} n={n}")
-            if n >= 2:
-                expect(rectified_simplex_interior(r, r, n) == (-1) ** r,
-                       f"interior sign r={r} n={n}")
-        for d in range(1, r):
-            for n in range(2, min(n_hi, 40) + 1):
-                expect(rectified_simplex_interior(d, r, n) == 0,
-                       f"vanishing interior d={d} r={r} n={n}")
-
-    # Census structure: Euler relation over every census reachable from the
-    # tested polytopes, plus two pinned f-vectors.
-    seen: set[oracle.PolytopeDescriptor] = set()
-    stack: list[oracle.PolytopeDescriptor] = [oracle.simplex(cap(8))]
-    stack += [oracle.cross_polytope(cap(6)), oracle.hypercube(cap(6))]
-    stack += [oracle.rectified_simplex_descriptor(d, r)
-              for d in range(2, cap(7) + 1) for r in range(1, d)]
-    while stack:
-        p = stack.pop()
-        if p in seen or isinstance(p, oracle.Point):
-            continue
-        seen.add(p)
-        census = oracle.faces_of(p)
-        expect(census.euler_ok(), f"euler relation {p!r}")
-        expect(all(0 <= e.not_containing <= e.total for e in census.entries),
-               f"census counts {p!r}")
-        stack.extend(e.face for e in census.entries)
-    expect(oracle.faces_of(oracle.hypersimplex(4, 2)).f_vector() == (6, 12, 8),
-           "octahedron f-vector")
-    expect(oracle.faces_of(oracle.hypersimplex(5, 2)).f_vector() == (10, 30, 30, 10),
-           "rectified 4-simplex f-vector")
-
-    return checks, failures
-
-
-def _decomposition_suite(d_max: int | None, n_max: int | None,
-                         a_max: int | None, b_max: int | None):
-    """Coefficient route agreement and the shift identity."""
-    checks = 0
-    failures: list[str] = []
-
-    def expect(ok: bool, describe: str) -> None:
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(describe)
-
-    d_hi = min(8, d_max) if d_max is not None else 8
-    n_hi = n_max if n_max is not None else 40
-    for d in range(1, d_hi + 1):
-        for r in range(d):
-            via_shifts = rectified_decomposition(d, r)
-            gbinom = rectified_decomposition_gbinom(d, r)
-            expect(via_shifts == gbinom, f"route agreement d={d} r={r}")
-            expect(via_shifts[0] == 1 and all(c >= 0 for c in via_shifts),
-                   f"coefficient signs d={d} r={r}")
-            for n in range(1, n_hi + 1):
-                expect(sum(c * simplex_number(d, n - j) for j, c in enumerate(gbinom))
-                       == rectified_simplex_number(d, r, n),
-                       f"recombination d={d} r={r} n={n}")
-
-    s_hi = min(6, d_max) if d_max is not None else 6
-    a_hi = a_max if a_max is not None else 5
-    b_hi = b_max if b_max is not None else 5
-    for d in range(1, s_hi + 1):
-        for a in range(1, a_hi + 1):
-            for b in range(b_hi + 1):
-                by_sum = shift_decomposition(d, a, b)
-                by_gf = shift_decomposition_gf(d, a, b)
-                expect(by_sum == by_gf, f"shift routes d={d} a={a} b={b}")
-                if b <= d:
-                    expect(len(by_sum) == d + 1, f"shift support d={d} a={a} b={b}")
-                for n in range(1, min(30, n_hi) + 1):
-                    if a * n - (a - 1) - b < 1:
-                        continue
-                    lhs, rhs = eval_shift_identity(d, a, b, n)
-                    expect(lhs == rhs, f"shift identity d={d} a={a} b={b} n={n}")
-
-    return checks, failures
-
-
 def _cmd_verify(args, parser) -> int:
+    suites = []
+    if args.suite in ("identities", "all"):
+        try:
+            grid = identities.load_grid(args.grid) if args.grid else identities.default_grid()
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot load identity grid: {exc}")
+        suites.append(("identities", f"{len(grid)} identities, ", checks.identity_checks(grid)))
+    if args.suite in ("oracle", "all"):
+        suites.append(("oracle", "", checks.oracle_checks(args.d_max, args.n_max)))
+    if args.suite in ("decompositions", "all"):
+        suites.append(("decompositions", "", checks.decomposition_checks(
+            args.d_max, args.n_max, args.a_max, args.b_max)))
+
     out = sys.stdout
     any_failures = False
-
-    def report(name: str, header: str, checks: int, failures: list[str]) -> None:
-        nonlocal any_failures
-        out.write(f"{name}: {header}{checks} checks, {len(failures)} failures\n")
+    for name, header, records in suites:
+        count = 0
+        failures = []
+        for check in records:
+            count += 1
+            if not check.ok:
+                failures.append(check.describe())
+        out.write(f"{name}: {header}{count} checks, {len(failures)} failures\n")
         for line in failures:
             out.write(f"  FAIL {line}\n")
         any_failures = any_failures or bool(failures)
-
-    if args.suite in ("identities", "all"):
-        try:
-            count, total, failures = _identity_suite(args.grid)
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot load identity grid: {exc}")
-        report("identities", f"{count} identities, ", total, failures)
-    if args.suite in ("oracle", "all"):
-        checks, failures = _oracle_suite(args.d_max, args.n_max)
-        report("oracle", "", checks, failures)
-    if args.suite in ("decompositions", "all"):
-        checks, failures = _decomposition_suite(args.d_max, args.n_max, args.a_max, args.b_max)
-        report("decompositions", "", checks, failures)
 
     out.write(f"verify: {'FAIL' if any_failures else 'PASS'}\n")
     return 1 if any_failures else 0

@@ -32,7 +32,8 @@ def gbinomial(n: int, m: int, s: int) -> int:
 
     Defined as the coefficient of x**m in (1 + x + ... + x**(s-1))**n.
     Order 2 reduces to the ordinary binomial C(n, m).  Requires n >= 0 and
-    s >= 1; out-of-range m gives 0.
+    s >= 1; out-of-range m gives 0.  Evaluated as the alternating sum
+    sum (-1)**k C(n, k) C(m-sk+n-1, n-1), read off (1-x**s)**n / (1-x)**n.
     """
     if s < 1:
         raise ValueError(f"order must be a positive integer, got s={s}")
@@ -40,15 +41,12 @@ def gbinomial(n: int, m: int, s: int) -> int:
         raise ValueError(f"upper argument must be nonnegative, got n={n}")
     if m < 0 or m > n * (s - 1):
         return 0
-    return _gbinomial_row(n, s)[m]
-
-
-@lru_cache(maxsize=None)
-def _gbinomial_row(n: int, s: int) -> tuple[int, ...]:
-    row = [1]
-    for _ in range(n):
-        row = poly_mul(row, [1] * s)
-    return tuple(row)
+    if n == 0:
+        return 1
+    return sum(
+        (-1) ** k * math.comb(n, k) * math.comb(m - s * k + n - 1, n - 1)
+        for k in range(min(n, m // s) + 1)
+    )
 
 
 def eulerian(d: int, i: int) -> int:
@@ -101,16 +99,3 @@ def poly_mul(p: list[int], q: list[int]) -> list[int]:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_pow_truncated(p: list[int], e: int, deg: int) -> list[int]:
-    """p**e with every term of degree above deg discarded; exact below the cutoff."""
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got e={e}")
-    if deg < 0:
-        raise ValueError(f"truncation degree must be nonnegative, got deg={deg}")
-    base = poly_truncate(p, deg)
-    out = [1]
-    for _ in range(e):
-        out = poly_truncate(poly_mul(out, base), deg)
-    return out

@@ -21,26 +21,24 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .exact import binomial
-
-IDENTITIES = (
-    "alt-vandermonde",
-    "interior-sum",
-    "face-interior-sum",
-    "vertex-star-sum",
-    "subset-convolution",
-    "pascal-alternating-row",
-)
 
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """One two-sided check: it holds when lhs equals rhs exactly.
+
+    The identity checkers below compare integers; the structural checks in
+    `checks` also compare tuples and lists, and may name a polytope
+    descriptor as a parameter.
+    """
+
     identity: str
-    params: tuple[tuple[str, int], ...]
-    lhs: int
-    rhs: int
+    params: tuple[tuple[str, object], ...]
+    lhs: object
+    rhs: object
 
     @property
     def ok(self) -> bool:
@@ -151,42 +149,29 @@ def check_pascal_alternating_row(r: int) -> IdentityCheck:
 
 GridRanges = Mapping[str, Mapping[str, Iterable[int]]]
 
+# Identity name -> iterator over its grid, in suite order.  Each entry looks
+# its checker up when called, so a replaced module-level checker is honored.
+REGISTRY: dict[str, Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]] = {
+    "alt-vandermonde": lambda g: (
+        check_alt_vandermonde(b, c, n) for b in g["b"] for c in g["c"] if c >= b for n in g["n"]
+    ),
+    "interior-sum": lambda g: (
+        check_interior_sum(d, k, j, n)
+        for d in g["d"] for k in range(d) for j in g["j"] for n in g["n"]
+    ),
+    "face-interior-sum": lambda g: (
+        check_face_interior_sum(r, d, n) for r in g["r"] for d in g["d"] for n in g["n"]
+    ),
+    "vertex-star-sum": lambda g: (
+        check_vertex_star_sum(r, d, n) for r in g["r"] for d in g["d"] for n in g["n"]
+    ),
+    "subset-convolution": lambda g: (
+        check_subset_convolution(d, r) for d in g["d"] for r in g["r"] if r <= d
+    ),
+    "pascal-alternating-row": lambda g: (check_pascal_alternating_row(r) for r in g["r"]),
+}
 
-def _iter_identity(name: str, ranges: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
-    if name == "alt-vandermonde":
-        for b in ranges["b"]:
-            for c in ranges["c"]:
-                if c < b:
-                    continue
-                for n in ranges["n"]:
-                    yield check_alt_vandermonde(b, c, n)
-    elif name == "interior-sum":
-        for d in ranges["d"]:
-            for k in range(d):
-                for j in ranges["j"]:
-                    for n in ranges["n"]:
-                        yield check_interior_sum(d, k, j, n)
-    elif name == "face-interior-sum":
-        for r in ranges["r"]:
-            for d in ranges["d"]:
-                for n in ranges["n"]:
-                    yield check_face_interior_sum(r, d, n)
-    elif name == "vertex-star-sum":
-        for r in ranges["r"]:
-            for d in ranges["d"]:
-                for n in ranges["n"]:
-                    yield check_vertex_star_sum(r, d, n)
-    elif name == "subset-convolution":
-        for d in ranges["d"]:
-            for r in ranges["r"]:
-                if r > d:
-                    continue
-                yield check_subset_convolution(d, r)
-    elif name == "pascal-alternating-row":
-        for r in ranges["r"]:
-            yield check_pascal_alternating_row(r)
-    else:
-        raise ValueError(f"unknown identity {name!r}")
+IDENTITIES = tuple(REGISTRY)
 
 
 @dataclass
@@ -201,11 +186,11 @@ def run_suite(grid: GridRanges | None = None) -> SuiteResult:
     if grid is None:
         grid = default_grid()
     result = SuiteResult()
-    for name in IDENTITIES:
+    for name, points in REGISTRY.items():
         if name not in grid:
             continue
         count = 0
-        for check in _iter_identity(name, grid[name]):
+        for check in points(grid[name]):
             count += 1
             if not check.ok:
                 result.failures.append(check)
@@ -231,7 +216,7 @@ def parse_grid(text: str) -> dict[str, dict[str, range]]:
     for section in parser.sections():
         if section == "meta":
             continue
-        if section not in IDENTITIES:
+        if section not in REGISTRY:
             raise ValueError(f"unknown identity section {section!r}")
         grid[section] = {key: _parse_range(value) for key, value in parser[section].items()}
     return grid

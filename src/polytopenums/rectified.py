@@ -18,7 +18,7 @@ every interior sequence start at 0.
 """
 from __future__ import annotations
 
-from .exact import binomial, gbinomial, poly_mul, poly_pow_truncated, poly_truncate
+from .exact import binomial, gbinomial, poly_mul, poly_truncate
 from .regular import simplex_interior, simplex_number
 
 
@@ -124,7 +124,8 @@ def shift_decomposition_gf(d: int, a: int, b: int) -> list[int]:
     _check_shift(d, a, b)
     deg = d + a + b + 2
     series = [binomial(d + a * k - b, a * k - b) for k in range(deg + 1)]
-    window = poly_truncate(poly_mul(poly_pow_truncated([1, -1], d + 1, deg), series), deg)
+    alternating = [(-1) ** k * binomial(d + 1, k) for k in range(d + 2)]
+    window = poly_truncate(poly_mul(alternating, series), deg)
     window = window + [0] * (deg + 1 - len(window))
     return _trim_to_support(window, d, a, b)
 

@@ -3,102 +3,72 @@
 Run with `pytest -s tests/test_acceptance.py` to see one pass line per
 criterion; any failure reports the offending parameters.
 """
+import pytest
+
 from polytopenums import cli, oracle
-from polytopenums.exact import binomial
+from polytopenums.checks import decomposition_checks, oracle_checks
 from polytopenums.identities import default_grid, run_suite
 from polytopenums.rectified import (
-    eval_shift_identity,
-    rectified_decomposition,
-    rectified_decomposition_gbinom,
     rectified_simplex_interior,
     rectified_simplex_number,
     rectified_via_decomposition,
-    shift_decomposition,
-    shift_decomposition_gf,
 )
-from polytopenums.regular import (
-    cross_polytope_number,
-    hypercube_number,
-    simplex_interior,
-    simplex_number,
-)
+from polytopenums.regular import simplex_number
+
+
+@pytest.fixture(scope="module")
+def oracle_suite():
+    return list(oracle_checks())
+
+
+@pytest.fixture(scope="module")
+def decomposition_suite():
+    return list(decomposition_checks())
 
 
 def report(criterion, text):
     print(f"criterion {criterion}: PASS - {text}")
 
 
-def test_criterion_1_recursion_matches_rectified_formulas():
-    for d in range(2, 8):
-        for r in range(1, d):
-            p = oracle.rectified_simplex_descriptor(d, r)
-            for n in range(1, 41):
-                assert oracle.polytope_number(p, n) == \
-                    rectified_simplex_number(d, r, n), (d, r, n)
-                assert oracle.interior_number(p, n) == \
-                    rectified_simplex_interior(d, r, n), (d, r, n)
+def assert_all_hold(records, *names):
+    """Every record of the named checks holds; returns how many there were."""
+    selected = [check for check in records if check.identity in names]
+    assert {check.identity for check in selected} == set(names)
+    assert [check.describe() for check in selected if not check.ok] == []
+    return len(selected)
+
+
+def test_criterion_1_recursion_matches_rectified_formulas(oracle_suite):
+    assert_all_hold(oracle_suite, "rectified-value", "rectified-interior")
     report(1, "recursion equals rectified formulas, values and interiors, r<d<=7, n<=40")
 
 
-def test_criterion_2_recursion_matches_regular_formulas():
-    for d in range(0, 9):
-        p = oracle.simplex(d)
-        for n in range(1, 41):
-            assert oracle.polytope_number(p, n) == simplex_number(d, n), (d, n)
-            assert oracle.interior_number(p, n) == simplex_interior(d, n), (d, n)
-    for d in range(1, 7):
-        for n in range(1, 41):
-            assert oracle.polytope_number(oracle.cross_polytope(d), n) == \
-                cross_polytope_number(d, n), (d, n)
-            assert oracle.polytope_number(oracle.hypercube(d), n) == \
-                hypercube_number(d, n), (d, n)
+def test_criterion_2_recursion_matches_regular_formulas(oracle_suite):
+    assert_all_hold(oracle_suite, "simplex-value", "simplex-interior", "cross-polytope",
+                    "hypercube")
     report(2, "recursion equals simplex (d<=8), cross-polytope and hypercube (d<=6) formulas")
 
 
-def test_criterion_3_known_sequence_bridges():
-    for n in range(1, 201):
-        octahedral, rem = divmod(n * (2 * n * n + 1), 3)
-        assert rem == 0
-        assert rectified_simplex_number(3, 1, n) == octahedral, n
-    for n in range(1, 61):
-        assert rectified_simplex_number(2, 1, n) == simplex_number(2, n), n
+def test_criterion_3_known_sequence_bridges(oracle_suite):
+    assert_all_hold(oracle_suite, "octahedral-bridge", "zero-rectification",
+                    "dual-rectification", "vertex-count")
+    # The suite stops at n = 40; the rectified triangle and dual
+    # rectification are pinned further out.
     for d in range(2, 9):
-        for n in range(1, 61):
+        for n in range(41, 61):
             assert rectified_simplex_number(d, d - 1, n) == simplex_number(d, n), (d, n)
-    for d in range(1, 11):
-        for r in range(d):
-            assert rectified_simplex_number(d, r, 2) == binomial(d + 1, r + 1), (d, r)
     report(3, "octahedral numbers, rectified triangle, dual rectification, vertex counts")
 
 
-def test_criterion_4_shift_identity_and_coefficient_routes():
-    for d in range(1, 7):
-        for a in range(1, 6):
-            for b in range(6):
-                by_sum = shift_decomposition(d, a, b)
-                by_gf = shift_decomposition_gf(d, a, b)
-                assert by_sum == by_gf, (d, a, b)
-                if b <= d:
-                    # Tail vanishes beyond index d.  For b > d the support
-                    # provably extends to d + ceil((b-d)/a); the functions
-                    # verify that bound internally on every call.
-                    assert len(by_sum) == d + 1, (d, a, b)
-                for n in range(1, 31):
-                    if a * n - (a - 1) - b < 1:
-                        continue
-                    lhs, rhs = eval_shift_identity(d, a, b, n)
-                    assert lhs == rhs, (d, a, b, n)
+def test_criterion_4_shift_identity_and_coefficient_routes(decomposition_suite):
+    assert_all_hold(decomposition_suite, "shift-routes", "shift-support", "shift-identity")
     report(4, "shift identity holds and both coefficient routes agree, d<=6, a<=5, b<=5")
 
 
-def test_criterion_5_combined_decomposition():
+def test_criterion_5_combined_decomposition(decomposition_suite):
+    assert_all_hold(decomposition_suite, "route-agreement", "coefficient-signs", "recombination")
     for d in range(1, 9):
         for r in range(d):
-            via_shifts = rectified_decomposition(d, r)
-            gbinom = rectified_decomposition_gbinom(d, r)
-            assert via_shifts == gbinom, (d, r)
-            assert via_shifts[0] == 1, (d, r)
-            assert all(c >= 0 for c in via_shifts), (d, r)
             for n in range(1, 41):
                 assert rectified_via_decomposition(d, r, n) == \
                     rectified_simplex_number(d, r, n), (d, r, n)
@@ -112,48 +82,23 @@ def test_criterion_6_identity_suite_default_grids():
     report(6, f"all 6 identities hold on the default grids ({result.total} checks)")
 
 
-def test_criterion_7_degenerate_family_conventions():
+def test_criterion_7_degenerate_family_conventions(oracle_suite):
+    assert_all_hold(oracle_suite, "constant-family", "interior-sign", "vanishing-interior")
+    # The sign convention for the interiors holds from n = 2 on; at n = 1
+    # the clamped interiors make the whole family start at 0, which is what
+    # the recursion comparison in criterion 1 requires.
     for r in range(1, 9):
-        for n in range(1, 41):
-            assert rectified_simplex_number(r, r, n) == 1, (r, n)
-        # The sign convention for the interiors holds from n = 2 on; at
-        # n = 1 the clamped interiors make the whole family start at 0,
-        # which is what the recursion comparison in criterion 1 requires.
         assert rectified_simplex_interior(r, r, 1) == 0, r
-        for n in range(2, 41):
-            assert rectified_simplex_interior(r, r, n) == (-1) ** r, (r, n)
-    for r in range(2, 9):
-        for d in range(1, r):
-            for n in range(2, 41):
-                assert rectified_simplex_interior(d, r, n) == 0, (d, r, n)
     report(7, "degenerate families: constant 1, interior sign (-1)**r, vanishing interiors below r")
 
 
-def test_criterion_8_face_census_structure():
-    seen = set()
-    stack = [oracle.simplex(8), oracle.cross_polytope(6), oracle.hypercube(6)]
-    stack += [
-        oracle.rectified_simplex_descriptor(d, r)
-        for d in range(2, 8)
-        for r in range(1, d)
-    ]
-    while stack:
-        p = stack.pop()
-        if p in seen or isinstance(p, oracle.Point):
-            continue
-        seen.add(p)
-        census = oracle.faces_of(p)
-        assert census.euler_ok(), p
-        for entry in census.entries:
-            assert 0 <= entry.not_containing <= entry.total, (p, entry)
-            stack.append(entry.face)
-    octa = oracle.faces_of(oracle.hypersimplex(4, 2))
-    assert octa.f_vector() == (6, 12, 8)
+def test_criterion_8_face_census_structure(oracle_suite):
+    censuses = assert_all_hold(oracle_suite, "euler-relation")
+    assert_all_hold(oracle_suite, "census-counts", "f-vector")
     rect4 = oracle.faces_of(oracle.hypersimplex(5, 2))
-    assert rect4.f_vector() == (10, 30, 30, 10)
     cells = {entry.face: entry.total for entry in rect4.entries_of_dim(3)}
     assert cells == {oracle.simplex(3): 5, oracle.hypersimplex(4, 2): 5}
-    report(8, f"Euler relation on {len(seen)} censuses; pinned f-vectors and 3-face split")
+    report(8, f"Euler relation on {censuses} censuses; pinned f-vectors and 3-face split")
 
 
 def test_criterion_9_cli_contract(capsys):

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from polytopenums import cli, identities
+from polytopenums import checks, cli, identities
 from polytopenums.identities import IdentityCheck
+from polytopenums.rectified import rectified_simplex_number
+from polytopenums.regular import hypercube_number
 
 
 def run_cli(capsys, *argv):
@@ -180,12 +182,22 @@ class TestVerify:
         assert "0 failures" in out
         assert out.rstrip().endswith("verify: PASS")
 
+    def test_all_suites_text(self, capsys):
+        code, out = run_cli(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert out == (
+            "identities: 6 identities, 3872 checks, 0 failures\n"
+            "oracle: 5509 checks, 0 failures\n"
+            "decompositions: 6970 checks, 0 failures\n"
+            "verify: PASS\n"
+        )
+
     def test_reduced_oracle_suite(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--suite", "oracle", "--d-max", "4", "--n-max", "12",
         )
         assert code == 0
-        assert "oracle:" in out and "0 failures" in out
+        assert out == "oracle: 648 checks, 0 failures\nverify: PASS\n"
 
     def test_reduced_decomposition_suite(self, capsys):
         code, out = run_cli(
@@ -193,7 +205,24 @@ class TestVerify:
             "--n-max", "12", "--a-max", "3", "--b-max", "3",
         )
         assert code == 0
-        assert "decompositions:" in out and "0 failures" in out
+        assert out == "decompositions: 751 checks, 0 failures\nverify: PASS\n"
+
+    @pytest.mark.parametrize("suite, name, closed_form, fail_line", [
+        ("oracle", "hypercube_number", hypercube_number,
+         "  FAIL hypercube [d=2 n=3] lhs=9 rhs=10\n"),
+        ("decompositions", "rectified_simplex_number", rectified_simplex_number,
+         "  FAIL recombination [d=2 r=1 n=3] lhs=6 rhs=7\n"),
+    ])
+    def test_broken_closed_form_is_reported(self, capsys, monkeypatch, suite, name,
+                                            closed_form, fail_line):
+        monkeypatch.setattr(checks, name, lambda *args: closed_form(*args) + 1)
+        code, out = run_cli(
+            capsys, "verify", "--suite", suite, "--d-max", "2", "--n-max", "3",
+            "--a-max", "1", "--b-max", "0",
+        )
+        assert code == 1
+        assert fail_line in out
+        assert out.endswith("verify: FAIL\n")
 
     def test_custom_grid_file(self, capsys, tmp_path):
         grid = tmp_path / "grid.cfg"

@@ -10,7 +10,6 @@ from polytopenums.exact import (
     eulerian,
     gbinomial,
     poly_mul,
-    poly_pow_truncated,
     poly_trim,
     poly_truncate,
 )
@@ -94,12 +93,12 @@ class TestGBinomial:
                 assert gbinomial(n, m, 2) == binomial(n, m)
 
     def test_row_sum_and_symmetry(self):
-        for n in range(9):
-            for s in range(1, 5):
-                width = n * (s - 1)
-                assert sum(gbinomial(n, m, s) for m in range(width + 1)) == s**n
-                for m in range(width + 1):
-                    assert gbinomial(n, m, s) == gbinomial(n, width - m, s)
+        # The last case lies far beyond what enumeration can reach.
+        for n, s in [(n, s) for n in range(9) for s in range(1, 5)] + [(60, 7)]:
+            width = n * (s - 1)
+            assert sum(gbinomial(n, m, s) for m in range(width + 1)) == s**n
+            for m in range(width + 1):
+                assert gbinomial(n, m, s) == gbinomial(n, width - m, s)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -162,11 +161,6 @@ class TestPolynomials:
         product = poly_truncate(poly_mul([1, -3, 3, -1], [1, 6, 15, 28]), 3)
         assert product == [1, 3]
 
-    def test_power_examples(self):
-        assert poly_pow_truncated([1, -1], 3, 3) == [1, -3, 3, -1]
-        assert poly_pow_truncated([5, 7], 0, 4) == [1]
-        assert poly_pow_truncated([1, -1], 5, 2) == [1, -5, 10]
-
     def test_trim_canonical_form(self):
         assert poly_trim([0, 1, 0, 0]) == [0, 1]
         assert poly_trim([0, 0]) == []
@@ -178,9 +172,3 @@ class TestPolynomials:
             p = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 7))]
             q = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 7))]
             assert poly_mul(p, q) == schoolbook_mul(p, q)
-
-    def test_pow_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            poly_pow_truncated([1, 1], -1, 3)
-        with pytest.raises(ValueError):
-            poly_pow_truncated([1, 1], 2, -1)
