@@ -1,8 +1,10 @@
 """Command-line interface: sequence tables, decompositions, verification.
 
 Exit codes: 0 success, 1 verification failure or route mismatch, 2 usage
-error.  Output is deterministic; big integers are emitted as decimal strings
-in JSON so downstream consumers never overflow.
+error, 3 internal error: any other exception, reported on stderr as
+``polytopenums: internal error: <Type>: <message>``.  Output is
+deterministic; big integers are emitted as decimal strings in JSON so
+downstream consumers never overflow.
 """
 from __future__ import annotations
 
@@ -76,11 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "seq":
-        return _cmd_seq(args, parser)
-    if args.command == "decompose":
-        return _cmd_decompose(args, parser)
-    return _cmd_verify(args, parser)
+    try:
+        if args.command == "seq":
+            return _cmd_seq(args, parser)
+        if args.command == "decompose":
+            return _cmd_decompose(args, parser)
+        return _cmd_verify(args, parser)
+    except Exception as exc:  # a bug, not a failed check: never exit 1 for it
+        sys.stderr.write(f"polytopenums: internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def entry() -> None:

@@ -12,11 +12,21 @@ faces by a census of (type, count, count avoiding the base vertex).
 Supported descriptor families: point, simplex, cross-polytope, hypercube,
 and hypersimplex (the convex hull of the 0/1-vectors of length m with
 exactly s ones, which is how rectified simplices arise).  Descriptors are
-canonicalized on construction so that structural equality is type equality,
-and all evaluations are memoized on (descriptor, n).
+canonicalized on construction so that structural equality is type equality.
+
+Evaluation is bottom-up, with no recursion on n.  Each descriptor gets a
+plan once: its own table and those of every face in its transitive face
+closure, ordered by dimension.  A table holds the value and interior counts
+for n = 0 .. N, and a query past N extends every table of the plan up to
+the asked n, faces first.  Size policy: a descriptor's N is the largest n
+asked of any descriptor whose closure contains it, never more.
+`table_sizes()` reports N per descriptor and `clear_tables()` drops every
+table and plan.  Fills and clears run under one lock; a query its table
+already covers reads without it, so concurrent readers are safe.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -220,41 +230,110 @@ def faces_of(p: PolytopeDescriptor) -> FaceCensus:
     return FaceCensus(p, entries)
 
 
-@lru_cache(maxsize=None)
+class _Table:
+    """Value and interior lists of one descriptor, indexed by n, grown in place."""
+
+    __slots__ = ("values", "interiors", "rows")
+
+    def __init__(self, p: PolytopeDescriptor, rows: tuple[tuple[int, int, list[int]], ...]):
+        # A point is its own interior: with no rows both of its lists run
+        # 0, 1, 1, ...; any other polytope has no interior at n = 1.
+        self.values = [0, 1]
+        self.interiors = [0, 1 if isinstance(p, Point) else 0]
+        # One (faces avoiding the base vertex, total faces, face interiors)
+        # row per census entry; the face's interior list is shared, not copied.
+        self.rows = rows
+
+
+_lock = threading.Lock()  # held by every fill and every change to the tables
+_tables: dict[PolytopeDescriptor, _Table] = {}
+_plans: dict[PolytopeDescriptor, tuple[_Table, ...]] = {}
+
+
+def _plan(p: PolytopeDescriptor) -> tuple[_Table, ...]:
+    """Tables of p and all its faces, faces first; built once per descriptor.
+
+    Callers hold the lock.  Members are ordered by (dimension, repr), so each
+    face's table exists, and is filled, before any table that reads it.
+    """
+    plan = _plans.get(p)
+    if plan is not None:
+        return plan
+    entries: dict[PolytopeDescriptor, tuple[FaceEntry, ...]] = {}
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if q not in entries:
+            entries[q] = () if isinstance(q, Point) else faces_of(q).entries
+            stack.extend(e.face for e in entries[q])
+    members = sorted(entries, key=lambda q: (q.dimension, repr(q)))
+    for q in members:
+        if q not in _tables:
+            rows = tuple((e.not_containing, e.total, _tables[e.face].interiors)
+                         for e in entries[q])
+            _tables[q] = _Table(q, rows)
+    plan = _plans[p] = tuple(_tables[q] for q in members)
+    return plan
+
+
+def _filled(p: PolytopeDescriptor, n: int) -> _Table:
+    """The table of p, with it and every face table extended to hold n."""
+    with _lock:
+        for table in _plan(p):
+            values, interiors, rows = table.values, table.interiors, table.rows
+            for k in range(len(values), n + 1):
+                grown = inside_faces = 0
+                for avoiding, total, face_interiors in rows:
+                    x = face_interiors[k]
+                    grown += avoiding * x
+                    inside_faces += total * x
+                value = values[-1] + grown
+                values.append(value)
+                interiors.append(value - inside_faces)
+        return _tables[p]
+
+
 def polytope_number(p: PolytopeDescriptor, n: int) -> int:
     """n-th term of the polytope number sequence of p, by the recursion.
 
     Starts 0, 1; afterwards each step adds the interior counts of all faces
-    avoiding the base vertex.  Memoized on (descriptor, n); the shared cache
-    is only ever filled with values that do not depend on evaluation order,
-    so concurrent use stays consistent.
+    avoiding the base vertex.  Read from the table of p, which is filled
+    bottom-up to n first when it is shorter.
     """
     if n <= 0:
         return 0
-    if isinstance(p, Point) or n == 1:
-        return 1
-    grown = polytope_number(p, n - 1)
-    return grown + sum(
-        e.not_containing * interior_number(e.face, n) for e in faces_of(p).entries
-    )
+    table = _tables.get(p)
+    if table is None or len(table.values) <= n:
+        table = _filled(p, n)
+    return table.values[n]
 
 
-@lru_cache(maxsize=None)
 def interior_number(p: PolytopeDescriptor, n: int) -> int:
     """n-th interior count: the total minus every proper face's interior."""
     if n <= 0:
         return 0
-    if isinstance(p, Point):
-        return 1
-    if n == 1:
-        return 0
-    return polytope_number(p, n) - sum(
-        e.total * interior_number(e.face, n) for e in faces_of(p).entries
-    )
+    table = _tables.get(p)
+    if table is None or len(table.interiors) <= n:
+        table = _filled(p, n)
+    return table.interiors[n]
+
+
+def table_sizes() -> dict[PolytopeDescriptor, int]:
+    """Largest n each descriptor's table holds (it holds every n from 0)."""
+    with _lock:
+        return {p: len(table.values) - 1 for p, table in _tables.items()}
+
+
+def clear_tables() -> None:
+    """Drop every table and plan; later calls refill from scratch."""
+    with _lock:
+        _tables.clear()
+        _plans.clear()
 
 
 def oracle_report(p: PolytopeDescriptor, n_max: int) -> list[tuple[int, int, int]]:
     """Table of (n, total, interior) for n = 0 .. n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    return [(n, polytope_number(p, n), interior_number(p, n)) for n in range(n_max + 1)]
+    table = _filled(p, n_max)
+    return list(zip(range(n_max + 1), table.values[:n_max + 1], table.interiors[:n_max + 1]))

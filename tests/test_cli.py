@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polytopenums import checks, cli, identities
+from polytopenums import checks, cli, identities, oracle
 from polytopenums.identities import IdentityCheck
 from polytopenums.rectified import rectified_simplex_number
 from polytopenums.regular import hypercube_number
@@ -78,6 +78,31 @@ class TestSeq:
         )
         assert code == 1
         assert "false" in out
+
+    def test_cold_deep_oracle_rows_match(self, capsys):
+        oracle.clear_tables()
+        code, out = run_cli(
+            capsys, "seq", "--family", "lambda", "-d", "3", "-r", "1", "--from", "1500",
+            "--to", "1501", "--route", "both",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["1500", "1501"]
+        assert [row.split()[-1] for row in rows] == ["true", "true"]
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(p, n):
+            raise RuntimeError("table lost")
+
+        argv = ["seq", "--family", "alpha", "-d", "2", "--to", "3", "--route", "both"]
+        monkeypatch.setattr(cli.oracle, "polytope_number", broken)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "polytopenums: internal error: RuntimeError: table lost\n"
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_formula_value", lambda family, d, r, n: 999)
+        assert cli.main(argv) == 1  # a real mismatch still exits 1
+        assert capsys.readouterr().err == ""
 
     def test_oracle_family_reports_interiors(self, capsys):
         code, out = run_cli(

@@ -1,4 +1,8 @@
 """Tests for the recursive face-lattice oracle."""
+import random
+import sys
+import threading
+
 import pytest
 
 from polytopenums.oracle import (
@@ -6,6 +10,7 @@ from polytopenums.oracle import (
     FaceCensus,
     Hypersimplex,
     Point,
+    clear_tables,
     cross_polytope,
     faces_of,
     hypercube,
@@ -15,6 +20,7 @@ from polytopenums.oracle import (
     polytope_number,
     rectified_simplex_descriptor,
     simplex,
+    table_sizes,
 )
 from polytopenums.rectified import rectified_simplex_interior, rectified_simplex_number
 from polytopenums.regular import (
@@ -190,3 +196,79 @@ class TestRecursion:
     def test_census_is_cached_per_descriptor(self):
         assert faces_of(simplex(5)) is faces_of(simplex(5))
         assert isinstance(faces_of(simplex(5)), FaceCensus)
+
+
+class TestTables:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_tables()
+
+    def test_cold_deep_queries_match_closed_forms(self):
+        cases = [
+            (simplex(3), simplex_number(3, 5000), simplex_interior(3, 5000)),
+            (hypersimplex(6, 3), rectified_simplex_number(5, 2, 5000),
+             rectified_simplex_interior(5, 2, 5000)),
+        ]
+        for p, value, interior in cases:
+            clear_tables()
+            assert polytope_number(p, 5000) == value
+            assert interior_number(p, 5000) == interior
+            assert table_sizes()[p] == 5000
+
+    def test_size_is_the_largest_n_asked_across_the_closure(self):
+        polytope_number(simplex(3), 7)
+        assert table_sizes() == {POINT: 7, simplex(1): 7, simplex(2): 7, simplex(3): 7}
+        interior_number(simplex(2), 4)
+        polytope_number(simplex(3), 0)
+        assert set(table_sizes().values()) == {7}
+        interior_number(simplex(2), 9)
+        assert table_sizes() == {POINT: 9, simplex(1): 9, simplex(2): 9, simplex(3): 7}
+        clear_tables()
+        assert table_sizes() == {}
+
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_query_order_does_not_change_tables(self, order):
+        p, ns = hypersimplex(5, 2), list(range(60))
+
+        def tables_after(queries):
+            clear_tables()
+            answers = [(polytope_number(p, n), interior_number(p, n)) for n in queries]
+            sizes = table_sizes()
+            return sizes, {q: oracle_report(q, k) for q, k in sizes.items()}, answers
+
+        sizes, contents, answers = tables_after(ns)
+        queries = ns[::-1] if order == "descending" else random.Random(7).sample(ns, len(ns))
+        other_sizes, other_contents, other_answers = tables_after(queries)
+        assert other_sizes == sizes
+        assert other_contents == contents
+        assert sorted(zip(queries, other_answers)) == list(zip(ns, answers))
+
+    def test_concurrent_cold_fills_agree_with_closed_form(self):
+        p = rectified_simplex_descriptor(5, 2)
+
+        def query(t, start, results):
+            start.wait()
+            results[t] = [(n, polytope_number(p, n), interior_number(p, n))
+                          for n in range(3000 - 200 * t, 0, -37)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                clear_tables()
+                polytope_number(p, 1)  # one shared plan; its tables still end at n = 1
+                start, results = threading.Barrier(4, timeout=60), {}
+                threads = [threading.Thread(target=query, args=(t, start, results))
+                           for t in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                rows = [row for t in range(4) for row in results[t]]
+                assert table_sizes()[p] == max(n for n, _, _ in rows)
+                for n, value, interior in rows:
+                    assert value == rectified_simplex_number(5, 2, n)
+                    assert interior == rectified_simplex_interior(5, 2, n)
+        finally:
+            sys.setswitchinterval(interval)
