@@ -7,12 +7,13 @@ shifted simplex sequences with small nonnegative coefficients, and two
 independent routes produce the same coefficient vectors.
 """
 from polytopenums import (
-    eval_shift_identity,
+    recombine,
     rectified_decomposition,
     rectified_decomposition_gbinom,
     rectified_simplex_interior,
     rectified_simplex_number,
     shift_decomposition,
+    simplex_number,
 )
 
 print("Rectified tetrahedron (the octahedron) and friends:")
@@ -42,5 +43,6 @@ for a, b in [(1, 0), (2, 0), (3, 0), (2, 1), (2, 2)]:
     print(f"  a={a} b={b}: {shift_decomposition(3, a, b)}")
 
 print("\nSpot check of the stretch identity at d=3, a=2, b=0, n=4:")
-lhs, rhs = eval_shift_identity(3, 2, 0, 4)
+lhs = simplex_number(3, 2 * 4 - 1)
+rhs = recombine(shift_decomposition(3, 2, 0), 3, 4)
 print(f"  direct value {lhs} vs recombined value {rhs}")

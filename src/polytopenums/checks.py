@@ -14,6 +14,7 @@ from . import identities, oracle
 from .exact import binomial
 from .identities import GridRanges, IdentityCheck
 from .rectified import (
+    recombine,
     rectified_decomposition,
     rectified_decomposition_gbinom,
     rectified_simplex_interior,
@@ -31,10 +32,6 @@ from .regular import (
 
 def _check(name: str, lhs: object, rhs: object, **params: object) -> IdentityCheck:
     return IdentityCheck(name, tuple(params.items()), lhs, rhs)
-
-
-def _recombine(coeffs: list[int], d: int, n: int) -> int:
-    return sum(c * simplex_number(d, n - j) for j, c in enumerate(coeffs))
 
 
 def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
@@ -140,7 +137,7 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
             yield _check("coefficient-signs", (via_shifts[0], [c for c in via_shifts if c < 0]),
                          (1, []), d=d, r=r)
             for n in range(1, n_hi + 1):
-                yield _check("recombination", _recombine(gbinom, d, n),
+                yield _check("recombination", recombine(gbinom, d, n),
                              rectified_simplex_number(d, r, n), d=d, r=r, n=n)
 
     # One coefficient vector per (d, a, b) serves every n of the identity.
@@ -156,4 +153,4 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                     stretched = a * n - (a - 1) - b
                     if stretched >= 1:
                         yield _check("shift-identity", simplex_number(d, stretched),
-                                     _recombine(coeffs, d, n), d=d, a=a, b=b, n=n)
+                                     recombine(coeffs, d, n), d=d, a=a, b=b, n=n)

@@ -162,6 +162,8 @@ def _cmd_seq(args, parser) -> int:
     descriptor = None
     if route in ("oracle", "both"):
         descriptor = _oracle_descriptor(family, d, r)
+        # One fill up to --to; every row below then reads a filled table.
+        oracle.polytope_number(descriptor, args.n_to)
     for n in range(args.n_from, args.n_to + 1):
         row: dict[str, object] = {"n": n}
         if route in ("formula", "both"):
@@ -292,6 +294,9 @@ def _cmd_decompose(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    for flag in ("d_max", "n_max", "a_max", "b_max"):
+        if (getattr(args, flag) or 0) < 0:
+            parser.error(f"--{flag.replace('_', '-')} must be nonnegative")
     suites = []
     if args.suite in ("identities", "all"):
         try:

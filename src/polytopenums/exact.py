@@ -73,7 +73,7 @@ def _eulerian_row(d: int) -> tuple[int, ...]:
     return tuple((i + 1) * at(i) + (d - i) * at(i - 1) for i in range(max(d, 1)))
 
 
-def poly_trim(p: list[int]) -> list[int]:
+def _poly_trim(p: list[int]) -> list[int]:
     """Canonical form: drop trailing zero coefficients (zero polynomial -> [])."""
     out = list(p)
     while out and out[-1] == 0:
@@ -81,16 +81,9 @@ def poly_trim(p: list[int]) -> list[int]:
     return out
 
 
-def poly_truncate(p: list[int], deg: int) -> list[int]:
-    """Discard every term of degree above deg."""
-    if deg < 0:
-        return []
-    return poly_trim(p[: deg + 1])
-
-
 def poly_mul(p: list[int], q: list[int]) -> list[int]:
-    """Exact convolution product.  Schoolbook; degrees stay small here."""
-    p, q = poly_trim(p), poly_trim(q)
+    """Exact convolution product, trailing zeros dropped.  Schoolbook; degrees stay small."""
+    p, q = _poly_trim(p), _poly_trim(q)
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)
@@ -98,4 +91,4 @@ def poly_mul(p: list[int], q: list[int]) -> list[int]:
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return poly_trim(out)
+    return _poly_trim(out)

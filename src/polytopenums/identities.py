@@ -19,7 +19,7 @@ k < d, r <= d) are part of the identities and live in the iteration code.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -170,33 +170,6 @@ REGISTRY: dict[str, Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityChe
     ),
     "pascal-alternating-row": lambda g: (check_pascal_alternating_row(r) for r in g["r"]),
 }
-
-IDENTITIES = tuple(REGISTRY)
-
-
-@dataclass
-class SuiteResult:
-    total: int = 0
-    failures: list[IdentityCheck] = field(default_factory=list)
-    by_identity: dict[str, int] = field(default_factory=dict)
-
-
-def run_suite(grid: GridRanges | None = None) -> SuiteResult:
-    """Evaluate every identity at every grid point; deterministic order."""
-    if grid is None:
-        grid = default_grid()
-    result = SuiteResult()
-    for name, points in REGISTRY.items():
-        if name not in grid:
-            continue
-        count = 0
-        for check in points(grid[name]):
-            count += 1
-            if not check.ok:
-                result.failures.append(check)
-        result.by_identity[name] = count
-        result.total += count
-    return result
 
 
 def _parse_range(text: str) -> range:

@@ -293,6 +293,18 @@ def _filled(p: PolytopeDescriptor, n: int) -> _Table:
         return _tables[p]
 
 
+def _covering(p: PolytopeDescriptor, n: int) -> _Table:
+    """The table of p, holding n.
+
+    Tests the interiors list, which a fill appends to after the values, so
+    a lock-free read never sees a row whose interior is not yet there.
+    """
+    table = _tables.get(p)
+    if table is None or len(table.interiors) <= n:
+        table = _filled(p, n)
+    return table
+
+
 def polytope_number(p: PolytopeDescriptor, n: int) -> int:
     """n-th term of the polytope number sequence of p, by the recursion.
 
@@ -300,22 +312,12 @@ def polytope_number(p: PolytopeDescriptor, n: int) -> int:
     avoiding the base vertex.  Read from the table of p, which is filled
     bottom-up to n first when it is shorter.
     """
-    if n <= 0:
-        return 0
-    table = _tables.get(p)
-    if table is None or len(table.values) <= n:
-        table = _filled(p, n)
-    return table.values[n]
+    return _covering(p, n).values[n] if n > 0 else 0
 
 
 def interior_number(p: PolytopeDescriptor, n: int) -> int:
     """n-th interior count: the total minus every proper face's interior."""
-    if n <= 0:
-        return 0
-    table = _tables.get(p)
-    if table is None or len(table.interiors) <= n:
-        table = _filled(p, n)
-    return table.interiors[n]
+    return _covering(p, n).interiors[n] if n > 0 else 0
 
 
 def table_sizes() -> dict[PolytopeDescriptor, int]:

@@ -18,7 +18,7 @@ every interior sequence start at 0.
 """
 from __future__ import annotations
 
-from .exact import binomial, gbinomial, poly_mul, poly_truncate
+from .exact import binomial, gbinomial, poly_mul
 from .regular import simplex_interior, simplex_number
 
 
@@ -125,23 +125,18 @@ def shift_decomposition_gf(d: int, a: int, b: int) -> list[int]:
     deg = d + a + b + 2
     series = [binomial(d + a * k - b, a * k - b) for k in range(deg + 1)]
     alternating = [(-1) ** k * binomial(d + 1, k) for k in range(d + 2)]
-    window = poly_truncate(poly_mul(alternating, series), deg)
-    window = window + [0] * (deg + 1 - len(window))
+    window = (poly_mul(alternating, series) + [0] * (deg + 1))[:deg + 1]
     return _trim_to_support(window, d, a, b)
 
 
-def eval_shift_identity(d: int, a: int, b: int, n: int) -> tuple[int, int]:
-    """Both sides of the shift identity at index n.
+def recombine(coeffs: list[int], d: int, n: int) -> int:
+    """Value at n of the sequence with simplex-basis coefficients coeffs.
 
-    Returns (direct, recombined) where direct = simplex_number(d, a*n-(a-1)-b)
-    and recombined applies the shift_decomposition coefficients.  The two are
-    guaranteed equal whenever n >= 1 and a*n - (a-1) - b >= 1; below that
-    threshold the clamping convention decides and equality is not promised.
+    The sum of coeffs[j] * simplex_number(d, n-j): the right side of the
+    shift identity for shift_decomposition vectors, and the rectified value
+    for rectified_decomposition vectors.
     """
-    coeffs = shift_decomposition(d, a, b)
-    lhs = simplex_number(d, a * n - (a - 1) - b)
-    rhs = sum(c * simplex_number(d, n - j) for j, c in enumerate(coeffs))
-    return lhs, rhs
+    return sum(c * simplex_number(d, n - j) for j, c in enumerate(coeffs))
 
 
 def rectified_decomposition(d: int, r: int) -> list[int]:
@@ -183,16 +178,3 @@ def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
         )
         for j in range(d)
     ]
-
-
-def rectified_via_decomposition(d: int, r: int, n: int) -> int:
-    """Rectified-simplex value recombined from its decomposition coefficients.
-
-    Uses the generalized-binomial route; must reproduce
-    rectified_simplex_number(d, r, n) for every n >= 1.
-    """
-    _check_true_rectification(d, r)
-    if n <= 0:
-        return 0
-    coeffs = rectified_decomposition_gbinom(d, r)
-    return sum(c * simplex_number(d, n - j) for j, c in enumerate(coeffs))

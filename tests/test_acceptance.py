@@ -6,13 +6,9 @@ criterion; any failure reports the offending parameters.
 import pytest
 
 from polytopenums import cli, oracle
-from polytopenums.checks import decomposition_checks, oracle_checks
-from polytopenums.identities import default_grid, run_suite
-from polytopenums.rectified import (
-    rectified_simplex_interior,
-    rectified_simplex_number,
-    rectified_via_decomposition,
-)
+from polytopenums.checks import decomposition_checks, identity_checks, oracle_checks
+from polytopenums.identities import REGISTRY, default_grid
+from polytopenums.rectified import rectified_simplex_interior, rectified_simplex_number
 from polytopenums.regular import simplex_number
 
 
@@ -67,19 +63,13 @@ def test_criterion_4_shift_identity_and_coefficient_routes(decomposition_suite):
 
 def test_criterion_5_combined_decomposition(decomposition_suite):
     assert_all_hold(decomposition_suite, "route-agreement", "coefficient-signs", "recombination")
-    for d in range(1, 9):
-        for r in range(d):
-            for n in range(1, 41):
-                assert rectified_via_decomposition(d, r, n) == \
-                    rectified_simplex_number(d, r, n), (d, r, n)
     report(5, "decomposition routes agree, coefficients valid, sequence reproduced, r<d<=8")
 
 
 def test_criterion_6_identity_suite_default_grids():
-    result = run_suite(default_grid())
-    assert result.failures == [], [check.describe() for check in result.failures]
-    assert len(result.by_identity) == 6
-    report(6, f"all 6 identities hold on the default grids ({result.total} checks)")
+    assert len(REGISTRY) == 6
+    checks = assert_all_hold(list(identity_checks(default_grid())), *REGISTRY)
+    report(6, f"all 6 identities hold on the default grids ({checks} checks)")
 
 
 def test_criterion_7_degenerate_family_conventions(oracle_suite):

@@ -90,6 +90,23 @@ class TestSeq:
         assert [row.split()[0] for row in rows] == ["1500", "1501"]
         assert [row.split()[-1] for row in rows] == ["true", "true"]
 
+    def test_cold_oracle_table_is_filled_once(self, capsys, monkeypatch):
+        fills = []
+
+        def counted(p, n, fill=oracle._filled):
+            fills.append(n)
+            return fill(p, n)
+
+        oracle.clear_tables()
+        monkeypatch.setattr(oracle, "_filled", counted)
+        code, out = run_cli(
+            capsys, "seq", "--family", "lambda", "-d", "4", "-r", "1", "--to", "300",
+            "--route", "oracle", "--interior", "--format", "csv",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 301
+        assert fills == [300]
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(p, n):
             raise RuntimeError("table lost")
@@ -275,6 +292,11 @@ class TestVerify:
         assert code == 1
         assert "FAIL subset-convolution [d=4 r=1]" in out
         assert out.rstrip().endswith("verify: FAIL")
+
+    @pytest.mark.parametrize("flag", ["--d-max", "--n-max", "--a-max", "--b-max"])
+    def test_negative_bound_is_usage_error(self, capsys, flag):
+        expect_usage_error("verify", "--suite", "all", flag, "-1")
+        assert f"{flag} must be nonnegative" in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self):
         expect_usage_error("verify", "--suite", "everything")

@@ -1,9 +1,10 @@
 """Tests for the identity verification suite."""
 import pytest
 
+from polytopenums.checks import identity_checks
 from polytopenums.exact import binomial
 from polytopenums.identities import (
-    IDENTITIES,
+    REGISTRY,
     check_alt_vandermonde,
     check_face_interior_sum,
     check_interior_sum,
@@ -12,7 +13,6 @@ from polytopenums.identities import (
     check_vertex_star_sum,
     default_grid,
     parse_grid,
-    run_suite,
 )
 
 
@@ -104,19 +104,17 @@ class TestClosedSums:
 
 class TestSuiteRunner:
     def test_default_grid_is_all_green(self):
-        result = run_suite()
-        assert result.total > 3000
-        assert result.failures == []
-        assert set(result.by_identity) == set(IDENTITIES)
+        records = list(identity_checks(default_grid()))
+        assert len(records) > 3000
+        assert [check.describe() for check in records if not check.ok] == []
+        assert {check.identity for check in records} == set(REGISTRY)
 
     def test_empty_grid(self):
-        result = run_suite({})
-        assert (result.total, result.failures) == (0, [])
+        assert list(identity_checks({})) == []
 
     def test_single_point_grid(self):
         grid = {"alt-vandermonde": {"b": [2], "c": [5], "n": [2]}}
-        result = run_suite(grid)
-        assert (result.total, result.failures) == (1, [])
+        assert [check.ok for check in identity_checks(grid)] == [True]
 
     def test_describe_line(self):
         check = check_alt_vandermonde(2, 5, 2)
@@ -127,8 +125,7 @@ class TestSuiteRunner:
             "[meta]\nversion = 1\n\n[pascal-alternating-row]\nr = 0..4  # short run\n"
         )
         assert grid == {"pascal-alternating-row": {"r": range(0, 5)}}
-        result = run_suite(grid)
-        assert (result.total, result.failures) == (5, [])
+        assert [check.ok for check in identity_checks(grid)] == [True] * 5
 
     def test_parse_grid_rejects_unknown_section(self):
         with pytest.raises(ValueError):

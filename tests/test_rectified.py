@@ -3,12 +3,11 @@ import pytest
 
 from polytopenums.exact import binomial
 from polytopenums.rectified import (
-    eval_shift_identity,
+    recombine,
     rectified_decomposition,
     rectified_decomposition_gbinom,
     rectified_simplex_interior,
     rectified_simplex_number,
-    rectified_via_decomposition,
     shift_decomposition,
     shift_decomposition_gf,
 )
@@ -118,19 +117,10 @@ class TestShiftDecomposition:
                     assert coeffs == shift_decomposition_gf(d, a, b)
 
     def test_identity_examples(self):
-        assert eval_shift_identity(2, 2, 0, 3) == (15, 15)
-        assert eval_shift_identity(1, 2, 0, 2) == (3, 3)
-        assert eval_shift_identity(3, 1, 0, 7) == (84, 84)
-
-    def test_identity_on_grid(self):
-        for d in range(1, 7):
-            for a in range(1, 6):
-                for b in range(6):
-                    for n in range(1, 31):
-                        if a * n - (a - 1) - b < 1:
-                            continue
-                        lhs, rhs = eval_shift_identity(d, a, b, n)
-                        assert lhs == rhs, (d, a, b, n)
+        # simplex_number(d, a*n - (a-1) - b) against its recombined vector.
+        assert (simplex_number(2, 5), recombine(shift_decomposition(2, 2, 0), 2, 3)) == (15, 15)
+        assert (simplex_number(1, 3), recombine(shift_decomposition(1, 2, 0), 1, 2)) == (3, 3)
+        assert (simplex_number(3, 7), recombine(shift_decomposition(3, 1, 0), 3, 7)) == (84, 84)
 
     def test_offset_reduction(self):
         # For b >= a the decomposition at (a, b) evaluated at n matches the
@@ -141,9 +131,7 @@ class TestShiftDecomposition:
                     big = shift_decomposition(d, a, b)
                     small = shift_decomposition(d, a, b - a)
                     for n in range(1, 21):
-                        lhs = sum(c * simplex_number(d, n - j) for j, c in enumerate(big))
-                        rhs = sum(c * simplex_number(d, n - 1 - j) for j, c in enumerate(small))
-                        assert lhs == rhs, (d, a, b, n)
+                        assert recombine(big, d, n) == recombine(small, d, n - 1), (d, a, b, n)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -181,17 +169,11 @@ class TestRectifiedDecomposition:
                 assert all(c >= 0 for c in via_shifts)
 
     def test_recombination_examples(self):
-        assert rectified_via_decomposition(4, 1, 3) == 45
-        assert rectified_via_decomposition(3, 1, 4) == 44
+        assert recombine(rectified_decomposition_gbinom(4, 1), 4, 3) == 45
+        assert recombine(rectified_decomposition_gbinom(3, 1), 3, 4) == 44
         for d in range(1, 9):
             for r in range(d):
-                assert rectified_via_decomposition(d, r, 1) == 1
-
-    def test_recombination_matches_direct(self):
-        for d in range(1, 9):
-            for r in range(d):
-                for n in range(1, 41):
-                    assert rectified_via_decomposition(d, r, n) == rectified_simplex_number(d, r, n)
+                assert recombine(rectified_decomposition_gbinom(d, r), d, 1) == 1
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
