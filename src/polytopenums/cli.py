@@ -2,30 +2,34 @@
 
 Exit codes: 0 success, 1 verification failure or route mismatch, 2 usage
 error, 3 internal error: any other exception, reported on stderr as
-``polytopenums: internal error: <Type>: <message>``.  Output is
-deterministic; big integers are emitted as decimal strings in JSON so
-downstream consumers never overflow.
+``polytopenums: internal error: <Type>: <message>``, and 141 (128 +
+SIGPIPE) when the reader closes stdout early, as ``... | head`` does: the
+output just ends, with nothing on stderr.  Output is deterministic; big
+integers are emitted as decimal strings in JSON so downstream consumers
+never overflow.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 
 from . import checks, identities, oracle
 from .rectified import (
     rectified_decomposition,
     rectified_decomposition_gbinom,
-    rectified_simplex_interior,
-    rectified_simplex_number,
+    rectified_simplex_interior_table,
+    rectified_simplex_table,
     shift_decomposition,
     shift_decomposition_gf,
 )
 from .regular import (
-    cross_polytope_number,
-    hypercube_number,
-    simplex_interior,
-    simplex_number,
+    cross_polytope_table,
+    hypercube_table,
+    simplex_interior_table,
+    simplex_table,
 )
 
 FAMILIES = ("alpha", "beta", "gamma", "lambda", "oracle")
@@ -78,12 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"seq": _cmd_seq, "decompose": _cmd_decompose, "verify": _cmd_verify}
     try:
-        if args.command == "seq":
-            return _cmd_seq(args, parser)
-        if args.command == "decompose":
-            return _cmd_decompose(args, parser)
-        return _cmd_verify(args, parser)
+        code = commands[args.command](args, parser)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Later flushes of the unsent rest go to devnull, so the interpreter
+        # prints no "Exception ignored" on its way out.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as exc:  # a bug, not a failed check: never exit 1 for it
         sys.stderr.write(f"polytopenums: internal error: {type(exc).__name__}: {exc}\n")
         return 3
@@ -96,20 +106,21 @@ def entry() -> None:
 # --- seq -------------------------------------------------------------------
 
 
-def _formula_value(family: str, d: int, r: int | None, n: int) -> int:
+def _formula_columns(family: str, d: int, r: int | None, n_from: int, n_to: int,
+                     want_interior: bool) -> tuple[list[int], list[int] | None]:
+    """Closed-form values for n_from..n_to, and interiors when asked for."""
     if family == "alpha":
-        return simplex_number(d, n)
-    if family == "beta":
-        return cross_polytope_number(d, n)
-    if family == "gamma":
-        return hypercube_number(d, n)
-    return rectified_simplex_number(d, r, n)
-
-
-def _formula_interior(family: str, d: int, r: int | None, n: int) -> int:
-    if family == "alpha":
-        return simplex_interior(d, n)
-    return rectified_simplex_interior(d, r, n)
+        values = simplex_table(d, n_from, n_to)
+        interiors = simplex_interior_table(d, n_from, n_to) if want_interior else None
+    elif family == "beta":
+        values, interiors = cross_polytope_table(d, n_from, n_to), None
+    elif family == "gamma":
+        values, interiors = hypercube_table(d, n_from, n_to), None
+    else:
+        values = rectified_simplex_table(d, r, n_from, n_to)
+        interiors = (rectified_simplex_interior_table(d, r, n_from, n_to)
+                     if want_interior else None)
+    return values, interiors
 
 
 def _oracle_descriptor(family: str, d: int, r: int | None) -> oracle.PolytopeDescriptor:
@@ -160,16 +171,19 @@ def _cmd_seq(args, parser) -> int:
     rows = []
     mismatch = False
     descriptor = None
+    if route in ("formula", "both"):
+        values, interiors = _formula_columns(family, d, r, args.n_from, args.n_to,
+                                             want_interior)
     if route in ("oracle", "both"):
         descriptor = _oracle_descriptor(family, d, r)
         # One fill up to --to; every row below then reads a filled table.
         oracle.polytope_number(descriptor, args.n_to)
-    for n in range(args.n_from, args.n_to + 1):
+    for i, n in enumerate(range(args.n_from, args.n_to + 1)):
         row: dict[str, object] = {"n": n}
         if route in ("formula", "both"):
-            row["value"] = _formula_value(family, d, r, n)
+            row["value"] = values[i]
             if want_interior:
-                row["interior"] = _formula_interior(family, d, r, n)
+                row["interior"] = interiors[i]
         if route in ("oracle", "both"):
             value = oracle.polytope_number(descriptor, n)
             interior = oracle.interior_number(descriptor, n) if want_interior else None
@@ -293,22 +307,43 @@ def _cmd_decompose(args, parser) -> int:
 # --- verify ------------------------------------------------------------------
 
 
+# The options each suite reads; any other given option would be ignored.
+SUITE_OPTIONS = {
+    "identities": ("grid",),
+    "oracle": ("d_max", "n_max"),
+    "decompositions": ("d_max", "n_max", "a_max", "b_max"),
+}
+
+
 def _cmd_verify(args, parser) -> int:
     for flag in ("d_max", "n_max", "a_max", "b_max"):
         if (getattr(args, flag) or 0) < 0:
             parser.error(f"--{flag.replace('_', '-')} must be nonnegative")
+    names = [name for name in SUITE_OPTIONS if args.suite in (name, "all")]
+    read = {option for name in names for option in SUITE_OPTIONS[name]}
+    for option in ("grid", "d_max", "n_max", "a_max", "b_max"):
+        if getattr(args, option) is not None and option not in read:
+            parser.error(f"--{option.replace('_', '-')} has no effect on --suite {args.suite}")
+
     suites = []
-    if args.suite in ("identities", "all"):
+    if "identities" in names:
         try:
             grid = identities.load_grid(args.grid) if args.grid else identities.default_grid()
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load identity grid: {exc}")
         suites.append(("identities", f"{len(grid)} identities, ", checks.identity_checks(grid)))
-    if args.suite in ("oracle", "all"):
+    if "oracle" in names:
         suites.append(("oracle", "", checks.oracle_checks(args.d_max, args.n_max)))
-    if args.suite in ("decompositions", "all"):
+    if "decompositions" in names:
         suites.append(("decompositions", "", checks.decomposition_checks(
             args.d_max, args.n_max, args.a_max, args.b_max)))
+    # A suite with no checks would pass vacuously: take each one's first
+    # record before any suite runs, and refuse the bounds if there is none.
+    for k, (name, header, records) in enumerate(suites):
+        first = next(records, None)
+        if first is None:
+            parser.error(f"suite {name} has no checks within the given bounds")
+        suites[k] = (name, header, itertools.chain([first], records))
 
     out = sys.stdout
     any_failures = False

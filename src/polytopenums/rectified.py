@@ -9,7 +9,9 @@ inclusion-exclusion style sum of stretched simplex sequences:
 
 where A is the clamped d-simplex sequence.  This module evaluates that sum,
 its interior companion, and three independent routes to the coefficients
-that rewrite such sequences in the basis A(d, n-j) of unit shifts.
+that rewrite such sequences in the basis A(d, n-j) of unit shifts.  The
+table forms evaluate the same sum for a run of n at once: stretch i reads
+one strided simplex column, and the r+1 columns add into one accumulator.
 
 The degenerate families with d <= r are still defined by the same formulas.
 Their sign conventions (constant 1, interior (-1)**r for d == r, interior 0
@@ -19,7 +21,13 @@ every interior sequence start at 0.
 from __future__ import annotations
 
 from .exact import binomial, gbinomial, poly_mul
-from .regular import simplex_interior, simplex_number
+from .regular import (
+    _accumulate,
+    _simplex_column,
+    _simplex_interior_column,
+    simplex_interior,
+    simplex_number,
+)
 
 
 def _check_dimension(d: int, r: int) -> None:
@@ -68,6 +76,35 @@ def rectified_simplex_interior(d: int, r: int, n: int) -> int:
         (-1) ** (r - i) * binomial(d + 1, r - i) * simplex_interior(d, (i + 1) * n + r - 2 * i)
         for i in range(r + 1)
     )
+
+
+def _alternating_table(d: int, r: int, n_from: int, n_to: int, column, offset) -> list[int]:
+    """sum_i (-1)**(r-i) C(d+1, r-i) column(d, (i+1)n + offset(i)) for n_from..n_to.
+
+    Rows with n <= 0 come out 0, as the scalar forms return, with no clamp:
+    a nonzero weight needs r-i <= d+1, and then every argument at n <= 0 is
+    below 1 (values) or below d+2 (interiors), where the columns vanish.
+    """
+    _check_dimension(d, r)
+    acc = [0] * max(0, n_to - n_from + 1)
+    for i in range(r + 1):
+        weight = (-1) ** (r - i) * binomial(d + 1, r - i)
+        if weight:
+            step = i + 1
+            start = step * n_from + offset(i)
+            _accumulate(acc, weight, column(d, range(start, start + step * len(acc), step)))
+    return acc
+
+
+def rectified_simplex_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
+    """[rectified_simplex_number(d, r, n) for n in n_from..n_to]."""
+    return _alternating_table(d, r, n_from, n_to, _simplex_column, lambda i: -r)
+
+
+def rectified_simplex_interior_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
+    """[rectified_simplex_interior(d, r, n) for n in n_from..n_to]."""
+    return _alternating_table(d, r, n_from, n_to, _simplex_interior_column,
+                              lambda i: r - 2 * i)
 
 
 def _support_bound(d: int, a: int, b: int) -> int:

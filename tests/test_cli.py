@@ -1,17 +1,65 @@
 """Tests for the command-line interface."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from polytopenums import checks, cli, identities, oracle
 from polytopenums.identities import IdentityCheck
-from polytopenums.rectified import rectified_simplex_number
-from polytopenums.regular import hypercube_number
+from polytopenums.rectified import rectified_simplex_interior, rectified_simplex_number
+from polytopenums.regular import (
+    cross_polytope_number,
+    hypercube_number,
+    simplex_interior,
+    simplex_number,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
+
+
+def off_columns(family, d, r, n_from, n_to, want_interior):
+    """A closed form that is wrong everywhere: 999 in every row."""
+    rows = n_to - n_from + 1
+    return [999] * rows, [999] * rows if want_interior else None
+
+
+def scalar_columns(family, d, r, n_from, n_to, want_interior):
+    """The formula columns of `seq`, evaluated row by row by the scalar closed forms."""
+    value = {
+        "alpha": lambda n: simplex_number(d, n),
+        "beta": lambda n: cross_polytope_number(d, n),
+        "gamma": lambda n: hypercube_number(d, n),
+        "lambda": lambda n: rectified_simplex_number(d, r, n),
+    }[family]
+    interior = {
+        "alpha": lambda n: simplex_interior(d, n),
+        "lambda": lambda n: rectified_simplex_interior(d, r, n),
+    }.get(family)
+    ns = range(n_from, n_to + 1)
+    return [value(n) for n in ns], [interior(n) for n in ns] if want_interior else None
+
+
+# Every family x format, with and without interiors, formula and both routes,
+# from 0 and from 1: each combination `seq` accepts.
+SEQ_CASES = [
+    (family, d, r, fmt, interior, route, n_from)
+    for family, d, r in (("alpha", 0, None), ("alpha", 3, None), ("beta", 4, None),
+                         ("gamma", 3, None), ("lambda", 5, 2), ("lambda", 2, 3))
+    for fmt in cli.FORMATS
+    for interior in (False, True)
+    for route in ("formula", "both")
+    for n_from in (0, 1)
+    if not (interior and family in ("beta", "gamma"))
+    and not (fmt == "bfile" and (interior or route == "both"))
+    and not (route == "both" and r is not None and r >= d)
+]
 
 
 def expect_usage_error(*argv):
@@ -72,12 +120,24 @@ class TestSeq:
         assert out.splitlines() == ["n  value  match", "1  1      true", "2  10     true"]
 
     def test_route_both_mismatch_exits_nonzero(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_formula_value", lambda family, d, r, n: 999)
+        monkeypatch.setattr(cli, "_formula_columns", off_columns)
         code, out = run_cli(
             capsys, "seq", "--family", "alpha", "-d", "2", "--to", "3", "--route", "both",
         )
         assert code == 1
         assert "false" in out
+
+    @pytest.mark.parametrize("family, d, r, fmt, interior, route, n_from", SEQ_CASES)
+    def test_columns_print_what_scalar_rows_print(self, capsys, monkeypatch, family, d, r,
+                                                  fmt, interior, route, n_from):
+        argv = ["seq", "--family", family, "-d", str(d), "--from", str(n_from), "--to", "30",
+                "--route", route, "--format", fmt]
+        argv += ["-r", str(r)] if r is not None else []
+        argv += ["--interior"] if interior else []
+        code, out = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_formula_columns", scalar_columns)
+        assert (code, out) == run_cli(capsys, *argv)
+        assert code == 0
 
     def test_cold_deep_oracle_rows_match(self, capsys):
         oracle.clear_tables()
@@ -117,7 +177,7 @@ class TestSeq:
         captured = capsys.readouterr()
         assert captured.err == "polytopenums: internal error: RuntimeError: table lost\n"
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "_formula_value", lambda family, d, r, n: 999)
+        monkeypatch.setattr(cli, "_formula_columns", off_columns)
         assert cli.main(argv) == 1  # a real mismatch still exits 1
         assert capsys.readouterr().err == ""
 
@@ -164,6 +224,29 @@ class TestSeq:
         expect_usage_error(
             "seq", "--family", "oracle", "-d", "3", "--to", "5", "--route", "formula",
         )
+
+
+class TestClosedStdout:
+    def run(self, argv, stdout):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.Popen([sys.executable, "-m", "polytopenums", *argv], stdout=stdout,
+                                stderr=subprocess.PIPE, env=env)
+
+    def test_reader_closing_mid_table_ends_output(self):
+        proc = self.run(["seq", "--family", "alpha", "-d", "2", "--to", "200000"],
+                        subprocess.PIPE)
+        assert proc.stdout.readline() == b"n       value\n"
+        proc.stdout.close()  # as `| head -1` does
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_reader_gone_before_any_output(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = self.run(["verify", "--suite", "identities"], write_end)
+        os.close(write_end)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
 
 
 class TestDecompose:
@@ -258,9 +341,9 @@ class TestVerify:
     def test_broken_closed_form_is_reported(self, capsys, monkeypatch, suite, name,
                                             closed_form, fail_line):
         monkeypatch.setattr(checks, name, lambda *args: closed_form(*args) + 1)
+        shift_bounds = ["--a-max", "1", "--b-max", "0"] if suite == "decompositions" else []
         code, out = run_cli(
-            capsys, "verify", "--suite", suite, "--d-max", "2", "--n-max", "3",
-            "--a-max", "1", "--b-max", "0",
+            capsys, "verify", "--suite", suite, "--d-max", "2", "--n-max", "3", *shift_bounds,
         )
         assert code == 1
         assert fail_line in out
@@ -297,6 +380,25 @@ class TestVerify:
     def test_negative_bound_is_usage_error(self, capsys, flag):
         expect_usage_error("verify", "--suite", "all", flag, "-1")
         assert f"{flag} must be nonnegative" in capsys.readouterr().err
+
+    def test_bounds_leaving_a_suite_without_checks_are_usage_error(self, capsys):
+        for suite in ("decompositions", "all"):
+            expect_usage_error("verify", "--suite", suite, "--d-max", "0")
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "suite decompositions has no checks within the given bounds" in captured.err
+
+    @pytest.mark.parametrize("suite, option", [
+        ("identities", "--d-max"), ("identities", "--n-max"), ("identities", "--a-max"),
+        ("identities", "--b-max"), ("oracle", "--a-max"), ("oracle", "--b-max"),
+        ("oracle", "--grid"), ("decompositions", "--grid"),
+    ])
+    def test_option_the_suite_ignores_is_usage_error(self, capsys, suite, option):
+        value = identities.__file__ if option == "--grid" else "2"
+        expect_usage_error("verify", "--suite", suite, option, value)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} has no effect on --suite {suite}" in captured.err
 
     def test_unknown_suite_is_usage_error(self):
         expect_usage_error("verify", "--suite", "everything")

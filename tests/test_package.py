@@ -14,17 +14,18 @@ DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.
 
 PUBLIC = [
     "CrossPolytope", "FaceCensus", "FaceEntry", "Hypercube", "Hypersimplex",
-    "IdentityCheck", "POINT", "Point", "PolytopeDescriptor", "Simplex",
-    "binomial", "check_alt_vandermonde", "check_face_interior_sum",
-    "check_interior_sum", "check_pascal_alternating_row", "check_subset_convolution",
-    "check_vertex_star_sum", "cross_polytope", "cross_polytope_number",
-    "default_grid", "eulerian", "faces_of", "facet_cut", "gbinomial", "hypercube",
-    "hypercube_number", "hypersimplex", "interior_number", "load_grid",
-    "oracle_report", "parse_grid", "poly_mul", "polytope_number", "recombine",
-    "rectified_decomposition", "rectified_decomposition_gbinom",
-    "rectified_simplex_descriptor", "rectified_simplex_interior",
-    "rectified_simplex_number", "shift_decomposition", "shift_decomposition_gf",
-    "simplex", "simplex_interior", "simplex_number",
+    "IdentityCheck", "POINT", "Point", "PolytopeDescriptor", "Simplex", "binomial",
+    "check_alt_vandermonde", "check_face_interior_sum", "check_interior_sum",
+    "check_pascal_alternating_row", "check_subset_convolution", "check_vertex_star_sum",
+    "cross_polytope", "cross_polytope_number", "cross_polytope_table", "default_grid",
+    "eulerian", "faces_of", "facet_cut", "gbinomial", "hypercube", "hypercube_number",
+    "hypercube_table", "hypersimplex", "interior_number", "load_grid", "oracle_report",
+    "parse_grid", "poly_mul", "polytope_number", "recombine", "rectified_decomposition",
+    "rectified_decomposition_gbinom", "rectified_simplex_descriptor",
+    "rectified_simplex_interior", "rectified_simplex_interior_table",
+    "rectified_simplex_number", "rectified_simplex_table", "shift_decomposition",
+    "shift_decomposition_gf", "simplex", "simplex_interior", "simplex_interior_table",
+    "simplex_number", "simplex_table",
 ]
 
 
