@@ -5,6 +5,8 @@ check holds when lhs == rhs exactly.  Structural checks put the computed
 value on the left and the expected one on the right.  `polytopenums verify`
 and the acceptance tests iterate these same generators, so the suites are
 written once.  Bounds left as None take the default grid of each suite.
+The closed forms are read a column at a time from the same table functions
+`polytopenums seq` prints from, so the oracle suite checks that code.
 """
 from __future__ import annotations
 
@@ -14,19 +16,19 @@ from . import identities, oracle
 from .exact import binomial
 from .identities import GridRanges, IdentityCheck
 from .rectified import (
-    recombine,
     rectified_decomposition,
     rectified_decomposition_gbinom,
-    rectified_simplex_interior,
-    rectified_simplex_number,
+    rectified_simplex_interior_table,
+    rectified_simplex_table,
     shift_decomposition,
     shift_decomposition_gf,
 )
 from .regular import (
-    cross_polytope_number,
-    hypercube_number,
-    simplex_interior,
-    simplex_number,
+    cross_polytope_table,
+    hypercube_table,
+    recombine_table,
+    simplex_interior_table,
+    simplex_table,
 )
 
 
@@ -48,55 +50,61 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
     def cap(default: int) -> int:
         return default if d_max is None else min(default, d_max)
 
+    def recursion(p: oracle.PolytopeDescriptor) -> list[tuple[int, int, int]]:
+        # (n, value, interior) for n = 1..n_hi, from one table fill.
+        return oracle.oracle_report(p, n_hi)[1:] if n_hi else []
+
     for d in range(cap(8) + 1):
-        p = oracle.simplex(d)
-        for n in range(1, n_hi + 1):
-            yield _check("simplex-value", oracle.polytope_number(p, n),
-                         simplex_number(d, n), d=d, n=n)
-            yield _check("simplex-interior", oracle.interior_number(p, n),
-                         simplex_interior(d, n), d=d, n=n)
+        for (n, value, interior), formula, formula_interior in zip(
+                recursion(oracle.simplex(d)), simplex_table(d, 1, n_hi),
+                simplex_interior_table(d, 1, n_hi)):
+            yield _check("simplex-value", value, formula, d=d, n=n)
+            yield _check("simplex-interior", interior, formula_interior, d=d, n=n)
     for d in range(1, cap(6) + 1):
-        for n in range(1, n_hi + 1):
-            yield _check("cross-polytope", oracle.polytope_number(oracle.cross_polytope(d), n),
-                         cross_polytope_number(d, n), d=d, n=n)
-            yield _check("hypercube", oracle.polytope_number(oracle.hypercube(d), n),
-                         hypercube_number(d, n), d=d, n=n)
+        for (n, cross, _), (_, cube, _), cross_formula, cube_formula in zip(
+                recursion(oracle.cross_polytope(d)), recursion(oracle.hypercube(d)),
+                cross_polytope_table(d, 1, n_hi), hypercube_table(d, 1, n_hi)):
+            yield _check("cross-polytope", cross, cross_formula, d=d, n=n)
+            yield _check("hypercube", cube, cube_formula, d=d, n=n)
     for d in range(2, cap(7) + 1):
         for r in range(1, d):
-            p = oracle.rectified_simplex_descriptor(d, r)
-            for n in range(1, n_hi + 1):
-                yield _check("rectified-value", oracle.polytope_number(p, n),
-                             rectified_simplex_number(d, r, n), d=d, r=r, n=n)
-                yield _check("rectified-interior", oracle.interior_number(p, n),
-                             rectified_simplex_interior(d, r, n), d=d, r=r, n=n)
+            for (n, value, interior), formula, formula_interior in zip(
+                    recursion(oracle.rectified_simplex_descriptor(d, r)),
+                    rectified_simplex_table(d, r, 1, n_hi),
+                    rectified_simplex_interior_table(d, r, 1, n_hi)):
+                yield _check("rectified-value", value, formula, d=d, r=r, n=n)
+                yield _check("rectified-interior", interior, formula_interior, d=d, r=r, n=n)
 
     # Known-sequence bridges; 3 * octahedral(n) = n (2n^2 + 1).
-    for n in range(1, (200 if n_max is None else n_max) + 1):
-        yield _check("octahedral-bridge", 3 * rectified_simplex_number(3, 1, n),
-                     n * (2 * n * n + 1), n=n)
+    bridge_hi = 200 if n_max is None else n_max
+    for n, octahedral in enumerate(rectified_simplex_table(3, 1, 1, bridge_hi), 1):
+        yield _check("octahedral-bridge", 3 * octahedral, n * (2 * n * n + 1), n=n)
+    short_hi = min(n_hi, 60)
     for d in range(1, cap(8) + 1):
-        for n in range(1, min(n_hi, 60) + 1):
-            yield _check("zero-rectification", rectified_simplex_number(d, 0, n),
-                         simplex_number(d, n), d=d, n=n)
+        columns = zip(simplex_table(d, 1, short_hi), rectified_simplex_table(d, 0, 1, short_hi),
+                      rectified_simplex_table(d, d - 1, 1, short_hi))
+        for n, (simplex_value, zero, dual) in enumerate(columns, 1):
+            yield _check("zero-rectification", zero, simplex_value, d=d, n=n)
             if d >= 2:
-                yield _check("dual-rectification", rectified_simplex_number(d, d - 1, n),
-                             simplex_number(d, n), d=d, n=n)
+                yield _check("dual-rectification", dual, simplex_value, d=d, n=n)
     for d in range(1, cap(10) + 1):
         for r in range(d):
-            yield _check("vertex-count", rectified_simplex_number(d, r, 2),
-                         binomial(d + 1, r + 1), d=d, r=r)
+            [vertices] = rectified_simplex_table(d, r, 2, 2)
+            yield _check("vertex-count", vertices, binomial(d + 1, r + 1), d=d, r=r)
 
     # Degenerate-family conventions (d <= r), valid from n = 2.
+    degenerate_hi = min(n_hi, 40)
     for r in range(1, cap(8) + 1):
-        for n in range(1, min(n_hi, 40) + 1):
-            yield _check("constant-family", rectified_simplex_number(r, r, n), 1, r=r, n=n)
+        columns = zip(rectified_simplex_table(r, r, 1, degenerate_hi),
+                      rectified_simplex_interior_table(r, r, 1, degenerate_hi))
+        for n, (value, interior) in enumerate(columns, 1):
+            yield _check("constant-family", value, 1, r=r, n=n)
             if n >= 2:
-                yield _check("interior-sign", rectified_simplex_interior(r, r, n),
-                             (-1) ** r, r=r, n=n)
+                yield _check("interior-sign", interior, (-1) ** r, r=r, n=n)
         for d in range(1, r):
-            for n in range(2, min(n_hi, 40) + 1):
-                yield _check("vanishing-interior", rectified_simplex_interior(d, r, n), 0,
-                             d=d, r=r, n=n)
+            for n, interior in enumerate(
+                    rectified_simplex_interior_table(d, r, 2, degenerate_hi), 2):
+                yield _check("vanishing-interior", interior, 0, d=d, r=r, n=n)
 
     # Census structure: Euler relation over every census reachable from the
     # tested polytopes, plus two pinned f-vectors.
@@ -120,7 +128,8 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
         stack.extend(e.face for e in census.entries)
     for p, f_vector in ((oracle.hypersimplex(4, 2), (6, 12, 8)),
                         (oracle.hypersimplex(5, 2), (10, 30, 30, 10))):
-        yield _check("f-vector", oracle.faces_of(p).f_vector(), f_vector, polytope=p)
+        if d_max is None or d_max >= p.dimension:
+            yield _check("f-vector", oracle.faces_of(p).f_vector(), f_vector, polytope=p)
 
 
 def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
@@ -136,11 +145,14 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
             # Leading coefficient 1 and no negative coefficient.
             yield _check("coefficient-signs", (via_shifts[0], [c for c in via_shifts if c < 0]),
                          (1, []), d=d, r=r)
-            for n in range(1, n_hi + 1):
-                yield _check("recombination", recombine(gbinom, d, n),
-                             rectified_simplex_number(d, r, n), d=d, r=r, n=n)
+            columns = zip(recombine_table(gbinom, d, 1, n_hi),
+                          rectified_simplex_table(d, r, 1, n_hi))
+            for n, (recombined, formula) in enumerate(columns, 1):
+                yield _check("recombination", recombined, formula, d=d, r=r, n=n)
 
-    # One coefficient vector per (d, a, b) serves every n of the identity.
+    # One coefficient vector per (d, a, b) serves every n of the identity,
+    # and one simplex column from 1 holds every stretched argument >= 1.
+    m = min(30, n_hi)
     for d in range(1, (6 if d_max is None else min(6, d_max)) + 1):
         for a in range(1, (5 if a_max is None else a_max) + 1):
             for b in range((5 if b_max is None else b_max) + 1):
@@ -149,8 +161,9 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                              d=d, a=a, b=b)
                 if b <= d:
                     yield _check("shift-support", len(coeffs), d + 1, d=d, a=a, b=b)
-                for n in range(1, min(30, n_hi) + 1):
-                    stretched = a * n - (a - 1) - b
-                    if stretched >= 1:
-                        yield _check("shift-identity", simplex_number(d, stretched),
-                                     recombine(coeffs, d, n), d=d, a=a, b=b, n=n)
+                stretched = simplex_table(d, 1, a * m - (a - 1) - b)
+                for n, recombined in enumerate(recombine_table(coeffs, d, 1, m), 1):
+                    k = a * n - (a - 1) - b
+                    if k >= 1:
+                        yield _check("shift-identity", stretched[k - 1], recombined,
+                                     d=d, a=a, b=b, n=n)

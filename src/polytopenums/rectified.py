@@ -7,27 +7,24 @@ inclusion-exclusion style sum of stretched simplex sequences:
 
     value(d, r, n) = sum over i of (-1)**(r-i) C(d+1, r-i) A(d, (i+1)n - r)
 
-where A is the clamped d-simplex sequence.  This module evaluates that sum,
-its interior companion, and three independent routes to the coefficients
-that rewrite such sequences in the basis A(d, n-j) of unit shifts.  The
-table forms evaluate the same sum for a run of n at once: stretch i reads
-one strided simplex column, and the r+1 columns add into one accumulator.
+where A is the clamped d-simplex sequence.  That sum and its interior
+companion are written once, as table forms: stretch i reads one strided
+simplex column, and the r+1 columns add into one accumulator.  The scalar
+forms are the one-row reads of those tables.  The module also has three
+independent routes to the coefficients that rewrite such sequences in the
+basis A(d, n-j) of unit shifts; `recombine` reads a sequence back from its
+coefficients.
 
-The degenerate families with d <= r are still defined by the same formulas.
-Their sign conventions (constant 1, interior (-1)**r for d == r, interior 0
-for 0 < d < r) hold from n = 2 on; at n = 1 the clamped interior values make
-every interior sequence start at 0.
+The degenerate families with d <= r are still defined by the same formulas,
+as formal sequences.  For d == r the value is 1 at every n >= 1 and the
+interior is 0 at n = 1, then (-1)**r.  For 0 < d < r the value is 1 at
+n = 1 and 0 from n = 2 on, and the interior is (-1)**(d+1) at n = 1 and 0
+from n = 2 on.
 """
 from __future__ import annotations
 
 from .exact import binomial, gbinomial, poly_mul
-from .regular import (
-    _accumulate,
-    _simplex_column,
-    _simplex_interior_column,
-    simplex_interior,
-    simplex_number,
-)
+from .regular import _accumulate, _simplex_column, _simplex_interior_column, recombine_table
 
 
 def _check_dimension(d: int, r: int) -> None:
@@ -52,38 +49,12 @@ def _check_true_rectification(d: int, r: int) -> None:
         raise ValueError(f"decomposition requires 0 <= r < d, got d={d} r={r}")
 
 
-def rectified_simplex_number(d: int, r: int, n: int) -> int:
-    """n-th point count of the r-rectified d-simplex (0 for n <= 0).
-
-    Valid as a geometric count for 0 <= r < d; larger r evaluates the same
-    alternating formula as a formal sequence.
-    """
-    _check_dimension(d, r)
-    if n <= 0:
-        return 0
-    return sum(
-        (-1) ** (r - i) * binomial(d + 1, r - i) * simplex_number(d, (i + 1) * n - r)
-        for i in range(r + 1)
-    )
-
-
-def rectified_simplex_interior(d: int, r: int, n: int) -> int:
-    """Interior point count of the n-th r-rectified d-simplex array."""
-    _check_dimension(d, r)
-    if n <= 0:
-        return 0
-    return sum(
-        (-1) ** (r - i) * binomial(d + 1, r - i) * simplex_interior(d, (i + 1) * n + r - 2 * i)
-        for i in range(r + 1)
-    )
-
-
 def _alternating_table(d: int, r: int, n_from: int, n_to: int, column, offset) -> list[int]:
     """sum_i (-1)**(r-i) C(d+1, r-i) column(d, (i+1)n + offset(i)) for n_from..n_to.
 
-    Rows with n <= 0 come out 0, as the scalar forms return, with no clamp:
-    a nonzero weight needs r-i <= d+1, and then every argument at n <= 0 is
-    below 1 (values) or below d+2 (interiors), where the columns vanish.
+    Rows with n <= 0 come out 0 with no clamp: a nonzero weight needs
+    r-i <= d+1, and then every argument at n <= 0 is below 1 (values) or
+    below d+2 (interiors), where the columns vanish.
     """
     _check_dimension(d, r)
     acc = [0] * max(0, n_to - n_from + 1)
@@ -97,14 +68,28 @@ def _alternating_table(d: int, r: int, n_from: int, n_to: int, column, offset) -
 
 
 def rectified_simplex_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
-    """[rectified_simplex_number(d, r, n) for n in n_from..n_to]."""
+    """Point counts of the r-rectified d-simplex arrays for n_from..n_to (0 for n <= 0).
+
+    Valid as geometric counts for 0 <= r < d; larger r evaluates the same
+    alternating formula as a formal sequence.
+    """
     return _alternating_table(d, r, n_from, n_to, _simplex_column, lambda i: -r)
 
 
 def rectified_simplex_interior_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
-    """[rectified_simplex_interior(d, r, n) for n in n_from..n_to]."""
+    """Interior point counts of the r-rectified d-simplex arrays for n_from..n_to."""
     return _alternating_table(d, r, n_from, n_to, _simplex_interior_column,
                               lambda i: r - 2 * i)
+
+
+def rectified_simplex_number(d: int, r: int, n: int) -> int:
+    """n-th point count of the r-rectified d-simplex: one row of rectified_simplex_table."""
+    return rectified_simplex_table(d, r, n, n)[0]
+
+
+def rectified_simplex_interior(d: int, r: int, n: int) -> int:
+    """n-th interior count: one row of rectified_simplex_interior_table."""
+    return rectified_simplex_interior_table(d, r, n, n)[0]
 
 
 def _support_bound(d: int, a: int, b: int) -> int:
@@ -169,11 +154,11 @@ def shift_decomposition_gf(d: int, a: int, b: int) -> list[int]:
 def recombine(coeffs: list[int], d: int, n: int) -> int:
     """Value at n of the sequence with simplex-basis coefficients coeffs.
 
-    The sum of coeffs[j] * simplex_number(d, n-j): the right side of the
-    shift identity for shift_decomposition vectors, and the rectified value
-    for rectified_decomposition vectors.
+    One row of recombine_table: the right side of the shift identity for
+    shift_decomposition vectors, and the rectified value for
+    rectified_decomposition vectors.
     """
-    return sum(c * simplex_number(d, n - j) for j, c in enumerate(coeffs))
+    return recombine_table(coeffs, d, n, n)[0]
 
 
 def rectified_decomposition(d: int, r: int) -> list[int]:

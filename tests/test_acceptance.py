@@ -74,11 +74,14 @@ def test_criterion_6_identity_suite_default_grids():
 
 def test_criterion_7_degenerate_family_conventions(oracle_suite):
     assert_all_hold(oracle_suite, "constant-family", "interior-sign", "vanishing-interior")
-    # The sign convention for the interiors holds from n = 2 on; at n = 1
-    # the clamped interiors make the whole family start at 0, which is what
-    # the recursion comparison in criterion 1 requires.
+    # The sign convention for the interiors holds from n = 2 on.  At n = 1
+    # the interior is 0 for d == r, and (-1)**(d+1) for 0 < d < r, where
+    # the value is 1 at n = 1 and both are 0 from n = 2 on.
     for r in range(1, 9):
         assert rectified_simplex_interior(r, r, 1) == 0, r
+        for d in range(1, r):
+            assert rectified_simplex_number(d, r, 1) == 1, (d, r)
+            assert rectified_simplex_interior(d, r, 1) == (-1) ** (d + 1), (d, r)
     report(7, "degenerate families: constant 1, interior sign (-1)**r, vanishing interiors below r")
 
 

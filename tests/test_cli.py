@@ -8,13 +8,8 @@ import pytest
 
 from polytopenums import checks, cli, identities, oracle
 from polytopenums.identities import IdentityCheck
-from polytopenums.rectified import rectified_simplex_interior, rectified_simplex_number
-from polytopenums.regular import (
-    cross_polytope_number,
-    hypercube_number,
-    simplex_interior,
-    simplex_number,
-)
+from polytopenums.rectified import rectified_simplex_table
+from polytopenums.regular import hypercube_table
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -31,19 +26,24 @@ def off_columns(family, d, r, n_from, n_to, want_interior):
 
 
 def scalar_columns(family, d, r, n_from, n_to, want_interior):
-    """The formula columns of `seq`, evaluated row by row by the scalar closed forms."""
-    value = {
-        "alpha": lambda n: simplex_number(d, n),
-        "beta": lambda n: cross_polytope_number(d, n),
-        "gamma": lambda n: hypercube_number(d, n),
-        "lambda": lambda n: rectified_simplex_number(d, r, n),
-    }[family]
-    interior = {
-        "alpha": lambda n: simplex_interior(d, n),
-        "lambda": lambda n: rectified_simplex_interior(d, r, n),
-    }.get(family)
+    """The formula columns of `seq`, row by row from references that read no table.
+
+    The recursion for every polytope, and for the formal family with
+    0 < d < r its pinned values: 1 then 0, interior (-1)**(d+1) then 0.
+    """
     ns = range(n_from, n_to + 1)
-    return [value(n) for n in ns], [interior(n) for n in ns] if want_interior else None
+    if family == "lambda" and r >= d:
+        values = [int(n == 1) for n in ns]
+        interiors = [(-1) ** (d + 1) if n == 1 else 0 for n in ns]
+    else:
+        if family == "lambda":
+            p = oracle.rectified_simplex_descriptor(d, r)
+        else:
+            p = {"alpha": oracle.simplex, "beta": oracle.cross_polytope,
+                 "gamma": oracle.hypercube}[family](d)
+        values = [oracle.polytope_number(p, n) for n in ns]
+        interiors = [oracle.interior_number(p, n) for n in ns]
+    return values, interiors if want_interior else None
 
 
 # Every family x format, with and without interiors, formula and both routes,
@@ -332,15 +332,15 @@ class TestVerify:
         assert code == 0
         assert out == "decompositions: 751 checks, 0 failures\nverify: PASS\n"
 
-    @pytest.mark.parametrize("suite, name, closed_form, fail_line", [
-        ("oracle", "hypercube_number", hypercube_number,
+    @pytest.mark.parametrize("suite, name, table, fail_line", [
+        ("oracle", "hypercube_table", hypercube_table,
          "  FAIL hypercube [d=2 n=3] lhs=9 rhs=10\n"),
-        ("decompositions", "rectified_simplex_number", rectified_simplex_number,
+        ("decompositions", "rectified_simplex_table", rectified_simplex_table,
          "  FAIL recombination [d=2 r=1 n=3] lhs=6 rhs=7\n"),
     ])
-    def test_broken_closed_form_is_reported(self, capsys, monkeypatch, suite, name,
-                                            closed_form, fail_line):
-        monkeypatch.setattr(checks, name, lambda *args: closed_form(*args) + 1)
+    def test_broken_closed_form_is_reported(self, capsys, monkeypatch, suite, name, table,
+                                            fail_line):
+        monkeypatch.setattr(checks, name, lambda *args: [v + 1 for v in table(*args)])
         shift_bounds = ["--a-max", "1", "--b-max", "0"] if suite == "decompositions" else []
         code, out = run_cli(
             capsys, "verify", "--suite", suite, "--d-max", "2", "--n-max", "3", *shift_bounds,
@@ -348,6 +348,25 @@ class TestVerify:
         assert code == 1
         assert fail_line in out
         assert out.endswith("verify: FAIL\n")
+
+    def test_oracle_suite_checks_the_tables_seq_prints_from(self, monkeypatch):
+        # The closed forms `seq` prints are the globals _formula_columns reads.
+        names = sorted(name for name in cli._formula_columns.__code__.co_names
+                       if name.endswith("_table"))
+        assert len(names) == 6
+        called = set()
+
+        def recording(name, table):
+            def wrapper(*args):
+                called.add(name)
+                return table(*args)
+            return wrapper
+
+        for name in names:
+            assert getattr(checks, name) is getattr(cli, name), name
+            monkeypatch.setattr(checks, name, recording(name, getattr(checks, name)))
+        assert all(check.ok for check in checks.oracle_checks(3, 3))
+        assert called == set(names)
 
     def test_custom_grid_file(self, capsys, tmp_path):
         grid = tmp_path / "grid.cfg"
@@ -387,6 +406,14 @@ class TestVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "suite decompositions has no checks within the given bounds" in captured.err
+
+    def test_oracle_bounds_below_the_pinned_f_vectors_are_usage_error(self, capsys):
+        # The two pinned f-vectors are of 3- and 4-dimensional polytopes, so
+        # --d-max 0 leaves them out and nothing else is left to check.
+        expect_usage_error("verify", "--suite", "oracle", "--d-max", "0", "--n-max", "0")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "suite oracle has no checks within the given bounds" in captured.err
 
     @pytest.mark.parametrize("suite, option", [
         ("identities", "--d-max"), ("identities", "--n-max"), ("identities", "--a-max"),

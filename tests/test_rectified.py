@@ -58,8 +58,10 @@ class TestRectifiedValues:
 
 
 class TestDegenerateFamilies:
-    # The formulas stay defined for d <= r; their sign conventions hold from
-    # n = 2 on, while the clamped interiors make every family start at 0.
+    # The formulas stay defined for d <= r as formal sequences.  At d == r
+    # the value is 1 and the interior 0 at n = 1, then (-1)**r.  At
+    # 0 < d < r the value is 1 and the interior (-1)**(d+1) at n = 1, and
+    # both are 0 from n = 2 on.
 
     def test_constant_one_family(self):
         for r in range(1, 9):

@@ -1,8 +1,18 @@
-"""Table forms of the closed forms against their scalar forms, entry for entry."""
+"""Table forms of the closed forms against references that do not read them.
+
+Each closed form is written once, as its table; the scalar forms are its
+one-row reads.  The references here are the face-lattice recursion (the
+oracle) for n up to a few hundred, an integer Newton extrapolation of
+oracle values beyond that, n**d and C(n+d-1, d) for the hypercube and the
+simplex, and the pinned values of the formal rectified families (r >= d),
+which have no polytope for the oracle to evaluate.
+"""
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from polytopenums import oracle
+from polytopenums.exact import binomial
 from polytopenums.rectified import (
     rectified_simplex_interior,
     rectified_simplex_interior_table,
@@ -20,7 +30,7 @@ from polytopenums.regular import (
     simplex_table,
 )
 
-# (table, scalar, least d) for the families indexed by d alone.
+# (table, its one-row scalar form, least d) for the families indexed by d alone.
 REGULAR = [
     (simplex_table, simplex_number, 0),
     (simplex_interior_table, simplex_interior, 0),
@@ -32,32 +42,118 @@ RECTIFIED = [
     (rectified_simplex_interior_table, rectified_simplex_interior),
 ]
 
+# Which oracle descriptor and which oracle column (1 values, 2 interiors)
+# each table reproduces; rectified tables take their descriptor from (d, r).
+DESCRIPTOR = {
+    simplex_table: oracle.simplex,
+    simplex_interior_table: oracle.simplex,
+    cross_polytope_table: oracle.cross_polytope,
+    hypercube_table: oracle.hypercube,
+}
+COLUMN = {
+    simplex_table: 1, simplex_interior_table: 2, cross_polytope_table: 1,
+    hypercube_table: 1, rectified_simplex_table: 1, rectified_simplex_interior_table: 2,
+}
+
 # Runs from n = 0 and below, one-row and empty runs, and runs far enough out
 # that values (and, in the last run, n itself) pass 64 bits.
 RUNS = [(0, 40), (1, 1), (0, 0), (-3, 5), (-4, -1), (17, 17), (5, 4), (9990, 10000),
         (2**64 - 2, 2**64 + 2)]
+ORACLE_N_MAX = 400  # past this, rows come from the Newton extrapolation
 
 
-def scalar_rows(scalar, *args, n_from, n_to):
-    return [scalar(*args, n) for n in range(n_from, n_to + 1)]
+def newton(samples, n0, degree, n):
+    """Value at n >= n0 of the degree-`degree` polynomial through `samples`.
+
+    samples holds its values at n0, n0+1, ..., n0+degree+1; one more than
+    the degree needs, so the (degree+1)-th forward difference must be 0.
+    Integer arithmetic only: sum_k C(n-n0, k) * (k-th difference at n0).
+    """
+    differences = []
+    row = list(samples)
+    while row:
+        differences.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    assert len(differences) == degree + 2 and differences[degree + 1] == 0
+    return sum(binomial(n - n0, k) * differences[k] for k in range(degree + 1))
+
+
+def oracle_rows(p, column, d, n0, n_from, n_to):
+    """Column `column` of p's oracle table for n_from..n_to, 0 at n <= 0.
+
+    Rows up to ORACLE_N_MAX are read from the table; rows past it are
+    extrapolated from the d+2 rows at n0.., where the sequence is a
+    polynomial of degree d in n.
+    """
+    report = oracle.oracle_report(p, max(1, min(n_to, ORACLE_N_MAX), n0 + d + 1))
+    samples = [row[column] for row in report[n0:n0 + d + 2]]
+    return [0 if n <= 0 else report[n][column] if n <= ORACLE_N_MAX
+            else newton(samples, n0, d, n) for n in range(n_from, n_to + 1)]
+
+
+def formal_rows(table, d, r, n_from, n_to):
+    """The pinned rectified families with r >= d >= 1, for n_from..n_to.
+
+    d == r: value 1 for every n >= 1; interior 0 at n = 1, then (-1)**r.
+    0 < d < r: value 1 at n = 1, then 0; interior (-1)**(d+1) at n = 1, then 0.
+    """
+    if table is rectified_simplex_table:
+        return [int(n == 1 or (d == r and n > 1)) for n in range(n_from, n_to + 1)]
+    if d == r:
+        return [(-1) ** r if n > 1 else 0 for n in range(n_from, n_to + 1)]
+    return [(-1) ** (d + 1) if n == 1 else 0 for n in range(n_from, n_to + 1)]
+
+
+def regular_reference(table, d, n_from, n_to):
+    return oracle_rows(DESCRIPTOR[table](d), COLUMN[table], d, 2, n_from, n_to)
+
+
+def rectified_reference(table, d, r, n_from, n_to):
+    if r >= d:
+        return formal_rows(table, d, r, n_from, n_to)
+    p = oracle.rectified_simplex_descriptor(d, r)
+    return oracle_rows(p, COLUMN[table], d, r + 2, n_from, n_to)
 
 
 @pytest.mark.parametrize("table, scalar, d_min", REGULAR)
 def test_regular_tables_on_grid(table, scalar, d_min):
-    for d in range(d_min, 7):
+    for d in range(d_min, 8):
         for n_from, n_to in RUNS:
-            assert table(d, n_from, n_to) == scalar_rows(
-                scalar, d, n_from=n_from, n_to=n_to), (d, n_from, n_to)
+            expected = regular_reference(table, d, n_from, n_to)
+            assert table(d, n_from, n_to) == expected, (d, n_from, n_to)
+            # The scalar form is the table's one-row read.
+            assert [scalar(d, n) for n in range(n_from, n_to + 1)] == expected
 
 
 @pytest.mark.parametrize("table, scalar", RECTIFIED)
 def test_rectified_tables_on_grid(table, scalar):
     # r = 0, r = d-1, and r >= d (the formal sequences).
-    for d in range(1, 7):
+    for d in range(1, 8):
         for r in sorted({0, 1, d - 1, d, d + 2}):
             for n_from, n_to in RUNS:
-                assert table(d, r, n_from, n_to) == scalar_rows(
-                    scalar, d, r, n_from=n_from, n_to=n_to), (d, r, n_from, n_to)
+                expected = rectified_reference(table, d, r, n_from, n_to)
+                assert table(d, r, n_from, n_to) == expected, (d, r, n_from, n_to)
+                assert [scalar(d, r, n) for n in range(n_from, n_to + 1)] == expected
+
+
+@pytest.mark.parametrize("d", range(0, 8))
+def test_simplex_and_hypercube_closed_references(d):
+    for n_from, n_to in RUNS:
+        ns = range(n_from, n_to + 1)
+        assert simplex_table(d, n_from, n_to) == [binomial(n + d - 1, d) if n > 0 else 0
+                                                  for n in ns]
+        if d >= 1:
+            assert hypercube_table(d, n_from, n_to) == [n**d if n > 0 else 0 for n in ns]
+
+
+def test_formal_families_are_pinned():
+    # The oracle cannot evaluate r >= d; these values, with the verify
+    # records constant-family, interior-sign and vanishing-interior, are
+    # the reference there.
+    for d in range(1, 12):
+        for r in range(d, d + 10):
+            for table in (rectified_simplex_table, rectified_simplex_interior_table):
+                assert table(d, r, -3, 40) == formal_rows(table, d, r, -3, 40), (d, r)
 
 
 def test_grid_reaches_past_64_bits():
@@ -83,20 +179,18 @@ def test_rectified_tables_reject_what_the_scalars_reject(table):
 runs = st.tuples(st.integers(-60, 5000), st.integers(0, 40))
 
 
-@settings(deadline=None)
 @given(st.sampled_from(REGULAR), st.integers(0, 14), runs)
 def test_regular_tables_property(family, d, run):
-    table, scalar, d_min = family
+    table, _, d_min = family
     d = max(d, d_min)
     n_from, rows = run
     n_to = n_from + rows - 1
-    assert table(d, n_from, n_to) == scalar_rows(scalar, d, n_from=n_from, n_to=n_to)
+    assert table(d, n_from, n_to) == regular_reference(table, d, n_from, n_to)
 
 
-@settings(deadline=None)
 @given(st.sampled_from(RECTIFIED), st.integers(1, 14), st.integers(0, 17), runs)
 def test_rectified_tables_property(family, d, r, run):
-    table, scalar = family
+    table, _ = family
     n_from, rows = run
     n_to = n_from + rows - 1
-    assert table(d, r, n_from, n_to) == scalar_rows(scalar, d, r, n_from=n_from, n_to=n_to)
+    assert table(d, r, n_from, n_to) == rectified_reference(table, d, r, n_from, n_to)
