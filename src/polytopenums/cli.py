@@ -7,12 +7,17 @@ SIGPIPE) when the reader closes stdout early, as ``... | head`` does: the
 output just ends, with nothing on stderr.  Output is deterministic; big
 integers are emitted as decimal strings in JSON so downstream consumers
 never overflow.
+
+`seq` holds its output as columns (n, value, interior, match) and renders
+each format straight from them.  `--route oracle` and `--route both` fill
+the recursion table once, up to --to, and print its slice --from..--to.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import operator
 import os
 import sys
 
@@ -165,63 +170,36 @@ def _validate_seq(args, error) -> str:
 
 def _cmd_seq(args, parser) -> int:
     route = _validate_seq(args, parser.error)
-    family, d, r = args.family, args.d, args.r
+    family, d, r, n_from, n_to = args.family, args.d, args.r, args.n_from, args.n_to
     want_interior = args.interior or family == "oracle"
 
-    rows = []
-    mismatch = False
-    descriptor = None
-    if route in ("formula", "both"):
-        values, interiors = _formula_columns(family, d, r, args.n_from, args.n_to,
-                                             want_interior)
-    if route in ("oracle", "both"):
-        descriptor = _oracle_descriptor(family, d, r)
-        # One fill up to --to; every row below then reads a filled table.
-        oracle.polytope_number(descriptor, args.n_to)
-    for i, n in enumerate(range(args.n_from, args.n_to + 1)):
-        row: dict[str, object] = {"n": n}
-        if route in ("formula", "both"):
-            row["value"] = values[i]
-            if want_interior:
-                row["interior"] = interiors[i]
-        if route in ("oracle", "both"):
-            value = oracle.polytope_number(descriptor, n)
-            interior = oracle.interior_number(descriptor, n) if want_interior else None
-            if route == "both":
-                ok = row["value"] == value
-                if want_interior:
-                    ok = ok and row["interior"] == interior
-                row["match"] = ok
-                mismatch = mismatch or not ok
-            else:
-                row["value"] = value
-                if want_interior:
-                    row["interior"] = interior
-        rows.append(row)
+    if route != "oracle":
+        values, interiors = _formula_columns(family, d, r, n_from, n_to, want_interior)
+    if route != "formula":
+        # One fill up to --to (oracle_report needs at least 1); the rows
+        # --from..--to are a slice of that table.
+        report = oracle.oracle_report(_oracle_descriptor(family, d, r), max(n_to, 1))
+        _, recursion_values, recursion_interiors = zip(*report[n_from:n_to + 1])
+        if route == "oracle":
+            values, interiors = recursion_values, recursion_interiors
 
-    columns = ["n", "value"] + (["interior"] if want_interior else [])
+    columns = {"n": range(n_from, n_to + 1), "value": values}
+    if want_interior:
+        columns["interior"] = interiors
     if route == "both":
-        columns.append("match")
-    _emit_rows(args, route, rows, columns)
-    return 1 if mismatch else 0
+        if want_interior:
+            formula_rows = zip(values, interiors)
+            recursion_rows = zip(recursion_values, recursion_interiors)
+        else:
+            formula_rows, recursion_rows = values, recursion_values
+        columns["match"] = list(map(operator.eq, formula_rows, recursion_rows))
+    _emit_rows(args, route, columns)
+    return 0 if all(columns.get("match", ())) else 1
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _emit_rows(args, route: str, rows, columns) -> None:
+def _emit_rows(args, route: str, columns: dict) -> None:
     out = sys.stdout
-    if args.format == "bfile":
-        out.write("".join(f"{row['n']} {row['value']}\n" for row in rows))
-        return
-    if args.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
-        out.write("\n".join(lines) + "\n")
-        return
+    names = list(columns)
     if args.format == "json":
         query = {
             "family": args.family,
@@ -232,21 +210,21 @@ def _emit_rows(args, route: str, rows, columns) -> None:
             "route": route,
             "interior": "interior" in columns,
         }
-        payload_rows = []
-        for row in rows:
-            item: dict[str, object] = {"n": row["n"], "value": str(row["value"])}
-            if "interior" in columns:
-                item["interior"] = str(row["interior"])
-            if "match" in columns:
-                item["match"] = row["match"]
-            payload_rows.append(item)
-        out.write(json.dumps({"query": query, "rows": payload_rows},
-                             indent=2, sort_keys=True) + "\n")
+        cells = [map(str, column) if name in ("value", "interior") else column
+                 for name, column in columns.items()]
+        rows = [dict(zip(names, row)) for row in zip(*cells)]
+        out.write(json.dumps({"query": query, "rows": rows}, indent=2, sort_keys=True) + "\n")
         return
-    table = [columns] + [[_cell(row[c]) for c in columns] for row in rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
-    for line in table:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
+    cells = [["true" if ok else "false" for ok in column] if name == "match"
+             else list(map(str, column)) for name, column in columns.items()]
+    if args.format == "bfile":
+        out.write("".join(f"{n} {value}\n" for n, value in zip(*cells)))
+    elif args.format == "csv":
+        out.write("".join(",".join(row) + "\n" for row in [names, *zip(*cells)]))
+    else:
+        widths = [max(len(name), *map(len, column)) for name, column in zip(names, cells)]
+        for row in [names, *zip(*cells)]:
+            out.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 
 
 # --- decompose ---------------------------------------------------------------

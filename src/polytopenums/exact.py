@@ -8,7 +8,6 @@ coefficient of x**j.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def binomial(r: int, k: int) -> int:
@@ -55,22 +54,18 @@ def eulerian(d: int, i: int) -> int:
     Computed by the recurrence E(d, i) = (i+1) E(d-1, i) + (d-i) E(d-1, i-1)
     with E(0, 0) = 1.  Zero outside 0 <= i <= max(d-1, 0).
     """
-    if d < 0:
-        raise ValueError(f"dimension must be nonnegative, got d={d}")
     row = _eulerian_row(d)
     return row[i] if 0 <= i < len(row) else 0
 
 
-@lru_cache(maxsize=None)
-def _eulerian_row(d: int) -> tuple[int, ...]:
-    if d == 0:
-        return (1,)
-    prev = _eulerian_row(d - 1)
-
-    def at(j: int) -> int:
-        return prev[j] if 0 <= j < len(prev) else 0
-
-    return tuple((i + 1) * at(i) + (d - i) * at(i - 1) for i in range(max(d, 1)))
+def _eulerian_row(d: int) -> list[int]:
+    """E(d, 0), ..., E(d, max(d-1, 0)), built by a loop over the rows: no recursion, no memo."""
+    if d < 0:
+        raise ValueError(f"dimension must be nonnegative, got d={d}")
+    row = [1]
+    for e in range(2, d + 1):
+        row = [(i + 1) * a + (e - i) * b for i, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row
 
 
 def _poly_trim(p: list[int]) -> list[int]:

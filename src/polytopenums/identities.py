@@ -149,6 +149,16 @@ def check_pascal_alternating_row(r: int) -> IdentityCheck:
 
 GridRanges = Mapping[str, Mapping[str, Iterable[int]]]
 
+# Identity name -> the keys its grid section sets: every key REGISTRY reads.
+GRID_KEYS: dict[str, tuple[str, ...]] = {
+    "alt-vandermonde": ("b", "c", "n"),
+    "interior-sum": ("d", "j", "n"),
+    "face-interior-sum": ("r", "d", "n"),
+    "vertex-star-sum": ("r", "d", "n"),
+    "subset-convolution": ("d", "r"),
+    "pascal-alternating-row": ("r",),
+}
+
 # Identity name -> iterator over its grid, in suite order.  Each entry looks
 # its checker up when called, so a replaced module-level checker is honored.
 REGISTRY: dict[str, Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]] = {
@@ -175,22 +185,41 @@ REGISTRY: dict[str, Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityChe
 def _parse_range(text: str) -> range:
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = (int(end) for end in text.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"empty range {text!r}: {lo} > {hi}")
+        return range(lo, hi + 1)
     value = int(text)
     return range(value, value + 1)
 
 
 def parse_grid(text: str) -> dict[str, dict[str, range]]:
-    """Parse a key=value grid config; ranges are inclusive `lo..hi`."""
+    """Parse a key=value grid config; ranges are inclusive `lo..hi`.
+
+    Raises ValueError for text configparser cannot read, an unknown
+    section, a section that misses a key of its identity or sets one it
+    does not read, and a range with lo > hi.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from exc
     grid: dict[str, dict[str, range]] = {}
     for section in parser.sections():
         if section == "meta":
             continue
         if section not in REGISTRY:
             raise ValueError(f"unknown identity section {section!r}")
+        keys = set(parser[section])
+        missing = [key for key in GRID_KEYS[section] if key not in keys]
+        if missing:
+            raise ValueError(f"identity section {section!r} is missing key(s) "
+                             f"{', '.join(missing)}")
+        unknown = sorted(keys - set(GRID_KEYS[section]))
+        if unknown:
+            raise ValueError(f"identity section {section!r} has unknown key(s) "
+                             f"{', '.join(unknown)}; it takes {', '.join(GRID_KEYS[section])}")
         grid[section] = {key: _parse_range(value) for key, value in parser[section].items()}
     return grid
 

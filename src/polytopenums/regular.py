@@ -18,7 +18,7 @@ import math
 from itertools import islice, repeat
 from operator import add, mul
 
-from .exact import binomial, eulerian
+from .exact import _eulerian_row, binomial
 
 
 def _simplex_column(d: int, ks: range) -> list[int]:
@@ -93,7 +93,7 @@ def hypercube_table(d: int, n_from: int, n_to: int) -> list[int]:
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got d={d}")
-    return recombine_table([eulerian(d, j) for j in range(d)], d, n_from, n_to)
+    return recombine_table(_eulerian_row(d), d, n_from, n_to)
 
 
 def simplex_number(d: int, n: int) -> int:

@@ -61,6 +61,18 @@ SEQ_CASES = [
     and not (route == "both" and r is not None and r >= d)
 ]
 
+# Every family with both a formula and an oracle route, in every format, with
+# and without interiors where the formula route has them.
+CROSS_ROUTE_CASES = [
+    (family, d, r, fmt, interior, n_from, n_to)
+    for family, d, r in (("alpha", 0, None), ("alpha", 3, None), ("beta", 4, None),
+                         ("gamma", 3, None), ("lambda", 5, 2))
+    for fmt in cli.FORMATS
+    for interior in (False, True)
+    for n_from, n_to in ((0, 0), (0, 1), (1, 30))
+    if not (interior and (family in ("beta", "gamma") or fmt == "bfile"))
+]
+
 
 def expect_usage_error(*argv):
     with pytest.raises(SystemExit) as exc:
@@ -139,6 +151,30 @@ class TestSeq:
         assert (code, out) == run_cli(capsys, *argv)
         assert code == 0
 
+    @pytest.mark.parametrize("family, d, r, fmt, interior, n_from, n_to", CROSS_ROUTE_CASES)
+    def test_oracle_route_prints_what_formula_route_prints(self, capsys, family, d, r, fmt,
+                                                           interior, n_from, n_to):
+        argv = ["seq", "--family", family, "-d", str(d), "--from", str(n_from),
+                "--to", str(n_to), "--format", fmt]
+        argv += ["-r", str(r)] if r is not None else []
+        argv += ["--interior"] if interior else []
+        formula = run_cli(capsys, *argv, "--route", "formula")
+        recursion = run_cli(capsys, *argv, "--route", "oracle")
+        assert formula[0] == recursion[0] == 0
+        if fmt != "json":
+            assert recursion[1] == formula[1]
+            return
+        formula_payload, recursion_payload = json.loads(formula[1]), json.loads(recursion[1])
+        assert formula_payload["query"].pop("route") == "formula"
+        assert recursion_payload["query"].pop("route") == "oracle"
+        assert recursion_payload == formula_payload
+
+    def test_deep_hypercube_needs_no_recursion(self, capsys):
+        code, out = run_cli(capsys, "seq", "--family", "gamma", "-d", "600", "--to", "3",
+                            "--format", "csv")
+        assert code == 0
+        assert out == f"n,value\n1,1\n2,{2**600}\n3,{3**600}\n"
+
     def test_cold_deep_oracle_rows_match(self, capsys):
         oracle.clear_tables()
         code, out = run_cli(
@@ -168,11 +204,11 @@ class TestSeq:
         assert fills == [300]
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        def broken(p, n):
+        def broken(p, n_max):
             raise RuntimeError("table lost")
 
         argv = ["seq", "--family", "alpha", "-d", "2", "--to", "3", "--route", "both"]
-        monkeypatch.setattr(cli.oracle, "polytope_number", broken)
+        monkeypatch.setattr(cli.oracle, "oracle_report", broken)
         assert cli.main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err == "polytopenums: internal error: RuntimeError: table lost\n"
@@ -429,6 +465,25 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self):
         expect_usage_error("verify", "--suite", "everything")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[alt-vandermonde]\nb = 1..2\nc = 1..2\nnn = 1..2\n",
+         "identity section 'alt-vandermonde' is missing key(s) n"),
+        ("[alt-vandermonde]\nb = 1..2\nc = 1..2\nn = 1..2\nextra = 1..2\n",
+         "identity section 'alt-vandermonde' has unknown key(s) extra; it takes b, c, n"),
+        ("[pascal-alternating-row]\nr = 5..2\n", "empty range '5..2': 5 > 2"),
+        ("[pascal-alternating-row]\nr = 1..2\n[pascal-alternating-row]\nr = 1..2\n",
+         "While reading from '<string>' [line  3]: section 'pascal-alternating-row' "
+         "already exists"),
+    ], ids=["missing-key", "unknown-key", "empty-range", "duplicate-section"])
+    def test_grid_with_bad_keys_or_ranges_is_usage_error(self, capsys, tmp_path, text,
+                                                          message):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(text, encoding="utf-8")
+        expect_usage_error("verify", "--suite", "identities", "--grid", str(grid))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"polytopenums: error: cannot load identity grid: {message}\n" in captured.err
 
     def test_missing_or_malformed_grid_is_usage_error(self, tmp_path):
         expect_usage_error("verify", "--suite", "identities", "--grid", "/no/such/file.cfg")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from polytopenums.exact import binomial, eulerian, gbinomial, poly_mul
+from polytopenums.exact import _eulerian_row, binomial, eulerian, gbinomial, poly_mul
 
 
 def falling_factorial_binomial(r, k):
@@ -116,6 +116,11 @@ class TestEulerian:
     def test_row_sums_are_factorials(self):
         for d in range(1, 10):
             assert sum(eulerian(d, i) for i in range(d)) == math.factorial(d)
+
+    def test_deep_row_sums_to_factorial(self):
+        row = _eulerian_row(1000)
+        assert len(row) == 1000
+        assert sum(row) == math.factorial(1000)
 
     def test_closed_form(self):
         # Alternating-sum closed form, used only as an oracle here.

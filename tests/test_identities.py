@@ -4,6 +4,7 @@ import pytest
 from polytopenums.checks import identity_checks
 from polytopenums.exact import binomial
 from polytopenums.identities import (
+    GRID_KEYS,
     REGISTRY,
     check_alt_vandermonde,
     check_face_interior_sum,
@@ -131,6 +132,40 @@ class TestSuiteRunner:
         with pytest.raises(ValueError):
             parse_grid("[no-such-identity]\nr = 1..2\n")
 
+    def test_grid_keys_are_the_keys_each_identity_reads(self):
+        class Recording(dict):
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+        assert list(GRID_KEYS) == list(REGISTRY)
+        for name, points in REGISTRY.items():
+            section = Recording((key, range(1, 3)) for key in GRID_KEYS[name])
+            section.read = set()
+            assert list(points(section)), name
+            assert section.read == set(GRID_KEYS[name]), name
+
+    def test_parse_grid_rejects_section_missing_a_key(self):
+        with pytest.raises(ValueError, match="'alt-vandermonde' is missing key.s. n"):
+            parse_grid("[alt-vandermonde]\nb = 1..2\nc = 1..2\nnn = 1..2\n")
+
+    def test_parse_grid_rejects_unknown_key(self):
+        with pytest.raises(ValueError, match="unknown key.s. extra; it takes b, c, n"):
+            parse_grid("[alt-vandermonde]\nb = 1..2\nc = 1..2\nn = 1..2\nextra = 1..2\n")
+
+    @pytest.mark.parametrize("text", [
+        "r = 1..2\n",
+        "[pascal-alternating-row]\nr = 1..2\n[pascal-alternating-row]\nr = 1..2\n",
+        "[pascal-alternating-row]\nr\n",
+    ], ids=["no-section-header", "duplicate-section", "key-without-value"])
+    def test_parse_grid_rejects_unreadable_text(self, text):
+        with pytest.raises(ValueError):
+            parse_grid(text)
+
+    def test_parse_grid_rejects_empty_range(self):
+        with pytest.raises(ValueError, match="empty range '5..2'"):
+            parse_grid("[pascal-alternating-row]\nr = 5..2\n")
+
     def test_default_grid_matches_shipped_ranges(self):
         grid = default_grid()
         assert grid["alt-vandermonde"] == {
@@ -142,3 +177,5 @@ class TestSuiteRunner:
         assert grid["vertex-star-sum"]["n"] == range(2, 11)
         assert grid["subset-convolution"]["d"] == range(1, 13)
         assert grid["pascal-alternating-row"]["r"] == range(0, 21)
+        assert "meta" not in grid
+        assert {name: tuple(section) for name, section in grid.items()} == GRID_KEYS

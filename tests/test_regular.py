@@ -7,6 +7,7 @@ from polytopenums.regular import (
     cross_polytope_number,
     facet_cut,
     hypercube_number,
+    hypercube_table,
     simplex_interior,
     simplex_number,
 )
@@ -115,6 +116,10 @@ class TestHypercube:
         for d in range(1, 7):
             for n in range(1, 21):
                 assert hypercube_number(d, n) == n**d
+
+    def test_deep_dimension_needs_no_recursion(self):
+        # The Eulerian weights are built by a loop, so no recursion limit applies.
+        assert hypercube_table(600, 1, 3) == [1, 2**600, 3**600]
 
 
 class TestFacetCut:
