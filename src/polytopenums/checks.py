@@ -1,15 +1,18 @@
-"""Every verification suite, as generators of two-sided check records.
+"""Every route to each answer, and every verification suite over them.
 
-Each generator yields `IdentityCheck` records (name, params, lhs, rhs); a
-check holds when lhs == rhs exactly.  Structural checks put the computed
-value on the left and the expected one on the right.  `polytopenums verify`
-and the acceptance tests iterate these same generators, so the suites are
-written once.  Bounds left as None take the default grid of each suite.
-The closed forms are read a column at a time from the same table functions
-`polytopenums seq` prints from, so the oracle suite checks that code.
+`formula_columns` and `family_descriptor` give each `seq` family's closed
+form and oracle descriptor; `rectified_routes` and `shift_routes` give each
+`decompose` mode's coefficient vectors, one entry per route.  `seq`,
+`decompose` and `verify` all read these functions, which look up this
+module's globals at call time, so the suites check the code the commands
+print from.  Each suite yields `IdentityCheck` records (name, params, lhs,
+rhs); a check holds when lhs == rhs exactly, with a structural check's
+computed value on the left.  `verify` and the acceptance tests iterate
+these same generators.  Bounds left as None take each suite's default grid.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from . import identities, oracle
@@ -32,6 +35,46 @@ from .regular import (
 )
 
 
+def formula_columns(family: str, d: int, r: int | None, n_from: int, n_to: int,
+                    want_interior: bool) -> tuple[list[int], list[int] | None]:
+    """Closed-form values for n_from..n_to, and interiors when asked for."""
+    if family == "alpha":
+        values = simplex_table(d, n_from, n_to)
+        interiors = simplex_interior_table(d, n_from, n_to) if want_interior else None
+    elif family == "beta":
+        values, interiors = cross_polytope_table(d, n_from, n_to), None
+    elif family == "gamma":
+        values, interiors = hypercube_table(d, n_from, n_to), None
+    else:
+        values = rectified_simplex_table(d, r, n_from, n_to)
+        interiors = (rectified_simplex_interior_table(d, r, n_from, n_to)
+                     if want_interior else None)
+    return values, interiors
+
+
+def family_descriptor(family: str, d: int, r: int | None) -> oracle.PolytopeDescriptor:
+    """The oracle descriptor whose recursion a `seq` family's closed form matches."""
+    if family == "beta":
+        return oracle.cross_polytope(d)
+    if family == "gamma":
+        return oracle.hypercube(d)
+    if family in ("lambda", "oracle") and r is not None:
+        return oracle.rectified_simplex_descriptor(d, r)
+    return oracle.simplex(d)
+
+
+def rectified_routes(d: int, r: int) -> dict[str, list[int]]:
+    """Simplex-basis coefficients of the r-rectified d-simplex, by each route."""
+    return {"shift-composition": rectified_decomposition(d, r),
+            "gbinomial": rectified_decomposition_gbinom(d, r)}
+
+
+def shift_routes(d: int, a: int, b: int) -> dict[str, list[int]]:
+    """Simplex-basis coefficients of the stretched sequence, by each route."""
+    return {"double-sum": shift_decomposition(d, a, b),
+            "generating-function": shift_decomposition_gf(d, a, b)}
+
+
 def _check(name: str, lhs: object, rhs: object, **params: object) -> IdentityCheck:
     return IdentityCheck(name, tuple(params.items()), lhs, rhs)
 
@@ -50,30 +93,26 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
     def cap(default: int) -> int:
         return default if d_max is None else min(default, d_max)
 
-    def recursion(p: oracle.PolytopeDescriptor) -> list[tuple[int, int, int]]:
-        # (n, value, interior) for n = 1..n_hi, from one table fill.
-        return oracle.oracle_report(p, n_hi)[1:] if n_hi else []
-
-    for d in range(cap(8) + 1):
-        for (n, value, interior), formula, formula_interior in zip(
-                recursion(oracle.simplex(d)), simplex_table(d, 1, n_hi),
-                simplex_interior_table(d, 1, n_hi)):
-            yield _check("simplex-value", value, formula, d=d, n=n)
-            yield _check("simplex-interior", interior, formula_interior, d=d, n=n)
-    for d in range(1, cap(6) + 1):
-        for (n, cross, _), (_, cube, _), cross_formula, cube_formula in zip(
-                recursion(oracle.cross_polytope(d)), recursion(oracle.hypercube(d)),
-                cross_polytope_table(d, 1, n_hi), hypercube_table(d, 1, n_hi)):
-            yield _check("cross-polytope", cross, cross_formula, d=d, n=n)
-            yield _check("hypercube", cube, cube_formula, d=d, n=n)
-    for d in range(2, cap(7) + 1):
-        for r in range(1, d):
+    # (family, value check, interior check or None, (d, r) points): each
+    # family's closed-form columns against the recursion of its descriptor.
+    families = (
+        ("alpha", "simplex-value", "simplex-interior", [(d, None) for d in range(cap(8) + 1)]),
+        ("beta", "cross-polytope", None, [(d, None) for d in range(1, cap(6) + 1)]),
+        ("gamma", "hypercube", None, [(d, None) for d in range(1, cap(6) + 1)]),
+        ("lambda", "rectified-value", "rectified-interior",
+         [(d, r) for d in range(2, cap(7) + 1) for r in range(1, d)]),
+    )
+    for family, value_name, interior_name, points in families:
+        for d, r in points:
+            params = {"d": d} if r is None else {"d": d, "r": r}
+            values, interiors = formula_columns(family, d, r, 1, n_hi, interior_name is not None)
+            # (n, value, interior) for n = 1..n_hi, from one table fill.
+            report = oracle.oracle_report(family_descriptor(family, d, r), n_hi)[1:] if n_hi else []
             for (n, value, interior), formula, formula_interior in zip(
-                    recursion(oracle.rectified_simplex_descriptor(d, r)),
-                    rectified_simplex_table(d, r, 1, n_hi),
-                    rectified_simplex_interior_table(d, r, 1, n_hi)):
-                yield _check("rectified-value", value, formula, d=d, r=r, n=n)
-                yield _check("rectified-interior", interior, formula_interior, d=d, r=r, n=n)
+                    report, values, interiors or itertools.repeat(None)):
+                yield _check(value_name, value, formula, **params, n=n)
+                if interior_name is not None:
+                    yield _check(interior_name, interior, formula_interior, **params, n=n)
 
     # Known-sequence bridges; 3 * octahedral(n) = n (2n^2 + 1).
     bridge_hi = 200 if n_max is None else n_max
@@ -139,13 +178,14 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
     n_hi = 40 if n_max is None else n_max
     for d in range(1, (8 if d_max is None else min(8, d_max)) + 1):
         for r in range(d):
-            via_shifts = rectified_decomposition(d, r)
-            gbinom = rectified_decomposition_gbinom(d, r)
-            yield _check("route-agreement", via_shifts, gbinom, d=d, r=r)
+            routes = rectified_routes(d, r)
+            via_shifts, *others = routes.values()
+            for other in others:  # every route against the first
+                yield _check("route-agreement", via_shifts, other, d=d, r=r)
             # Leading coefficient 1 and no negative coefficient.
             yield _check("coefficient-signs", (via_shifts[0], [c for c in via_shifts if c < 0]),
                          (1, []), d=d, r=r)
-            columns = zip(recombine_table(gbinom, d, 1, n_hi),
+            columns = zip(recombine_table(routes["gbinomial"], d, 1, n_hi),
                           rectified_simplex_table(d, r, 1, n_hi))
             for n, (recombined, formula) in enumerate(columns, 1):
                 yield _check("recombination", recombined, formula, d=d, r=r, n=n)
@@ -156,8 +196,9 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
     for d in range(1, (6 if d_max is None else min(6, d_max)) + 1):
         for a in range(1, (5 if a_max is None else a_max) + 1):
             for b in range((5 if b_max is None else b_max) + 1):
-                coeffs = shift_decomposition(d, a, b)
-                yield _check("shift-routes", coeffs, shift_decomposition_gf(d, a, b),
+                routes = shift_routes(d, a, b)
+                coeffs = routes["double-sum"]
+                yield _check("shift-routes", coeffs, routes["generating-function"],
                              d=d, a=a, b=b)
                 if b <= d:
                     yield _check("shift-support", len(coeffs), d + 1, d=d, a=a, b=b)

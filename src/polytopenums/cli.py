@@ -1,5 +1,11 @@
 """Command-line interface: sequence tables, decompositions, verification.
 
+`cli` parses, dispatches to `checks` (each family's closed form and oracle
+descriptor, each coefficient route, the verify suites) and `oracle`,
+renders and exits; it holds no formula.  `seq` renders each format straight
+from its columns (n, value, interior, match); `--route oracle` and `--route
+both` fill the recursion table once, up to --to, and print its slice.
+
 Exit codes: 0 success, 1 verification failure or route mismatch, 2 usage
 error, 3 internal error: any other exception, reported on stderr as
 ``polytopenums: internal error: <Type>: <message>``, and 141 (128 +
@@ -7,10 +13,6 @@ SIGPIPE) when the reader closes stdout early, as ``... | head`` does: the
 output just ends, with nothing on stderr.  Output is deterministic; big
 integers are emitted as decimal strings in JSON so downstream consumers
 never overflow.
-
-`seq` holds its output as columns (n, value, interior, match) and renders
-each format straight from them.  `--route oracle` and `--route both` fill
-the recursion table once, up to --to, and print its slice --from..--to.
 """
 from __future__ import annotations
 
@@ -22,25 +24,17 @@ import os
 import sys
 
 from . import checks, identities, oracle
-from .rectified import (
-    rectified_decomposition,
-    rectified_decomposition_gbinom,
-    rectified_simplex_interior_table,
-    rectified_simplex_table,
-    shift_decomposition,
-    shift_decomposition_gf,
-)
-from .regular import (
-    cross_polytope_table,
-    hypercube_table,
-    simplex_interior_table,
-    simplex_table,
-)
 
 FAMILIES = ("alpha", "beta", "gamma", "lambda", "oracle")
 ROUTES = ("formula", "oracle", "both")
 FORMATS = ("table", "csv", "json", "bfile")
-SUITES = ("identities", "oracle", "decompositions", "all")
+# The options each verify suite reads; any other given option would be ignored.
+SUITE_OPTIONS = {
+    "identities": ("grid",),
+    "oracle": ("d_max", "n_max"),
+    "decompositions": ("d_max", "n_max", "a_max", "b_max"),
+}
+SUITES = (*SUITE_OPTIONS, "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,33 +105,6 @@ def entry() -> None:
 # --- seq -------------------------------------------------------------------
 
 
-def _formula_columns(family: str, d: int, r: int | None, n_from: int, n_to: int,
-                     want_interior: bool) -> tuple[list[int], list[int] | None]:
-    """Closed-form values for n_from..n_to, and interiors when asked for."""
-    if family == "alpha":
-        values = simplex_table(d, n_from, n_to)
-        interiors = simplex_interior_table(d, n_from, n_to) if want_interior else None
-    elif family == "beta":
-        values, interiors = cross_polytope_table(d, n_from, n_to), None
-    elif family == "gamma":
-        values, interiors = hypercube_table(d, n_from, n_to), None
-    else:
-        values = rectified_simplex_table(d, r, n_from, n_to)
-        interiors = (rectified_simplex_interior_table(d, r, n_from, n_to)
-                     if want_interior else None)
-    return values, interiors
-
-
-def _oracle_descriptor(family: str, d: int, r: int | None) -> oracle.PolytopeDescriptor:
-    if family == "beta":
-        return oracle.cross_polytope(d)
-    if family == "gamma":
-        return oracle.hypercube(d)
-    if family in ("lambda", "oracle") and r is not None:
-        return oracle.rectified_simplex_descriptor(d, r)
-    return oracle.simplex(d)
-
-
 def _validate_seq(args, error) -> str:
     family = args.family
     route = args.route
@@ -174,11 +141,11 @@ def _cmd_seq(args, parser) -> int:
     want_interior = args.interior or family == "oracle"
 
     if route != "oracle":
-        values, interiors = _formula_columns(family, d, r, n_from, n_to, want_interior)
+        values, interiors = checks.formula_columns(family, d, r, n_from, n_to, want_interior)
     if route != "formula":
         # One fill up to --to (oracle_report needs at least 1); the rows
         # --from..--to are a slice of that table.
-        report = oracle.oracle_report(_oracle_descriptor(family, d, r), max(n_to, 1))
+        report = oracle.oracle_report(checks.family_descriptor(family, d, r), max(n_to, 1))
         _, recursion_values, recursion_interiors = zip(*report[n_from:n_to + 1])
         if route == "oracle":
             values, interiors = recursion_values, recursion_interiors
@@ -240,10 +207,7 @@ def _cmd_decompose(args, parser) -> int:
             parser.error("--lambda takes no -a/-b")
         if not 0 <= args.r < args.d:
             parser.error("--lambda requires 0 <= r < d")
-        routes = {
-            "shift-composition": rectified_decomposition(args.d, args.r),
-            "gbinomial": rectified_decomposition_gbinom(args.d, args.r),
-        }
+        routes = checks.rectified_routes(args.d, args.r)
         label = f"lambda d={args.d} r={args.r}"
     else:
         if args.a is None or args.b is None:
@@ -252,10 +216,7 @@ def _cmd_decompose(args, parser) -> int:
             parser.error("--shift takes no -r")
         if args.a < 1 or args.b < 0:
             parser.error("--shift requires a >= 1 and b >= 0")
-        routes = {
-            "double-sum": shift_decomposition(args.d, args.a, args.b),
-            "generating-function": shift_decomposition_gf(args.d, args.a, args.b),
-        }
+        routes = checks.shift_routes(args.d, args.a, args.b)
         label = f"shift d={args.d} a={args.a} b={args.b}"
 
     vectors = list(routes.values())
@@ -283,14 +244,6 @@ def _cmd_decompose(args, parser) -> int:
 
 
 # --- verify ------------------------------------------------------------------
-
-
-# The options each suite reads; any other given option would be ignored.
-SUITE_OPTIONS = {
-    "identities": ("grid",),
-    "oracle": ("d_max", "n_max"),
-    "decompositions": ("d_max", "n_max", "a_max", "b_max"),
-}
 
 
 def _cmd_verify(args, parser) -> int:

@@ -21,8 +21,9 @@ for n = 0 .. N, and a query past N extends every table of the plan up to
 the asked n, faces first.  Size policy: a descriptor's N is the largest n
 asked of any descriptor whose closure contains it, never more.
 `table_sizes()` reports N per descriptor and `clear_tables()` drops every
-table and plan.  Fills and clears run under one lock; a query its table
-already covers reads without it, so concurrent readers are safe.
+table, plan and face census.  Fills and clears run under one lock; a query
+its table already covers, `oracle_report` included, reads without it, so
+concurrent readers are safe.
 """
 from __future__ import annotations
 
@@ -327,15 +328,16 @@ def table_sizes() -> dict[PolytopeDescriptor, int]:
 
 
 def clear_tables() -> None:
-    """Drop every table and plan; later calls refill from scratch."""
+    """Drop every table, plan and face census; later calls refill from scratch."""
     with _lock:
         _tables.clear()
         _plans.clear()
+        faces_of.cache_clear()
 
 
 def oracle_report(p: PolytopeDescriptor, n_max: int) -> list[tuple[int, int, int]]:
     """Table of (n, total, interior) for n = 0 .. n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    table = _filled(p, n_max)
+    table = _covering(p, n_max)
     return list(zip(range(n_max + 1), table.values[:n_max + 1], table.interiors[:n_max + 1]))

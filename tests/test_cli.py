@@ -132,7 +132,7 @@ class TestSeq:
         assert out.splitlines() == ["n  value  match", "1  1      true", "2  10     true"]
 
     def test_route_both_mismatch_exits_nonzero(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_formula_columns", off_columns)
+        monkeypatch.setattr(checks, "formula_columns", off_columns)
         code, out = run_cli(
             capsys, "seq", "--family", "alpha", "-d", "2", "--to", "3", "--route", "both",
         )
@@ -147,7 +147,7 @@ class TestSeq:
         argv += ["-r", str(r)] if r is not None else []
         argv += ["--interior"] if interior else []
         code, out = run_cli(capsys, *argv)
-        monkeypatch.setattr(cli, "_formula_columns", scalar_columns)
+        monkeypatch.setattr(checks, "formula_columns", scalar_columns)
         assert (code, out) == run_cli(capsys, *argv)
         assert code == 0
 
@@ -213,7 +213,7 @@ class TestSeq:
         captured = capsys.readouterr()
         assert captured.err == "polytopenums: internal error: RuntimeError: table lost\n"
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "_formula_columns", off_columns)
+        monkeypatch.setattr(checks, "formula_columns", off_columns)
         assert cli.main(argv) == 1  # a real mismatch still exits 1
         assert capsys.readouterr().err == ""
 
@@ -321,10 +321,21 @@ class TestDecompose:
         assert "double-sum,1,3,0" in out
 
     def test_route_disagreement_exits_nonzero(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "rectified_decomposition_gbinom", lambda d, r: [1, 99, 1])
+        monkeypatch.setattr(checks, "rectified_decomposition_gbinom", lambda d, r: [1, 99, 1])
         code, out = run_cli(capsys, "decompose", "--lambda", "-d", "3", "-r", "1")
         assert code == 1
         assert "routes agree: NO" in out
+
+    def test_one_patched_route_reaches_decompose_and_verify(self, capsys, monkeypatch):
+        # `decompose` and the decompositions suite read the same route table;
+        # `cli` binds no route of its own.
+        assert not [name for name in vars(cli)
+                    if name.startswith(("shift_decomposition", "rectified_decomposition"))]
+        monkeypatch.setattr(checks, "rectified_decomposition_gbinom", lambda d, r: [1, 99, 1])
+        assert run_cli(capsys, "decompose", "--lambda", "-d", "3", "-r", "1")[0] == 1
+        failed = [check.describe() for check in checks.decomposition_checks(3, 3)
+                  if not check.ok]
+        assert "route-agreement [d=3 r=1] lhs=[1, 2, 1] rhs=[1, 99, 1]" in failed
 
     def test_usage_errors(self):
         expect_usage_error("decompose", "--lambda", "-d", "3")
@@ -386,8 +397,9 @@ class TestVerify:
         assert out.endswith("verify: FAIL\n")
 
     def test_oracle_suite_checks_the_tables_seq_prints_from(self, monkeypatch):
-        # The closed forms `seq` prints are the globals _formula_columns reads.
-        names = sorted(name for name in cli._formula_columns.__code__.co_names
+        # The closed forms `seq` prints are the globals checks.formula_columns
+        # reads, and `cli` binds none of them itself.
+        names = sorted(name for name in checks.formula_columns.__code__.co_names
                        if name.endswith("_table"))
         assert len(names) == 6
         called = set()
@@ -399,7 +411,7 @@ class TestVerify:
             return wrapper
 
         for name in names:
-            assert getattr(checks, name) is getattr(cli, name), name
+            assert not hasattr(cli, name), name
             monkeypatch.setattr(checks, name, recording(name, getattr(checks, name)))
         assert all(check.ok for check in checks.oracle_checks(3, 3))
         assert called == set(names)

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from polytopenums import oracle
 from polytopenums.oracle import (
     POINT,
     FaceCensus,
@@ -23,12 +24,7 @@ from polytopenums.oracle import (
     table_sizes,
 )
 from polytopenums.rectified import rectified_simplex_interior, rectified_simplex_number
-from polytopenums.regular import (
-    cross_polytope_number,
-    hypercube_number,
-    simplex_interior,
-    simplex_number,
-)
+from polytopenums.regular import simplex_interior, simplex_number
 
 
 def plain_number(p, n):
@@ -172,27 +168,6 @@ class TestRecursion:
                 assert polytope_number(p, n) == plain_number(p, n)
                 assert interior_number(p, n) == plain_interior(p, n)
 
-    def test_matches_simplex_formulas(self):
-        for d in range(9):
-            p = simplex(d)
-            for n in range(1, 26):
-                assert polytope_number(p, n) == simplex_number(d, n)
-                assert interior_number(p, n) == simplex_interior(d, n)
-
-    def test_matches_cross_polytope_and_cube_formulas(self):
-        for d in range(1, 7):
-            for n in range(1, 26):
-                assert polytope_number(cross_polytope(d), n) == cross_polytope_number(d, n)
-                assert polytope_number(hypercube(d), n) == hypercube_number(d, n)
-
-    def test_matches_rectified_formulas(self):
-        for d in range(2, 8):
-            for r in range(1, d):
-                p = rectified_simplex_descriptor(d, r)
-                for n in range(1, 26):
-                    assert polytope_number(p, n) == rectified_simplex_number(d, r, n)
-                    assert interior_number(p, n) == rectified_simplex_interior(d, r, n)
-
     def test_census_is_cached_per_descriptor(self):
         assert faces_of(simplex(5)) is faces_of(simplex(5))
         assert isinstance(faces_of(simplex(5)), FaceCensus)
@@ -225,6 +200,31 @@ class TestTables:
         assert table_sizes() == {POINT: 9, simplex(1): 9, simplex(2): 9, simplex(3): 7}
         clear_tables()
         assert table_sizes() == {}
+
+    def test_clear_tables_also_drops_the_census_memo(self):
+        p = rectified_simplex_descriptor(5, 2)
+        before = oracle_report(p, 40)
+        assert faces_of.cache_info().currsize > 0
+        clear_tables()
+        assert faces_of.cache_info().currsize == 0
+        assert oracle_report(p, 40) == before
+
+    def test_report_fills_only_when_its_table_is_short(self, monkeypatch):
+        fills = []
+
+        def counted(p, n, fill=oracle._filled):
+            fills.append(n)
+            return fill(p, n)
+
+        monkeypatch.setattr(oracle, "_filled", counted)
+        p = rectified_simplex_descriptor(5, 2)
+        cold = oracle_report(p, 40)
+        assert fills == [40]
+        # Covered reads, of p and of a face in its plan, take no lock.
+        assert oracle_report(p, 40) == cold
+        assert oracle_report(simplex(3), 40)[-1] == (40, simplex_number(3, 40),
+                                                     simplex_interior(3, 40))
+        assert fills == [40]
 
     @pytest.mark.parametrize("order", ["descending", "shuffled"])
     def test_query_order_does_not_change_tables(self, order):

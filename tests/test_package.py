@@ -44,6 +44,17 @@ def test_demo_runs(demo):
     assert done.stdout.strip()
 
 
+def test_benchmark_unit_tests_run_on_this_package():
+    # The benchmark's output checks import closed forms and oracle reads from
+    # the package; its tracing test stays out until the trace table is rebound.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-m", "unittest", "tests.test_workloads",
+                           "tests.test_stats", "tests.test_checks"],
+                          cwd=os.path.join(ROOT, "perfbench"), capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_readme_examples():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         blocks = re.findall(r"```python\n(.*?)```", handle.read(), re.DOTALL)
