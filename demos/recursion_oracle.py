@@ -12,7 +12,7 @@ from polytopenums import (
     hypercube_number,
     hypersimplex,
     interior_number,
-    oracle_report,
+    oracle_table,
     polytope_number,
     rectified_simplex_descriptor,
     rectified_simplex_number,
@@ -32,9 +32,10 @@ for p in [simplex(3), cross_polytope(3), hypercube(3), hypersimplex(5, 2)]:
         print(f"    dim {entry.dim}: {entry.total} x {entry.face}, "
               f"{entry.not_containing} avoid the base vertex")
 
-print("\nRecursion table for the octahedron (n, total, interior):")
-for row in oracle_report(hypersimplex(4, 2), 6):
-    print("  ", row)
+print("\nRecursion table for the octahedron, n = 0..6, as two columns:")
+values, interiors = oracle_table(hypersimplex(4, 2), 0, 6)
+print("  total:   ", values)
+print("  interior:", interiors)
 
 print("\nThe recursion reproduces every closed form. Spot checks at n=1..8:")
 print("  cross-polytope d=4: recursion",

@@ -87,7 +87,7 @@ def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
 
 
 def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterator[IdentityCheck]:
-    """Closed forms against the recursion, bridges, degenerate families, censuses."""
+    """Closed-form columns against `oracle_table`, bridges, degenerate families, censuses."""
     n_hi = 40 if n_max is None else n_max
 
     def cap(default: int) -> int:
@@ -106,10 +106,9 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
         for d, r in points:
             params = {"d": d} if r is None else {"d": d, "r": r}
             values, interiors = formula_columns(family, d, r, 1, n_hi, interior_name is not None)
-            # (n, value, interior) for n = 1..n_hi, from one table fill.
-            report = oracle.oracle_report(family_descriptor(family, d, r), n_hi)[1:] if n_hi else []
-            for (n, value, interior), formula, formula_interior in zip(
-                    report, values, interiors or itertools.repeat(None)):
+            columns = zip(*oracle.oracle_table(family_descriptor(family, d, r), 1, n_hi),
+                          values, interiors or itertools.repeat(None))
+            for n, (value, interior, formula, formula_interior) in enumerate(columns, 1):
                 yield _check(value_name, value, formula, **params, n=n)
                 if interior_name is not None:
                     yield _check(interior_name, interior, formula_interior, **params, n=n)

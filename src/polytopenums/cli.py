@@ -3,8 +3,8 @@
 `cli` parses, dispatches to `checks` (each family's closed form and oracle
 descriptor, each coefficient route, the verify suites) and `oracle`,
 renders and exits; it holds no formula.  `seq` renders each format straight
-from its columns (n, value, interior, match); `--route oracle` and `--route
-both` fill the recursion table once, up to --to, and print its slice.
+from its columns (n, value, interior, match); `checks.formula_columns` and
+`oracle.oracle_table` each give theirs for --from..--to in one call.
 
 Exit codes: 0 success, 1 verification failure or route mismatch, 2 usage
 error, 3 internal error: any other exception, reported on stderr as
@@ -143,10 +143,8 @@ def _cmd_seq(args, parser) -> int:
     if route != "oracle":
         values, interiors = checks.formula_columns(family, d, r, n_from, n_to, want_interior)
     if route != "formula":
-        # One fill up to --to (oracle_report needs at least 1); the rows
-        # --from..--to are a slice of that table.
-        report = oracle.oracle_report(checks.family_descriptor(family, d, r), max(n_to, 1))
-        _, recursion_values, recursion_interiors = zip(*report[n_from:n_to + 1])
+        recursion_values, recursion_interiors = oracle.oracle_table(
+            checks.family_descriptor(family, d, r), n_from, n_to)
         if route == "oracle":
             values, interiors = recursion_values, recursion_interiors
 

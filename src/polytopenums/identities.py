@@ -184,13 +184,13 @@ REGISTRY: dict[str, Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityChe
 
 def _parse_range(text: str) -> range:
     text = text.strip()
-    if ".." in text:
-        lo, hi = (int(end) for end in text.split("..", 1))
-        if lo > hi:
-            raise ValueError(f"empty range {text!r}: {lo} > {hi}")
-        return range(lo, hi + 1)
-    value = int(text)
-    return range(value, value + 1)
+    lo, dots, hi = text.partition("..")
+    lo, hi = int(lo), int(hi if dots else lo)
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}: {lo} > {hi}")
+    if lo < 0:
+        raise ValueError(f"negative bound in {text!r}: the identities hold from 0 up")
+    return range(lo, hi + 1)
 
 
 def parse_grid(text: str) -> dict[str, dict[str, range]]:
@@ -198,7 +198,7 @@ def parse_grid(text: str) -> dict[str, dict[str, range]]:
 
     Raises ValueError for text configparser cannot read, an unknown
     section, a section that misses a key of its identity or sets one it
-    does not read, and a range with lo > hi.
+    does not read, a range with lo > hi, and a negative bound.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:

@@ -22,8 +22,9 @@ the asked n, faces first.  Size policy: a descriptor's N is the largest n
 asked of any descriptor whose closure contains it, never more.
 `table_sizes()` reports N per descriptor and `clear_tables()` drops every
 table, plan and face census.  Fills and clears run under one lock; a query
-its table already covers, `oracle_report` included, reads without it, so
-concurrent readers are safe.
+its table already covers reads without it, so concurrent readers are safe.
+`oracle_table` reads a run of n as value and interior columns, as the
+closed-form tables do; `polytope_number` and `interior_number` read one row.
 """
 from __future__ import annotations
 
@@ -294,31 +295,32 @@ def _filled(p: PolytopeDescriptor, n: int) -> _Table:
         return _tables[p]
 
 
-def _covering(p: PolytopeDescriptor, n: int) -> _Table:
-    """The table of p, holding n.
+def oracle_table(p: PolytopeDescriptor, n_from: int, n_to: int) -> tuple[list[int], list[int]]:
+    """Value and interior columns of p's recursion for n = n_from .. n_to.
 
-    Tests the interiors list, which a fill appends to after the values, so
-    a lock-free read never sees a row whose interior is not yet there.
+    Rows with n <= 0 are 0 and fill no table; otherwise p's table is filled
+    to n_to first when it is shorter, and the columns are its slices.  The
+    covered test reads the interiors list, which a fill appends to after
+    the values, so a lock-free read never sees a row without its interior.
     """
+    start = max(n_from, 1)
+    zeros = [0] * max(0, min(n_to, 0) - n_from + 1)
+    if n_to < start:
+        return zeros, zeros[:]
     table = _tables.get(p)
-    if table is None or len(table.interiors) <= n:
-        table = _filled(p, n)
-    return table
+    if table is None or len(table.interiors) <= n_to:
+        table = _filled(p, n_to)
+    return zeros + table.values[start:n_to + 1], zeros + table.interiors[start:n_to + 1]
 
 
 def polytope_number(p: PolytopeDescriptor, n: int) -> int:
-    """n-th term of the polytope number sequence of p, by the recursion.
-
-    Starts 0, 1; afterwards each step adds the interior counts of all faces
-    avoiding the base vertex.  Read from the table of p, which is filled
-    bottom-up to n first when it is shorter.
-    """
-    return _covering(p, n).values[n] if n > 0 else 0
+    """n-th term of the polytope number sequence of p: one row of oracle_table."""
+    return oracle_table(p, n, n)[0][0]
 
 
 def interior_number(p: PolytopeDescriptor, n: int) -> int:
-    """n-th interior count: the total minus every proper face's interior."""
-    return _covering(p, n).interiors[n] if n > 0 else 0
+    """n-th interior count of p, the total minus every proper face's interior: one row."""
+    return oracle_table(p, n, n)[1][0]
 
 
 def table_sizes() -> dict[PolytopeDescriptor, int]:
@@ -333,11 +335,3 @@ def clear_tables() -> None:
         _tables.clear()
         _plans.clear()
         faces_of.cache_clear()
-
-
-def oracle_report(p: PolytopeDescriptor, n_max: int) -> list[tuple[int, int, int]]:
-    """Table of (n, total, interior) for n = 0 .. n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
-    table = _covering(p, n_max)
-    return list(zip(range(n_max + 1), table.values[:n_max + 1], table.interiors[:n_max + 1]))

@@ -203,12 +203,30 @@ class TestSeq:
         assert len(out.splitlines()) == 301
         assert fills == [300]
 
+    def test_one_patched_oracle_reaches_seq_and_verify(self, capsys, monkeypatch):
+        # `seq` and the oracle suite read the recursion through one function.
+        real = oracle.oracle_table
+
+        def corrupted(p, n_from, n_to):
+            values, interiors = real(p, n_from, n_to)
+            if p == oracle.hypercube(3) and n_from <= 2 <= n_to:
+                values[2 - n_from] += 1
+            return values, interiors
+
+        monkeypatch.setattr(oracle, "oracle_table", corrupted)
+        code, out = run_cli(capsys, "seq", "--family", "gamma", "-d", "3", "--to", "3",
+                            "--route", "both", "--format", "csv")
+        assert code == 1
+        assert out == "n,value,match\n1,1,true\n2,8,false\n3,27,true\n"
+        failed = [check.describe() for check in checks.oracle_checks(3, 3) if not check.ok]
+        assert failed == ["hypercube [d=3 n=2] lhs=9 rhs=8"]
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        def broken(p, n_max):
+        def broken(p, n_from, n_to):
             raise RuntimeError("table lost")
 
         argv = ["seq", "--family", "alpha", "-d", "2", "--to", "3", "--route", "both"]
-        monkeypatch.setattr(cli.oracle, "oracle_report", broken)
+        monkeypatch.setattr(cli.oracle, "oracle_table", broken)
         assert cli.main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err == "polytopenums: internal error: RuntimeError: table lost\n"
@@ -484,10 +502,13 @@ class TestVerify:
         ("[alt-vandermonde]\nb = 1..2\nc = 1..2\nn = 1..2\nextra = 1..2\n",
          "identity section 'alt-vandermonde' has unknown key(s) extra; it takes b, c, n"),
         ("[pascal-alternating-row]\nr = 5..2\n", "empty range '5..2': 5 > 2"),
+        ("[pascal-alternating-row]\nr = -2..3\n",
+         "negative bound in '-2..3': the identities hold from 0 up"),
         ("[pascal-alternating-row]\nr = 1..2\n[pascal-alternating-row]\nr = 1..2\n",
          "While reading from '<string>' [line  3]: section 'pascal-alternating-row' "
          "already exists"),
-    ], ids=["missing-key", "unknown-key", "empty-range", "duplicate-section"])
+    ], ids=["missing-key", "unknown-key", "empty-range", "negative-bound",
+            "duplicate-section"])
     def test_grid_with_bad_keys_or_ranges_is_usage_error(self, capsys, tmp_path, text,
                                                           message):
         grid = tmp_path / "grid.cfg"

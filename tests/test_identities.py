@@ -166,6 +166,17 @@ class TestSuiteRunner:
         with pytest.raises(ValueError, match="empty range '5..2'"):
             parse_grid("[pascal-alternating-row]\nr = 5..2\n")
 
+    @pytest.mark.parametrize("section", [
+        "[pascal-alternating-row]\nr = -2..3\n",
+        "[alt-vandermonde]\nb = 1..2\nc = 1..2\nn = -1\n",
+        "[subset-convolution]\nd = -3..-1\nr = 0..2\n",
+    ], ids=["pascal-alternating-row", "alt-vandermonde", "subset-convolution"])
+    def test_parse_grid_rejects_negative_bound(self, section):
+        # Below 0 the identities do not hold; a grid reaching there would
+        # report false failures.
+        with pytest.raises(ValueError, match="negative bound in '-"):
+            parse_grid(section)
+
     def test_default_grid_matches_shipped_ranges(self):
         grid = default_grid()
         assert grid["alt-vandermonde"] == {

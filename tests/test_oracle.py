@@ -17,13 +17,18 @@ from polytopenums.oracle import (
     hypercube,
     hypersimplex,
     interior_number,
-    oracle_report,
+    oracle_table,
     polytope_number,
     rectified_simplex_descriptor,
     simplex,
     table_sizes,
 )
-from polytopenums.rectified import rectified_simplex_interior, rectified_simplex_number
+from polytopenums.rectified import (
+    rectified_simplex_interior,
+    rectified_simplex_interior_table,
+    rectified_simplex_number,
+    rectified_simplex_table,
+)
 from polytopenums.regular import simplex_interior, simplex_number
 
 
@@ -145,21 +150,21 @@ class TestRecursion:
         for p in (simplex(3), cross_polytope(2), hypersimplex(5, 2)):
             assert interior_number(p, 1) == 0
 
-    def test_report_examples(self):
+    def test_table_examples(self):
         # Interior column of the triangle table is C(n-2, 2): 0, 0, 0, 0, 1.
-        assert oracle_report(simplex(2), 4) == [
-            (0, 0, 0),
-            (1, 1, 0),
-            (2, 3, 0),
-            (3, 6, 0),
-            (4, 10, 1),
-        ]
-        assert [v for _, v, _ in oracle_report(cross_polytope(2), 3)] == [0, 1, 4, 9]
-        assert [v for _, v, _ in oracle_report(hypercube(3), 3)] == [0, 1, 8, 27]
+        assert oracle_table(simplex(2), 0, 4) == ([0, 1, 3, 6, 10], [0, 0, 0, 0, 1])
+        assert oracle_table(cross_polytope(2), 0, 3)[0] == [0, 1, 4, 9]
+        assert oracle_table(hypercube(3), 2, 3)[0] == [8, 27]
 
-    def test_report_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
-            oracle_report(simplex(2), 0)
+    def test_empty_runs_and_rows_at_or_below_zero(self):
+        clear_tables()
+        p = hypersimplex(5, 2)
+        assert oracle_table(p, 5, 4) == ([], [])
+        assert oracle_table(p, -1, -2) == ([], [])
+        assert polytope_number(p, -7) == interior_number(p, 0) == 0
+        assert table_sizes() == {}  # no run above reached n = 1
+        assert oracle_table(p, -2, 2) == ([0, 0, 0, 1, 10], [0, 0, 0, 0, 0])
+        assert table_sizes()[p] == 2
 
     def test_memoized_matches_plain_recursion(self):
         for d in range(5):
@@ -203,13 +208,13 @@ class TestTables:
 
     def test_clear_tables_also_drops_the_census_memo(self):
         p = rectified_simplex_descriptor(5, 2)
-        before = oracle_report(p, 40)
+        before = oracle_table(p, 0, 40)
         assert faces_of.cache_info().currsize > 0
         clear_tables()
         assert faces_of.cache_info().currsize == 0
-        assert oracle_report(p, 40) == before
+        assert oracle_table(p, 0, 40) == before
 
-    def test_report_fills_only_when_its_table_is_short(self, monkeypatch):
+    def test_table_fills_only_when_it_is_short(self, monkeypatch):
         fills = []
 
         def counted(p, n, fill=oracle._filled):
@@ -218,12 +223,13 @@ class TestTables:
 
         monkeypatch.setattr(oracle, "_filled", counted)
         p = rectified_simplex_descriptor(5, 2)
-        cold = oracle_report(p, 40)
+        cold = oracle_table(p, 0, 40)
         assert fills == [40]
         # Covered reads, of p and of a face in its plan, take no lock.
-        assert oracle_report(p, 40) == cold
-        assert oracle_report(simplex(3), 40)[-1] == (40, simplex_number(3, 40),
-                                                     simplex_interior(3, 40))
+        assert oracle_table(p, 0, 40) == cold
+        assert oracle_table(p, 7, 40) == (cold[0][7:], cold[1][7:])
+        assert oracle_table(simplex(3), 40, 40) == ([simplex_number(3, 40)],
+                                                    [simplex_interior(3, 40)])
         assert fills == [40]
 
     @pytest.mark.parametrize("order", ["descending", "shuffled"])
@@ -234,7 +240,7 @@ class TestTables:
             clear_tables()
             answers = [(polytope_number(p, n), interior_number(p, n)) for n in queries]
             sizes = table_sizes()
-            return sizes, {q: oracle_report(q, k) for q, k in sizes.items()}, answers
+            return sizes, {q: oracle_table(q, 0, k) for q, k in sizes.items()}, answers
 
         sizes, contents, answers = tables_after(ns)
         queries = ns[::-1] if order == "descending" else random.Random(7).sample(ns, len(ns))
@@ -248,7 +254,7 @@ class TestTables:
 
         def query(t, start, results):
             start.wait()
-            results[t] = [(n, polytope_number(p, n), interior_number(p, n))
+            results[t] = [(n, *oracle_table(p, n - 3, n))
                           for n in range(3000 - 200 * t, 0, -37)]
 
         interval = sys.getswitchinterval()
@@ -267,8 +273,8 @@ class TestTables:
                 assert not any(thread.is_alive() for thread in threads)
                 rows = [row for t in range(4) for row in results[t]]
                 assert table_sizes()[p] == max(n for n, _, _ in rows)
-                for n, value, interior in rows:
-                    assert value == rectified_simplex_number(5, 2, n)
-                    assert interior == rectified_simplex_interior(5, 2, n)
+                for n, values, interiors in rows:
+                    assert values == rectified_simplex_table(5, 2, n - 3, n)
+                    assert interiors == rectified_simplex_interior_table(5, 2, n - 3, n)
         finally:
             sys.setswitchinterval(interval)

@@ -19,7 +19,7 @@ PUBLIC = [
     "check_pascal_alternating_row", "check_subset_convolution", "check_vertex_star_sum",
     "cross_polytope", "cross_polytope_number", "cross_polytope_table", "default_grid",
     "eulerian", "faces_of", "facet_cut", "gbinomial", "hypercube", "hypercube_number",
-    "hypercube_table", "hypersimplex", "interior_number", "load_grid", "oracle_report",
+    "hypercube_table", "hypersimplex", "interior_number", "load_grid", "oracle_table",
     "parse_grid", "poly_mul", "polytope_number", "recombine", "recombine_table",
     "rectified_decomposition", "rectified_decomposition_gbinom",
     "rectified_simplex_descriptor", "rectified_simplex_interior",

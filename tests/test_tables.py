@@ -42,8 +42,9 @@ RECTIFIED = [
     (rectified_simplex_interior_table, rectified_simplex_interior),
 ]
 
-# Which oracle descriptor and which oracle column (1 values, 2 interiors)
-# each table reproduces; rectified tables take their descriptor from (d, r).
+# Which oracle descriptor and which `oracle_table` column (0 values,
+# 1 interiors) each table reproduces; rectified tables take their
+# descriptor from (d, r).
 DESCRIPTOR = {
     simplex_table: oracle.simplex,
     simplex_interior_table: oracle.simplex,
@@ -51,8 +52,8 @@ DESCRIPTOR = {
     hypercube_table: oracle.hypercube,
 }
 COLUMN = {
-    simplex_table: 1, simplex_interior_table: 2, cross_polytope_table: 1,
-    hypercube_table: 1, rectified_simplex_table: 1, rectified_simplex_interior_table: 2,
+    simplex_table: 0, simplex_interior_table: 1, cross_polytope_table: 0,
+    hypercube_table: 0, rectified_simplex_table: 0, rectified_simplex_interior_table: 1,
 }
 
 # Runs from n = 0 and below, one-row and empty runs, and runs far enough out
@@ -79,16 +80,16 @@ def newton(samples, n0, degree, n):
 
 
 def oracle_rows(p, column, d, n0, n_from, n_to):
-    """Column `column` of p's oracle table for n_from..n_to, 0 at n <= 0.
+    """Column `column` of p's `oracle_table` for n_from..n_to.
 
     Rows up to ORACLE_N_MAX are read from the table; rows past it are
     extrapolated from the d+2 rows at n0.., where the sequence is a
     polynomial of degree d in n.
     """
-    report = oracle.oracle_report(p, max(1, min(n_to, ORACLE_N_MAX), n0 + d + 1))
-    samples = [row[column] for row in report[n0:n0 + d + 2]]
-    return [0 if n <= 0 else report[n][column] if n <= ORACLE_N_MAX
-            else newton(samples, n0, d, n) for n in range(n_from, n_to + 1)]
+    near = oracle.oracle_table(p, n_from, min(n_to, ORACLE_N_MAX))[column]
+    samples = oracle.oracle_table(p, n0, n0 + d + 1)[column]
+    return near + [newton(samples, n0, d, n)
+                   for n in range(max(n_from, ORACLE_N_MAX + 1), n_to + 1)]
 
 
 def formal_rows(table, d, r, n_from, n_to):
@@ -134,6 +135,30 @@ def test_rectified_tables_on_grid(table, scalar):
                 expected = rectified_reference(table, d, r, n_from, n_to)
                 assert table(d, r, n_from, n_to) == expected, (d, r, n_from, n_to)
                 assert [scalar(d, r, n) for n in range(n_from, n_to + 1)] == expected
+
+
+@pytest.mark.parametrize("n_from, n_to", [run for run in RUNS if run[1] < 2**64])
+def test_oracle_table_matches_every_closed_form_table(n_from, n_to):
+    # Both sides are table forms with one contract: the same run, read
+    # straight, with no clamp or slice on either side.  Every run but the
+    # one past 2**64, which no table can hold.
+    for table, _, d_min in REGULAR:
+        for d in range(d_min, 8):
+            columns = oracle.oracle_table(DESCRIPTOR[table](d), n_from, n_to)
+            assert table(d, n_from, n_to) == columns[COLUMN[table]], (table, d)
+    for table, _ in RECTIFIED:
+        for d in range(1, 8):
+            for r in range(d):
+                columns = oracle.oracle_table(oracle.rectified_simplex_descriptor(d, r),
+                                              n_from, n_to)
+                assert table(d, r, n_from, n_to) == columns[COLUMN[table]], (table, d, r)
+
+
+def test_oracle_table_of_rows_at_or_below_zero_fills_no_table():
+    oracle.clear_tables()
+    p = oracle.rectified_simplex_descriptor(5, 2)
+    assert oracle.oracle_table(p, -3, 0) == ([0, 0, 0, 0], [0, 0, 0, 0])
+    assert oracle.table_sizes() == {}
 
 
 @pytest.mark.parametrize("d", range(0, 8))
