@@ -146,16 +146,12 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
 
     # Census structure: Euler relation over every census reachable from the
     # tested polytopes, plus two pinned f-vectors.
-    seen: set[oracle.PolytopeDescriptor] = set()
-    stack: list[oracle.PolytopeDescriptor] = [oracle.simplex(cap(8))]
-    stack += [oracle.cross_polytope(cap(6)), oracle.hypercube(cap(6))]
-    stack += [oracle.rectified_simplex_descriptor(d, r)
+    roots = [oracle.simplex(cap(8)), oracle.cross_polytope(cap(6)), oracle.hypercube(cap(6))]
+    roots += [oracle.rectified_simplex_descriptor(d, r)
               for d in range(2, cap(7) + 1) for r in range(1, d)]
-    while stack:
-        p = stack.pop()
-        if p in seen or isinstance(p, oracle.Point):
+    for p in oracle.face_closure(*roots):
+        if isinstance(p, oracle.Point):
             continue
-        seen.add(p)
         census = oracle.faces_of(p)
         yield _check("euler-relation",
                      sum((-1) ** k * f for k, f in enumerate(census.f_vector())),
@@ -163,7 +159,6 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
         yield _check("census-counts",
                      [e for e in census.entries if not 0 <= e.not_containing <= e.total], [],
                      polytope=p)
-        stack.extend(e.face for e in census.entries)
     for p, f_vector in ((oracle.hypersimplex(4, 2), (6, 12, 8)),
                         (oracle.hypersimplex(5, 2), (10, 30, 30, 10))):
         if d_max is None or d_max >= p.dimension:

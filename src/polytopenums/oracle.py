@@ -14,17 +14,17 @@ and hypersimplex (the convex hull of the 0/1-vectors of length m with
 exactly s ones, which is how rectified simplices arise).  Descriptors are
 canonicalized on construction so that structural equality is type equality.
 
-Evaluation is bottom-up, with no recursion on n.  Each descriptor gets a
-plan once: its own table and those of every face in its transitive face
-closure, ordered by dimension.  A table holds the value and interior counts
-for n = 0 .. N, and a query past N extends every table of the plan up to
-the asked n, faces first.  Size policy: a descriptor's N is the largest n
-asked of any descriptor whose closure contains it, never more.
-`table_sizes()` reports N per descriptor and `clear_tables()` drops every
-table, plan and face census.  Fills and clears run under one lock; a query
-its table already covers reads without it, so concurrent readers are safe.
-`oracle_table` reads a run of n as value and interior columns, as the
-closed-form tables do; `polytope_number` and `interior_number` read one row.
+Evaluation is bottom-up, with no recursion on n.  Each descriptor has one
+table, a pair of lists holding its value and interior counts for
+n = 0 .. N.  A query past N walks `face_closure(p)`, p and every face in
+its transitive face closure, faces first, and extends each of their tables
+up to the asked n.  Size policy: a descriptor's N is the largest n asked of
+any descriptor whose closure contains it, never more.  `table_sizes()`
+reports N per descriptor and `clear_tables()` drops every table and face
+census.  Fills and clears run under one lock; a query its table already
+covers reads without it, so concurrent readers are safe.  `oracle_table`
+reads a run of n as value and interior columns, as the closed-form tables
+do; `polytope_number` and `interior_number` read one row.
 """
 from __future__ import annotations
 
@@ -148,13 +148,8 @@ def rectified_simplex_descriptor(d: int, r: int) -> PolytopeDescriptor:
 @dataclass(frozen=True)
 class FaceEntry:
     face: PolytopeDescriptor
-    dim: int
     total: int
     not_containing: int  # faces of this type avoiding the base vertex
-
-    @property
-    def containing(self) -> int:
-        return self.total - self.not_containing
 
 
 @dataclass(frozen=True)
@@ -165,21 +160,18 @@ class FaceCensus:
     def f_vector(self) -> tuple[int, ...]:
         counts: dict[int, int] = {}
         for e in self.entries:
-            counts[e.dim] = counts.get(e.dim, 0) + e.total
+            counts[e.face.dimension] = counts.get(e.face.dimension, 0) + e.total
         return tuple(counts.get(k, 0) for k in range(self.polytope.dimension))
 
-    def euler_ok(self) -> bool:
-        """Alternating face-count sum matches 1 + (-1)**(dimension-1)."""
-        alternating = sum((-1) ** k * f for k, f in enumerate(self.f_vector()))
-        return alternating == 1 + (-1) ** (self.polytope.dimension - 1)
 
-    def entries_of_dim(self, k: int) -> tuple[FaceEntry, ...]:
-        return tuple(e for e in self.entries if e.dim == k)
+def _faces_first(p: PolytopeDescriptor) -> tuple[int, str]:
+    """Sort key that puts every face before any polytope it is a face of."""
+    return p.dimension, repr(p)
 
 
 @lru_cache(maxsize=None)
 def faces_of(p: PolytopeDescriptor) -> FaceCensus:
-    """Census of all proper faces of p, one entry per (type, dimension).
+    """Census of all proper faces of p, one entry per face type.
 
     Every count pair is (total faces of that type, faces containing the base
     vertex); the stored entry keeps total and the complement.  Hypersimplex
@@ -193,96 +185,72 @@ def faces_of(p: PolytopeDescriptor) -> FaceCensus:
     if isinstance(p, Point):
         raise ValueError("a point has no proper faces")
 
-    counts: dict[tuple[int, PolytopeDescriptor], list[int]] = {}
+    counts: dict[PolytopeDescriptor, list[int]] = {}
 
-    def add(face: PolytopeDescriptor, dim: int, total: int, containing: int) -> None:
-        slot = counts.setdefault((dim, face), [0, 0])
+    def add(face: PolytopeDescriptor, total: int, containing: int) -> None:
+        slot = counts.setdefault(face, [0, 0])
         slot[0] += total
         slot[1] += containing
 
     match p:
         case Simplex(d):
             for k in range(d):
-                add(simplex(k), k, binomial(d + 1, k + 1), binomial(d, k))
+                add(simplex(k), binomial(d + 1, k + 1), binomial(d, k))
         case CrossPolytope(d):
             for k in range(d):
-                add(simplex(k), k, 2 ** (k + 1) * binomial(d, k + 1), 2**k * binomial(d - 1, k))
+                add(simplex(k), 2 ** (k + 1) * binomial(d, k + 1), 2**k * binomial(d - 1, k))
         case Hypercube(d):
             for k in range(d):
-                add(hypercube(k), k, 2 ** (d - k) * binomial(d, k), binomial(d, k))
+                add(hypercube(k), 2 ** (d - k) * binomial(d, k), binomial(d, k))
         case Hypersimplex(m, s):
-            add(POINT, 0, binomial(m, s), 1)
+            add(POINT, binomial(m, s), 1)
             for k in range(1, m - 1):
                 for a in range(m - k):
                     b = m - k - 1 - a
                     if 0 < s - b < m - a - b:
-                        add(
-                            hypersimplex(m - a - b, s - b),
-                            k,
-                            binomial(m, a) * binomial(m - a, b),
-                            binomial(m - s, a) * binomial(s, b),
-                        )
+                        add(hypersimplex(m - a - b, s - b), binomial(m, a) * binomial(m - a, b),
+                            binomial(m - s, a) * binomial(s, b))
 
-    entries = tuple(
-        FaceEntry(face, dim, total, total - containing)
-        for (dim, face), (total, containing) in sorted(
-            counts.items(), key=lambda item: (item[0][0], repr(item[0][1]))
-        )
-    )
+    entries = tuple(FaceEntry(face, total, total - containing)
+                    for face, (total, containing) in sorted(
+                        counts.items(), key=lambda item: _faces_first(item[0])))
     return FaceCensus(p, entries)
 
 
-class _Table:
-    """Value and interior lists of one descriptor, indexed by n, grown in place."""
+def face_closure(*roots: PolytopeDescriptor) -> list[PolytopeDescriptor]:
+    """The roots and every face of theirs, POINT included, faces first.
 
-    __slots__ = ("values", "interiors", "rows")
-
-    def __init__(self, p: PolytopeDescriptor, rows: tuple[tuple[int, int, list[int]], ...]):
-        # A point is its own interior: with no rows both of its lists run
-        # 0, 1, 1, ...; any other polytope has no interior at n = 1.
-        self.values = [0, 1]
-        self.interiors = [0, 1 if isinstance(p, Point) else 0]
-        # One (faces avoiding the base vertex, total faces, face interiors)
-        # row per census entry; the face's interior list is shared, not copied.
-        self.rows = rows
+    Sorted by (dimension, repr), the order `faces_of` lists its entries in,
+    so each face comes before any polytope it is a face of.
+    """
+    closure: set[PolytopeDescriptor] = set()
+    stack = list(roots)
+    while stack:
+        q = stack.pop()
+        if q not in closure:
+            closure.add(q)
+            if not isinstance(q, Point):
+                stack.extend(e.face for e in faces_of(q).entries)
+    return sorted(closure, key=_faces_first)
 
 
 _lock = threading.Lock()  # held by every fill and every change to the tables
-_tables: dict[PolytopeDescriptor, _Table] = {}
-_plans: dict[PolytopeDescriptor, tuple[_Table, ...]] = {}
+# Each descriptor's (values, interiors) lists, indexed by n and grown in place.
+_tables: dict[PolytopeDescriptor, tuple[list[int], list[int]]] = {}
 
 
-def _plan(p: PolytopeDescriptor) -> tuple[_Table, ...]:
-    """Tables of p and all its faces, faces first; built once per descriptor.
-
-    Callers hold the lock.  Members are ordered by (dimension, repr), so each
-    face's table exists, and is filled, before any table that reads it.
-    """
-    plan = _plans.get(p)
-    if plan is not None:
-        return plan
-    entries: dict[PolytopeDescriptor, tuple[FaceEntry, ...]] = {}
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if q not in entries:
-            entries[q] = () if isinstance(q, Point) else faces_of(q).entries
-            stack.extend(e.face for e in entries[q])
-    members = sorted(entries, key=lambda q: (q.dimension, repr(q)))
-    for q in members:
-        if q not in _tables:
-            rows = tuple((e.not_containing, e.total, _tables[e.face].interiors)
-                         for e in entries[q])
-            _tables[q] = _Table(q, rows)
-    plan = _plans[p] = tuple(_tables[q] for q in members)
-    return plan
-
-
-def _filled(p: PolytopeDescriptor, n: int) -> _Table:
-    """The table of p, with it and every face table extended to hold n."""
+def _filled(p: PolytopeDescriptor, n: int) -> tuple[list[int], list[int]]:
+    """The table of p, with every table of `face_closure(p)` extended to hold n, faces first."""
     with _lock:
-        for table in _plan(p):
-            values, interiors, rows = table.values, table.interiors, table.rows
+        for q in face_closure(p):
+            # A point is its own interior: with no rows both of its lists run
+            # 0, 1, 1, ...; any other polytope has no interior at n = 1.
+            values, interiors = _tables.setdefault(
+                q, ([0, 1], [0, 1 if isinstance(q, Point) else 0]))
+            # One (faces avoiding the base vertex, total faces, face interiors)
+            # row per census entry; the face's interior list is shared, not copied.
+            rows = [] if isinstance(q, Point) else [
+                (e.not_containing, e.total, _tables[e.face][1]) for e in faces_of(q).entries]
             for k in range(len(values), n + 1):
                 grown = inside_faces = 0
                 for avoiding, total, face_interiors in rows:
@@ -308,9 +276,10 @@ def oracle_table(p: PolytopeDescriptor, n_from: int, n_to: int) -> tuple[list[in
     if n_to < start:
         return zeros, zeros[:]
     table = _tables.get(p)
-    if table is None or len(table.interiors) <= n_to:
+    if table is None or len(table[1]) <= n_to:
         table = _filled(p, n_to)
-    return zeros + table.values[start:n_to + 1], zeros + table.interiors[start:n_to + 1]
+    values, interiors = table
+    return zeros + values[start:n_to + 1], zeros + interiors[start:n_to + 1]
 
 
 def polytope_number(p: PolytopeDescriptor, n: int) -> int:
@@ -326,12 +295,11 @@ def interior_number(p: PolytopeDescriptor, n: int) -> int:
 def table_sizes() -> dict[PolytopeDescriptor, int]:
     """Largest n each descriptor's table holds (it holds every n from 0)."""
     with _lock:
-        return {p: len(table.values) - 1 for p, table in _tables.items()}
+        return {p: len(values) - 1 for p, (values, _) in _tables.items()}
 
 
 def clear_tables() -> None:
-    """Drop every table, plan and face census; later calls refill from scratch."""
+    """Drop every table and face census; later calls refill from scratch."""
     with _lock:
         _tables.clear()
-        _plans.clear()
         faces_of.cache_clear()

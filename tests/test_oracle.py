@@ -8,11 +8,15 @@ import pytest
 from polytopenums import oracle
 from polytopenums.oracle import (
     POINT,
+    CrossPolytope,
     FaceCensus,
+    Hypercube,
     Hypersimplex,
     Point,
+    Simplex,
     clear_tables,
     cross_polytope,
+    face_closure,
     faces_of,
     hypercube,
     hypersimplex,
@@ -58,6 +62,8 @@ def plain_interior(p, n):
 class TestDescriptors:
     def test_canonicalization(self):
         assert simplex(0) is POINT
+        assert cross_polytope(0) is POINT
+        assert hypercube(0) is POINT
         assert hypersimplex(5, 0) is POINT
         assert hypersimplex(5, 5) is POINT
         assert hypersimplex(2, 1) == simplex(1)
@@ -84,12 +90,15 @@ class TestDescriptors:
             rectified_simplex_descriptor(3, 3)
         with pytest.raises(ValueError):
             Hypersimplex(4, 1)  # must go through the canonicalizing factory
+        for built_directly in (Simplex, CrossPolytope, Hypercube):
+            with pytest.raises(ValueError):
+                built_directly(0)  # the 0-dimensional case is POINT
 
 
 class TestCensus:
     def test_triangle(self):
         census = faces_of(simplex(2))
-        assert [(e.dim, e.total, e.not_containing) for e in census.entries] == [
+        assert [(e.face.dimension, e.total, e.not_containing) for e in census.entries] == [
             (0, 3, 2),
             (1, 3, 1),
         ]
@@ -97,19 +106,19 @@ class TestCensus:
     def test_octahedron(self):
         census = faces_of(hypersimplex(4, 2))
         assert census.f_vector() == (6, 12, 8)
-        assert [(e.dim, e.total, e.not_containing) for e in census.entries] == [
+        assert [(e.face.dimension, e.total, e.not_containing) for e in census.entries] == [
             (0, 6, 5),
             (1, 12, 8),
             (2, 8, 4),
         ]
         # Vertex figure: 4 edges and 4 triangles meet at each vertex.
-        assert [e.containing for e in census.entries] == [1, 4, 4]
-        assert all(e.face == simplex(e.dim) for e in census.entries)
+        assert [e.total - e.not_containing for e in census.entries] == [1, 4, 4]
+        assert all(e.face == simplex(e.face.dimension) for e in census.entries)
 
     def test_rectified_four_simplex(self):
         census = faces_of(hypersimplex(5, 2))
         assert census.f_vector() == (10, 30, 30, 10)
-        cells = {e.face: e.total for e in census.entries_of_dim(3)}
+        cells = {e.face: e.total for e in census.entries if e.face.dimension == 3}
         assert cells == {simplex(3): 5, hypersimplex(4, 2): 5}
 
     def test_cross_polytope_and_cube(self):
@@ -117,23 +126,31 @@ class TestCensus:
         assert octa.f_vector() == (6, 12, 8)
         cube = faces_of(hypercube(3))
         assert cube.f_vector() == (8, 12, 6)
-        assert [e.containing for e in cube.entries] == [1, 3, 3]
+        assert [e.total - e.not_containing for e in cube.entries] == [1, 3, 3]
 
     def test_euler_relation_everywhere(self):
-        seen = set()
-        stack = [simplex(8), cross_polytope(6), hypercube(6)]
-        stack += [hypersimplex(m, s) for m in range(4, 10) for s in range(2, m // 2 + 1)]
-        while stack:
-            p = stack.pop()
-            if p in seen or isinstance(p, Point):
-                continue
-            seen.add(p)
+        roots = [simplex(8), cross_polytope(6), hypercube(6)]
+        roots += [hypersimplex(m, s) for m in range(4, 10) for s in range(2, m // 2 + 1)]
+        point, *polytopes = face_closure(*roots)
+        assert point is POINT  # the one 0-dimensional descriptor sorts first
+        for p in polytopes:
             census = faces_of(p)
-            assert census.euler_ok(), p
+            alternating = sum((-1) ** k * f for k, f in enumerate(census.f_vector()))
+            assert alternating == 1 + (-1) ** (p.dimension - 1), p
             for e in census.entries:
                 assert 0 <= e.not_containing <= e.total
-                stack.append(e.face)
-        assert len(seen) > 25  # the walk really closed over sub-faces
+        assert len(polytopes) > 25  # the walk really closed over sub-faces
+
+    @pytest.mark.parametrize("root", [simplex(6), cross_polytope(5), hypercube(4),
+                                      hypersimplex(7, 3)])
+    def test_face_closure_is_closed_and_faces_first(self, root):
+        closure = face_closure(root)
+        assert root in closure and POINT in closure
+        position = {q: i for i, q in enumerate(closure)}
+        for q in closure:
+            if not isinstance(q, Point):
+                for e in faces_of(q).entries:
+                    assert position[e.face] < position[q]
 
     def test_point_has_no_census(self):
         with pytest.raises(ValueError):
@@ -206,6 +223,11 @@ class TestTables:
         clear_tables()
         assert table_sizes() == {}
 
+    def test_cold_fill_sizes_every_table_of_the_closure(self):
+        p = rectified_simplex_descriptor(5, 2)
+        oracle_table(p, 0, 25)
+        assert table_sizes() == {q: 25 for q in face_closure(p)}
+
     def test_clear_tables_also_drops_the_census_memo(self):
         p = rectified_simplex_descriptor(5, 2)
         before = oracle_table(p, 0, 40)
@@ -225,7 +247,7 @@ class TestTables:
         p = rectified_simplex_descriptor(5, 2)
         cold = oracle_table(p, 0, 40)
         assert fills == [40]
-        # Covered reads, of p and of a face in its plan, take no lock.
+        # Covered reads, of p and of a face in its closure, take no lock.
         assert oracle_table(p, 0, 40) == cold
         assert oracle_table(p, 7, 40) == (cold[0][7:], cold[1][7:])
         assert oracle_table(simplex(3), 40, 40) == ([simplex_number(3, 40)],
@@ -262,7 +284,7 @@ class TestTables:
         try:
             for _ in range(5):
                 clear_tables()
-                polytope_number(p, 1)  # one shared plan; its tables still end at n = 1
+                polytope_number(p, 1)  # every table of the closure exists, ending at n = 1
                 start, results = threading.Barrier(4, timeout=60), {}
                 threads = [threading.Thread(target=query, args=(t, start, results))
                            for t in range(4)]
