@@ -253,6 +253,8 @@ def _cmd_verify(args, parser) -> int:
     for option in ("grid", "d_max", "n_max", "a_max", "b_max"):
         if getattr(args, option) is not None and option not in read:
             parser.error(f"--{option.replace('_', '-')} has no effect on --suite {args.suite}")
+    if args.a_max == 0:  # the shift index a starts at 1, as in decompose --shift
+        parser.error("--a-max must be positive")
 
     suites = []
     if "identities" in names:

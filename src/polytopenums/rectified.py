@@ -117,20 +117,20 @@ def shift_decomposition(d: int, a: int, b: int) -> list[int]:
 
     Returns c with simplex_number(d, a*n - (a-1) - b) equal to the sum of
     c[j] * simplex_number(d, n-j), valid whenever the left argument is >= 1.
-    Computed by the explicit double sum.  The vector has length d+1 when
+    Computed by the explicit double sum
+        c[j] = sum over i of (-1)**i C(d+1, i) C(d+a(j-i)-b, a(j-i)-b),
+    with each binomial computed once per call and the inner sum stopped at
+    i = d+1, the support of (1-x)**(d+1).  The vector has length d+1 when
     b <= d; larger offsets push the support out to d + ceil((b-d)/a).  All
-    coefficients past that bound are computed anyway and must vanish; a
-    nonzero one raises ArithmeticError.
+    coefficients out to index d+a+b, past that bound, are computed anyway
+    and must vanish; a nonzero one raises ArithmeticError.
     """
     _check_shift(d, a, b)
     limit = d + a + b
+    weights = [(-1) ** i * binomial(d + 1, i) for i in range(d + 2)]
+    series = [binomial(d + a * k - b, a * k - b) for k in range(limit + 1)]
     coeffs = [
-        sum(
-            (-1) ** i
-            * binomial(d + 1, i)
-            * binomial(d + a * (j - i) - b, a * (j - i) - b)
-            for i in range(j + 1)
-        )
+        sum(weights[i] * series[j - i] for i in range(min(j, d + 1) + 1))
         for j in range(limit + 1)
     ]
     return _trim_to_support(coeffs, d, a, b)

@@ -466,6 +466,15 @@ class TestVerify:
         expect_usage_error("verify", "--suite", "all", flag, "-1")
         assert f"{flag} must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["decompositions", "all"])
+    def test_zero_shift_index_bound_is_usage_error(self, capsys, suite):
+        # The shift index a starts at 1: --a-max 0 would leave out every
+        # shift check and still print PASS.
+        expect_usage_error("verify", "--suite", suite, "--a-max", "0")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--a-max must be positive" in captured.err
+
     def test_bounds_leaving_a_suite_without_checks_are_usage_error(self, capsys):
         for suite in ("decompositions", "all"):
             expect_usage_error("verify", "--suite", suite, "--d-max", "0")

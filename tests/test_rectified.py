@@ -1,6 +1,7 @@
 """Tests for rectified-simplex sequences and their decompositions."""
 import pytest
 
+from polytopenums import rectified
 from polytopenums.exact import binomial
 from polytopenums.rectified import (
     recombine,
@@ -12,6 +13,15 @@ from polytopenums.rectified import (
     shift_decomposition_gf,
 )
 from polytopenums.regular import cross_polytope_number, simplex_number
+
+
+def naive_shift_window(d, a, b):
+    """The shift double sum by its definition: one binomial pair per (i, j), i over 0..j."""
+    return [
+        sum((-1) ** i * binomial(d + 1, i) * binomial(d + a * (j - i) - b, a * (j - i) - b)
+            for i in range(j + 1))
+        for j in range(d + a + b + 1)
+    ]
 
 
 class TestRectifiedValues:
@@ -98,6 +108,26 @@ class TestShiftDecomposition:
             for a in range(1, 6):
                 for b in range(6):
                     assert shift_decomposition(d, a, b) == shift_decomposition_gf(d, a, b)
+
+    def test_matches_the_naive_double_sum(self):
+        # Offsets past d included: there the support grows past index d.
+        for d in range(1, 7):
+            for a in range(1, 7):
+                for b in range(13):
+                    window = naive_shift_window(d, a, b)
+                    coeffs = shift_decomposition(d, a, b)
+                    assert coeffs == window[:len(coeffs)], (d, a, b)
+                    assert not any(window[len(coeffs):]), (d, a, b)
+
+    def test_tail_past_the_support_is_still_checked(self, monkeypatch):
+        # (2, 2, 5) has its last coefficient, at the true bound 4, nonzero.
+        # Claiming a bound one short must raise: the coefficients past the
+        # support are computed, so the cap on i is no cap on j.
+        assert shift_decomposition(2, 2, 5)[-1] != 0
+        true_bound = rectified._support_bound
+        monkeypatch.setattr(rectified, "_support_bound", lambda d, a, b: true_bound(d, a, b) - 1)
+        with pytest.raises(ArithmeticError):
+            shift_decomposition(2, 2, 5)
 
     def test_support_is_d_when_offset_small(self):
         for d in range(1, 7):

@@ -18,12 +18,15 @@ from polytopenums.rectified import (
     rectified_simplex_interior_table,
     rectified_simplex_number,
     rectified_simplex_table,
+    shift_decomposition,
+    shift_decomposition_gf,
 )
 from polytopenums.regular import (
     cross_polytope_number,
     cross_polytope_table,
     hypercube_number,
     hypercube_table,
+    recombine_table,
     simplex_interior,
     simplex_interior_table,
     simplex_number,
@@ -61,6 +64,10 @@ COLUMN = {
 RUNS = [(0, 40), (1, 1), (0, 0), (-3, 5), (-4, -1), (17, 17), (5, 4), (9990, 10000),
         (2**64 - 2, 2**64 + 2)]
 ORACLE_N_MAX = 400  # past this, rows come from the Newton extrapolation
+
+# The (d, a, b) strata of the decompose-large benchmark's --shift ops.
+LARGE_SHIFTS = [(6, 300, 200), (10, 200, 100), (14, 120, 150), (18, 60, 40), (20, 150, 0),
+                (8, 250, 50)]
 
 
 def newton(samples, n0, degree, n):
@@ -107,6 +114,21 @@ def formal_rows(table, d, r, n_from, n_to):
 
 def regular_reference(table, d, n_from, n_to):
     return oracle_rows(DESCRIPTOR[table](d), COLUMN[table], d, 2, n_from, n_to)
+
+
+def assert_shift_facts(d, a, b, n_to=8):
+    """Both shift routes agree, and the vector recombines to the stretched simplex rows.
+
+    Row n of recombine_table must equal A(d, a*n - (a-1) - b) wherever that
+    argument is at least 1.
+    """
+    coeffs = shift_decomposition(d, a, b)
+    assert coeffs == shift_decomposition_gf(d, a, b), (d, a, b)
+    stretched = simplex_table(d, 1, a * n_to - (a - 1) - b)
+    for n, recombined in enumerate(recombine_table(coeffs, d, 1, n_to), 1):
+        k = a * n - (a - 1) - b
+        if k >= 1:
+            assert recombined == stretched[k - 1], (d, a, b, n)
 
 
 def rectified_reference(table, d, r, n_from, n_to):
@@ -201,6 +223,11 @@ def test_rectified_tables_reject_what_the_scalars_reject(table):
         table(3, -1, 1, 3)
 
 
+@pytest.mark.parametrize("d, a, b", LARGE_SHIFTS)
+def test_shift_routes_recombine_at_large_stretch(d, a, b):
+    assert_shift_facts(d, a, b)
+
+
 runs = st.tuples(st.integers(-60, 5000), st.integers(0, 40))
 
 
@@ -219,3 +246,8 @@ def test_rectified_tables_property(family, d, r, run):
     n_from, rows = run
     n_to = n_from + rows - 1
     assert table(d, r, n_from, n_to) == rectified_reference(table, d, r, n_from, n_to)
+
+
+@given(st.integers(1, 12), st.integers(1, 60), st.integers(0, 80))
+def test_shift_decomposition_property(d, a, b):
+    assert_shift_facts(d, a, b)
