@@ -4,7 +4,9 @@
 descriptor, each coefficient route, the verify suites) and `oracle`,
 renders and exits; it holds no formula.  `seq` renders each format straight
 from its columns (n, value, interior, match); `checks.formula_columns` and
-`oracle.oracle_table` each give theirs for --from..--to in one call.
+`oracle.oracle_table` each give theirs for --from..--to in one call.  JSON
+rows fill one fixed row template with the bytes `json.dumps(indent=2,
+sort_keys=True)` would give, so no encoder runs per row.
 
 Exit codes: 0 success, 1 verification failure or route mismatch, 2 usage
 error, 3 internal error: any other exception, reported on stderr as
@@ -165,6 +167,8 @@ def _cmd_seq(args, parser) -> int:
 def _emit_rows(args, route: str, columns: dict) -> None:
     out = sys.stdout
     names = list(columns)
+    cells = [["true" if ok else "false" for ok in column] if name == "match"
+             else list(map(str, column)) for name, column in columns.items()]
     if args.format == "json":
         query = {
             "family": args.family,
@@ -175,13 +179,16 @@ def _emit_rows(args, route: str, columns: dict) -> None:
             "route": route,
             "interior": "interior" in columns,
         }
-        cells = [map(str, column) if name in ("value", "interior") else column
-                 for name, column in columns.items()]
-        rows = [dict(zip(names, row)) for row in zip(*cells)]
-        out.write(json.dumps({"query": query, "rows": rows}, indent=2, sort_keys=True) + "\n")
+        # Each row as json.dumps(indent=2, sort_keys=True) lays it out: keys
+        # in sorted order, values and interiors as quoted decimal strings.
+        keys = sorted(names)
+        template = "    {\n" + ",\n".join(
+            f'      "{key}": ' + ('"%s"' if key in ("value", "interior") else "%s")
+            for key in keys) + "\n    }"
+        rows = map(template.__mod__, zip(*(cells[names.index(key)] for key in keys)))
+        head = json.dumps({"query": query}, indent=2, sort_keys=True)[:-2]  # drop "\n}"
+        out.write(head + ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
         return
-    cells = [["true" if ok else "false" for ok in column] if name == "match"
-             else list(map(str, column)) for name, column in columns.items()]
     if args.format == "bfile":
         out.write("".join(f"{n} {value}\n" for n, value in zip(*cells)))
     elif args.format == "csv":
@@ -255,6 +262,8 @@ def _cmd_verify(args, parser) -> int:
             parser.error(f"--{option.replace('_', '-')} has no effect on --suite {args.suite}")
     if args.a_max == 0:  # the shift index a starts at 1, as in decompose --shift
         parser.error("--a-max must be positive")
+    if args.n_max == 0:  # every column and identity check starts at n = 1
+        parser.error("--n-max must be positive")
 
     suites = []
     if "identities" in names:

@@ -8,11 +8,15 @@ inclusion-exclusion style sum of stretched simplex sequences:
     value(d, r, n) = sum over i of (-1)**(r-i) C(d+1, r-i) A(d, (i+1)n - r)
 
 where A is the clamped d-simplex sequence.  That sum and its interior
-companion are written once, as table forms: stretch i reads one strided
-simplex column, and the r+1 columns add into one accumulator.  The scalar
-forms are the one-row reads of those tables.  The module also has three
-independent routes to the coefficients that rewrite such sequences in the
-basis A(d, n-j) of unit shifts; `recombine` reads a sequence back from its
+companion are written once, as table forms: each is one call of the
+`regular` column kernel, whose terms are the weighted stretches
+(weight, i+1, offset) of a single simplex column, streamed once in
+fixed-size chunks (or read entry by entry when the rows are too sparse for
+a column to pay).  The interior reads the same column shifted by d+1,
+since the simplex interior C(k-2, d) is A(d, k-d-1).  The scalar forms are
+the one-row reads of those tables.  The module also has three independent
+routes to the coefficients that rewrite such sequences in the basis
+A(d, n-j) of unit shifts; `recombine` reads a sequence back from its
 coefficients.
 
 The degenerate families with d <= r are still defined by the same formulas,
@@ -24,7 +28,7 @@ from n = 2 on.
 from __future__ import annotations
 
 from .exact import binomial, gbinomial, poly_mul
-from .regular import _accumulate, _simplex_column, _simplex_interior_column, recombine_table
+from .regular import _column_sum, recombine_table
 
 
 def _check_dimension(d: int, r: int) -> None:
@@ -49,37 +53,32 @@ def _check_true_rectification(d: int, r: int) -> None:
         raise ValueError(f"decomposition requires 0 <= r < d, got d={d} r={r}")
 
 
-def _alternating_table(d: int, r: int, n_from: int, n_to: int, column, offset) -> list[int]:
-    """sum_i (-1)**(r-i) C(d+1, r-i) column(d, (i+1)n + offset(i)) for n_from..n_to.
-
-    Rows with n <= 0 come out 0 with no clamp: a nonzero weight needs
-    r-i <= d+1, and then every argument at n <= 0 is below 1 (values) or
-    below d+2 (interiors), where the columns vanish.
-    """
-    _check_dimension(d, r)
-    acc = [0] * max(0, n_to - n_from + 1)
-    for i in range(r + 1):
-        weight = (-1) ** (r - i) * binomial(d + 1, r - i)
-        if weight:
-            step = i + 1
-            start = step * n_from + offset(i)
-            _accumulate(acc, weight, column(d, range(start, start + step * len(acc), step)))
-    return acc
+def _stretch_weights(d: int, r: int) -> list[tuple[int, int]]:
+    """(i, (-1)**(r-i) C(d+1, r-i)) for the stretches i = 0..r of the alternating sum."""
+    return [(i, (-1) ** (r - i) * binomial(d + 1, r - i)) for i in range(r + 1)]
 
 
 def rectified_simplex_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
     """Point counts of the r-rectified d-simplex arrays for n_from..n_to (0 for n <= 0).
 
     Valid as geometric counts for 0 <= r < d; larger r evaluates the same
-    alternating formula as a formal sequence.
+    alternating formula as a formal sequence.  Rows with n <= 0 come out 0
+    with no special case: every argument (i+1)n - r is then below 1.
     """
-    return _alternating_table(d, r, n_from, n_to, _simplex_column, lambda i: -r)
+    _check_dimension(d, r)
+    return _column_sum(d, [(w, i + 1, -r) for i, w in _stretch_weights(d, r)], n_from, n_to)
 
 
 def rectified_simplex_interior_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
-    """Interior point counts of the r-rectified d-simplex arrays for n_from..n_to."""
-    return _alternating_table(d, r, n_from, n_to, _simplex_interior_column,
-                              lambda i: r - 2 * i)
+    """Interior point counts of the r-rectified d-simplex arrays for n_from..n_to.
+
+    Stretch i reads the simplex interior at (i+1)n + r - 2i, which is the
+    simplex column at (i+1)n + r - 2i - d - 1.  Rows with n <= 0 come out
+    0: a nonzero weight needs r-i <= d+1, and then that argument is below 1.
+    """
+    _check_dimension(d, r)
+    return _column_sum(d, [(w, i + 1, r - 2 * i - d - 1) for i, w in _stretch_weights(d, r)],
+                       n_from, n_to)
 
 
 def rectified_simplex_number(d: int, r: int, n: int) -> int:
@@ -172,8 +171,7 @@ def rectified_decomposition(d: int, r: int) -> list[int]:
     """
     _check_true_rectification(d, r)
     acc = [0] * (d + 1)
-    for i in range(r + 1):
-        weight = (-1) ** (r - i) * binomial(d + 1, r - i)
+    for i, weight in _stretch_weights(d, r):
         for j, c in enumerate(shift_decomposition(d, i + 1, r - i)):
             acc[j] += weight * c
     if acc[d] != 0:

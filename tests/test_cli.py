@@ -74,6 +74,53 @@ CROSS_ROUTE_CASES = [
 ]
 
 
+# (family, d, r, from, to, route, --interior): `"r": null` and a set r, a
+# run from 0 to 0 and one-row runs, interiors (negative ones for the formal
+# family r >= d), --route both, and the oracle family.
+JSON_CASES = [
+    ("beta", 3, None, 1, 3, "formula", False),
+    ("alpha", 3, None, 0, 0, "formula", True),
+    ("gamma", 4, None, 7, 7, "formula", False),
+    ("lambda", 5, 2, 0, 30, "formula", True),
+    ("lambda", 2, 3, 0, 4, "formula", True),
+    ("alpha", 4, None, 0, 20, "both", True),
+    ("lambda", 4, 1, 1, 10, "both", False),
+    ("gamma", 3, None, 5, 5, "both", False),
+    ("oracle", 3, None, 1, 6, "oracle", False),
+    ("oracle", 5, 2, 0, 12, "oracle", True),
+]
+
+
+def seq_json_reference(family, d, r, n_from, n_to, route, interior):
+    """`seq --format json` as json.dumps lays it out, from the routes' own columns."""
+    want_interior = interior or family == "oracle"
+    if route != "oracle":
+        formula = checks.formula_columns(family, d, r, n_from, n_to, want_interior)
+    if route != "formula":
+        recursion = oracle.oracle_table(checks.family_descriptor(family, d, r), n_from, n_to)
+    values, interiors = recursion if route == "oracle" else formula
+    rows = []
+    for k, n in enumerate(range(n_from, n_to + 1)):
+        row = {"n": n, "value": str(values[k])}
+        if want_interior:
+            row["interior"] = str(interiors[k])
+        if route == "both":
+            columns = 2 if want_interior else 1
+            row["match"] = all(formula[c][k] == recursion[c][k] for c in range(columns))
+        rows.append(row)
+    query = {"family": family, "d": d, "r": r, "from": n_from, "to": n_to, "route": route,
+             "interior": want_interior}
+    return json.dumps({"query": query, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+
+def seq_json_argv(family, d, r, n_from, n_to, route, interior):
+    argv = ["seq", "--family", family, "-d", str(d), "--from", str(n_from), "--to", str(n_to),
+            "--format", "json"]
+    argv += ["-r", str(r)] if r is not None else []
+    argv += ["--route", route] if family != "oracle" else []
+    return argv + (["--interior"] if interior else [])
+
+
 def expect_usage_error(*argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
@@ -250,6 +297,21 @@ class TestSeq:
         )
         assert code == 0
         assert out == "n,value\n1,1\n2,8\n3,27\n4,64\n"
+
+    @pytest.mark.parametrize("case", JSON_CASES)
+    def test_json_is_what_json_dumps_prints(self, capsys, case):
+        code, out = run_cli(capsys, *seq_json_argv(*case))
+        assert code == 0
+        assert out == seq_json_reference(*case)
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_json_mismatch_is_what_json_dumps_prints(self, capsys, monkeypatch, interior):
+        monkeypatch.setattr(checks, "formula_columns", off_columns)
+        case = ("alpha", 2, None, 0, 3, "both", interior)
+        code, out = run_cli(capsys, *seq_json_argv(*case))
+        assert code == 1
+        assert out == seq_json_reference(*case)
+        assert '"match": true' not in out
 
     def test_identical_runs_are_byte_identical(self, capsys):
         argv = ("seq", "--family", "lambda", "-d", "5", "-r", "2", "--to", "8",
@@ -482,13 +544,19 @@ class TestVerify:
             assert captured.out == ""
             assert "suite decompositions has no checks within the given bounds" in captured.err
 
-    def test_oracle_bounds_below_the_pinned_f_vectors_are_usage_error(self, capsys):
-        # The two pinned f-vectors are of 3- and 4-dimensional polytopes, so
-        # --d-max 0 leaves them out and nothing else is left to check.
-        expect_usage_error("verify", "--suite", "oracle", "--d-max", "0", "--n-max", "0")
+    @pytest.mark.parametrize("suite, bounds", [
+        ("oracle", ()), ("decompositions", ()), ("all", ()),
+        # Below the pinned f-vectors (of 3- and 4-dimensional polytopes):
+        # refused for its row bound before any suite is built.
+        ("oracle", ("--d-max", "0")),
+    ])
+    def test_zero_row_bound_is_usage_error(self, capsys, suite, bounds):
+        # Every column, recombination and shift-identity check starts at
+        # n = 1: --n-max 0 would leave them all out and still print PASS.
+        expect_usage_error("verify", "--suite", suite, *bounds, "--n-max", "0")
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "suite oracle has no checks within the given bounds" in captured.err
+        assert "--n-max must be positive" in captured.err
 
     @pytest.mark.parametrize("suite, option", [
         ("identities", "--d-max"), ("identities", "--n-max"), ("identities", "--a-max"),

@@ -5,13 +5,19 @@ one-row reads.  The references here are the face-lattice recursion (the
 oracle) for n up to a few hundred, an integer Newton extrapolation of
 oracle values beyond that, n**d and C(n+d-1, d) for the hypercube and the
 simplex, and the pinned values of the formal rectified families (r >= d),
-which have no polytope for the oracle to evaluate.
+which have no polytope for the oracle to evaluate.  A property test holds
+every table form and `recombine_table` to a per-entry `math.comb`
+definition, across the column kernel's chunk boundaries and its switch
+from `math.comb` to the recurrence above 64 bits.
 """
+import math
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polytopenums import oracle
+from polytopenums import oracle, regular
 from polytopenums.exact import binomial
 from polytopenums.rectified import (
     rectified_simplex_interior,
@@ -251,3 +257,89 @@ def test_rectified_tables_property(family, d, r, run):
 @given(st.integers(1, 12), st.integers(1, 60), st.integers(0, 80))
 def test_shift_decomposition_property(d, a, b):
     assert_shift_facts(d, a, b)
+
+
+# Per-entry definitions, one math.comb (or power) per term, that read no table.
+def simplex_entry(d, k):
+    return math.comb(k + d - 1, d) if k > 0 else 0
+
+
+def interior_entry(d, n):
+    if d == 0:
+        return int(n > 0)
+    return math.comb(n - 2, d) if n > 1 else 0
+
+
+def stretch_sum(d, r, entry, argument):
+    return sum((-1) ** (r - i) * math.comb(d + 1, r - i) * entry(d, argument(i))
+               for i in range(r + 1))
+
+
+# (table, per-entry definition taking (d, r, n), least d); r is ignored by
+# the tables indexed by d alone.
+DEFINITIONS = [
+    (simplex_table, lambda d, r, n: simplex_entry(d, n), 0),
+    (simplex_interior_table, lambda d, r, n: interior_entry(d, n), 0),
+    (cross_polytope_table,
+     lambda d, r, n: sum(math.comb(d - 1, j) * simplex_entry(d, n - j) for j in range(d)), 1),
+    (hypercube_table, lambda d, r, n: n**d if n > 0 else 0, 1),
+    (rectified_simplex_table,
+     lambda d, r, n: stretch_sum(d, r, simplex_entry, lambda i: (i + 1) * n - r), 1),
+    (rectified_simplex_interior_table,
+     lambda d, r, n: stretch_sum(d, r, interior_entry, lambda i: (i + 1) * n + r - 2 * i), 1),
+]
+
+
+def past_64_bits(d):
+    """Least k with C(k+d-1, d) >= 2**64, where the column leaves math.comb (d >= 1)."""
+    lo, hi = 1, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if simplex_entry(d, mid) >= 2**64:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@st.composite
+def kernel_reads(draw):
+    """(d, r, n_from, n_to, chunk size) for the column kernel.
+
+    Runs start near 0 (rows at n <= 0), near where some stretch's argument
+    crosses 2**64, or, for one-row reads, past n = 2**64.  The chunk size
+    is the module's own or a small one, so runs cross chunk boundaries.
+    r runs past d, into the formal families, and d = 0 gives the point's
+    interior.
+    """
+    d = draw(st.integers(0, 16))
+    r = draw(st.integers(0, d + 3))
+    if draw(st.booleans()):
+        n_from = draw(st.integers(2**64, 2**70))
+        return d, r, n_from, n_from, regular._CHUNK
+    anchor = draw(st.sampled_from(["zero", "switch"]))
+    if anchor == "switch" and d >= 1:
+        n_from = past_64_bits(d) // draw(st.integers(1, r + 1)) - draw(st.integers(0, 60))
+    else:
+        n_from = draw(st.one_of(st.integers(-3, 6), st.integers(-60, 60)))
+    # A few rows under many stretches read the column sparsely.
+    rows = draw(st.one_of(st.integers(1, 3), st.integers(0, 120)))
+    chunk = draw(st.sampled_from([1, 2, 3, 5, 16, 61, regular._CHUNK]))
+    return d, r, n_from, n_from + rows - 1, chunk
+
+
+@given(kernel_reads(), st.lists(st.integers(-50, 50), max_size=8))
+# One row under many stretches: a sparse read that reaches the column at k = 1.
+@example((3, 5, 3, 3, regular._CHUNK), [1, -2])
+def test_tables_match_their_per_entry_definitions(read, coeffs):
+    d, r, n_from, n_to, chunk = read
+    ns = range(n_from, n_to + 1)
+    with mock.patch.object(regular, "_CHUNK", chunk):
+        for table, entry, d_min in DEFINITIONS:
+            if d < d_min:
+                continue
+            args = (d, r) if table in (rectified_simplex_table,
+                                       rectified_simplex_interior_table) else (d,)
+            assert table(*args, n_from, n_to) == [entry(d, r, n) for n in ns], (table, read)
+        assert recombine_table(coeffs, d, n_from, n_to) == [
+            sum(c * simplex_entry(d, n - j) for j, c in enumerate(coeffs)) for n in ns]
