@@ -30,6 +30,11 @@ The kernel reads the column in one of two ways:
 - Sparse (anything else, such as one row at huge n): one `math.comb` per
   read entry, so no column of about r*n entries is ever built.
 
+The factor 2 in the switch is untuned.  In the benchmark (seeds 1, 2 and
+9173 alike), the seq-formula ops make 18 dense reads and no sparse one;
+the seq-oracle ops make 8 dense reads and 4 sparse ones, the two
+`--route both` rectified tables that start near n = 2000.
+
 A run of the column (a chunk, or all of `simplex_table`, whose column is
 its output) takes its entries from `math.comb` while the run's top entry
 fits in 64 bits, where CPython's fast path wins; short tables, such as all

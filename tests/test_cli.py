@@ -558,6 +558,17 @@ class TestVerify:
         assert captured.out == ""
         assert "--n-max must be positive" in captured.err
 
+    @pytest.mark.parametrize("d_max, f_vectors", [
+        (2, []), (3, [(6, 12, 8)]), (4, [(6, 12, 8), (10, 30, 30, 10)]),
+        (None, [(6, 12, 8), (10, 30, 30, 10)]),
+    ])
+    def test_pinned_f_vectors_follow_the_dimension_bound(self, d_max, f_vectors):
+        # The two pinned f-vectors are of 3- and 4-dimensional hypersimplices:
+        # --d-max below a polytope's dimension leaves its f-vector out.
+        pinned = [check.rhs for check in checks.oracle_checks(d_max, 1)
+                  if check.identity == "f-vector"]
+        assert pinned == f_vectors
+
     @pytest.mark.parametrize("suite, option", [
         ("identities", "--d-max"), ("identities", "--n-max"), ("identities", "--a-max"),
         ("identities", "--b-max"), ("oracle", "--a-max"), ("oracle", "--b-max"),
