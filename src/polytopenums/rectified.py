@@ -10,14 +10,14 @@ inclusion-exclusion style sum of stretched simplex sequences:
 where A is the clamped d-simplex sequence.  That sum and its interior
 companion are written once, as table forms: each is one call of the
 `regular` column kernel, whose terms are the weighted stretches
-(weight, i+1, offset) of a single simplex column, streamed once in
-fixed-size chunks (or read entry by entry when the rows are too sparse for
-a column to pay).  The interior reads the same column shifted by d+1,
-since the simplex interior C(k-2, d) is A(d, k-d-1).  The scalar forms are
-the one-row reads of those tables.  The module also has three independent
-routes to the coefficients that rewrite such sequences in the basis
-A(d, n-j) of unit shifts; `recombine` reads a sequence back from its
-coefficients.
+(weight, i+1, offset) of a single simplex column.  Each stretch is a
+degree-d polynomial in n once (i+1)n + offset >= 1-d, so the kernel reads
+a head of about d+2 rows entry by entry and extends it by d-fold prefix
+sums.  The interior reads the same column shifted by d+1, since the simplex
+interior C(k-2, d) is A(d, k-d-1).  The scalar forms are the one-row reads
+of those tables.  The module also has three independent routes to the
+coefficients that rewrite such sequences in the basis A(d, n-j) of unit
+shifts; `recombine` reads a sequence back from its coefficients.
 
 The degenerate families with d <= r are still defined by the same formulas,
 as formal sequences.  For d == r the value is 1 at every n >= 1 and the

@@ -18,41 +18,33 @@ hypercube tables read, is its unit-step case, and the rectified tables in
 `rectified` are steps i+1.  The scalar form of each family
 (`simplex_number`, ...) is the one-row read of its table.
 
-The kernel reads the column in one of two ways:
+A read A(d, k) agrees with the polynomial C(k+d-1, d) once k >= 1-d, as
+that polynomial vanishes at k = 0, ..., 1-d, where the clamp gives 0.  So
+from row n_poly on, the largest ceil((1-d-offset)/step) over the terms,
+the kernel's sum is one polynomial of degree d in n.  It computes a
+head entry by entry, one `math.comb` per read with k >= 1: the rows before
+n_poly, then the d+2 rows from max(n_from, n_poly), whose (d+1)-th
+difference must be 0, or ArithmeticError is raised.  Every later row comes
+from d nested `itertools.accumulate` passes seeded with the head's
+backward differences: d integer additions per row, whatever the terms.  A
+run no longer than the head, such as one row past n = 2**64, makes
+O(terms) `math.comb` calls and builds no column.
 
-- Dense (the arguments >= 1 that the rows read span fewer than
-  2 * terms * rows entries): the column over that span is streamed in
-  chunks of `_CHUNK` entries, each entry computed once, and each chunk is
-  added into the rows it covers.  Peak memory is O(rows + _CHUNK), not
-  O(span): holding the whole span as one list, 7 * 18000 entries for the
-  lambda b-file table of the seq-formula benchmark, raised that workload's
-  peak RSS by 9.8%.  The chunk size is a fixed module constant.
-- Sparse (anything else, such as one row at huge n): one `math.comb` per
-  read entry, so no column of about r*n entries is ever built.
-
-The factor 2 in the switch is untuned.  In the benchmark (seeds 1, 2 and
-9173 alike), the seq-formula ops make 18 dense reads and no sparse one;
-the seq-oracle ops make 8 dense reads and 4 sparse ones, the two
-`--route both` rectified tables that start near n = 2000.
-
-A run of the column (a chunk, or all of `simplex_table`, whose column is
-its output) takes its entries from `math.comb` while the run's top entry
-fits in 64 bits, where CPython's fast path wins; short tables, such as all
-of `verify`'s, therefore never reach the recurrence, which slowed them by
-5-10% when they did.  Above 64 bits each entry comes from the one before,
-A(d, k) = A(d, k-1) * (k+d-1) / (k-1), by `divmod`; a remainder raises
-ArithmeticError.
+`simplex_table` keeps its own column, whose entries are its output and beat
+d additions per row.  They come from `math.comb` while the run's top entry
+fits in 64 bits, where CPython's fast path wins, and above that from the
+one before, A(d, k) = A(d, k-1) * (k+d-1) / (k-1), by `divmod`; a
+remainder raises ArithmeticError.
 """
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import add, mul
+from itertools import accumulate, islice, repeat
+from operator import add, mul, sub
 
 from .exact import _eulerian_row, binomial
 
-_CHUNK = 2048  # column entries a dense read holds at once
-_FAST = 1 << 64  # entries below this come from math.comb
+_FAST = 1 << 64  # simplex_table's entries below this come from math.comb
 
 
 def _column(d: int, start: int, stop: int) -> list[int]:
@@ -70,45 +62,52 @@ def _column(d: int, start: int, stop: int) -> list[int]:
     return column
 
 
-def _add_into(acc: list[int], first: int, weight: int, entries: list[int]) -> None:
-    """acc[first + i] += weight * entries[i] for every i, in place."""
-    stop = first + len(entries)
-    if weight != 1:
-        entries = map(mul, repeat(weight), entries)
-    acc[first:stop] = map(add, acc[first:stop], entries)
+def _reads(d: int, terms: list[tuple[int, int, int]], n_from: int, n_to: int) -> list[int]:
+    """The kernel's rows n_from..n_to entry by entry: one math.comb per read with k >= 1."""
+    acc = [0] * max(0, n_to - n_from + 1)
+    for weight, step, offset in terms:
+        first = max(n_from, -((offset - 1) // step)) - n_from  # the first row reading k >= 1
+        ks = range(step * (n_from + first) + offset + d - 1, step * n_to + offset + d, step)
+        entries = map(mul, repeat(weight), map(math.comb, ks, repeat(d)))
+        acc[first:] = map(add, acc[first:], entries)
+    return acc
+
+
+def _extend(head: list[int], count: int) -> list[int]:
+    """The count rows after head, d+2 rows of a sequence of degree at most d.
+
+    The (d+1)-th difference of head must be 0, or ArithmeticError is raised.
+    """
+    d = len(head) - 2
+    differences = [head]  # differences[j][i]: the j-th backward difference at head row i+j
+    while len(differences[-1]) > 1:
+        row = differences[-1]
+        differences.append(list(map(sub, row[1:], row[:-1])))
+    if differences[-1][0]:
+        raise ArithmeticError(f"table rows are not of degree {d} past the threshold")
+    # Seeded with the j-th difference at head row j+2, the prefix sums of the
+    # (j+1)-th from row j+3 on are the j-th from row j+2 on: rows from head row 2.
+    rows = repeat(differences[d][0], count)
+    for j in reversed(range(d)):
+        rows = accumulate(rows, initial=differences[j][2])
+    return list(islice(rows, d, None))
 
 
 def _column_sum(d: int, terms: list[tuple[int, int, int]], n_from: int,
                 n_to: int) -> list[int]:
     """sum over (weight, step, offset) in terms of weight * A(d, step*n + offset).
 
-    For n = n_from..n_to, with every step >= 1.  Dense or sparse as the
-    module docstring says; both give the same rows.
+    For n = n_from..n_to, with every step >= 1: a head read entry by entry
+    and a prefix-sum tail, as the module docstring says.
     """
-    acc = [0] * max(0, n_to - n_from + 1)
     terms = [term for term in terms if term[0]]
-    if not acc or not terms:
-        return acc
-    k_lo = max(1, min(step * n_from + offset for _, step, offset in terms))
-    k_hi = max(step * n_to + offset for _, step, offset in terms)
-    if k_hi - k_lo + 1 >= 2 * len(terms) * len(acc):
-        for weight, step, offset in terms:
-            first = max(n_from, -((offset - 1) // step))  # the first row reading k >= 1
-            ks = range(step * first + offset + d - 1, step * n_to + offset + d, step)
-            _add_into(acc, first - n_from, weight, list(map(math.comb, ks, repeat(d))))
-        return acc
-    for start in range(k_lo, k_hi + 1, _CHUNK):
-        stop = min(start + _CHUNK, k_hi + 1)
-        chunk = _column(d, start, stop)
-        for weight, step, offset in terms:
-            # The rows n with start <= step*n + offset < stop.
-            first = max(n_from, -((offset - start) // step))
-            last = min(n_to, (stop - 1 - offset) // step)
-            if first <= last:
-                at = step * first + offset - start
-                _add_into(acc, first - n_from, weight,
-                          chunk[at:at + step * (last - first) + 1:step])
-    return acc
+    # n_poly: the row from which every read has k >= 1-d, ceil((1-d-offset)/step).
+    n_poly = max((-((d - 1 + offset) // step) for _, step, offset in terms), default=n_to)
+    start = max(n_from, n_poly)
+    if n_to - start <= d + 1:
+        return _reads(d, terms, n_from, n_to)
+    head = _reads(d, terms, n_from, start + d + 1)
+    return head + _extend(head[-d - 2:], n_to - start - d - 1)
 
 
 def recombine_table(coeffs: list[int], d: int, n_from: int, n_to: int) -> list[int]:

@@ -7,8 +7,10 @@ oracle values beyond that, n**d and C(n+d-1, d) for the hypercube and the
 simplex, and the pinned values of the formal rectified families (r >= d),
 which have no polytope for the oracle to evaluate.  A property test holds
 every table form and `recombine_table` to a per-entry `math.comb`
-definition, across the column kernel's chunk boundaries and its switch
-from `math.comb` to the recurrence above 64 bits.
+definition, on runs that cross the column kernel's threshold, where its
+entry-by-entry head gives way to a prefix-sum tail, and simplex_table's
+switch from `math.comb` to the recurrence above 64 bits; the long
+b-file tables are pinned at sampled rows.
 """
 import math
 from unittest import mock
@@ -302,44 +304,111 @@ def past_64_bits(d):
     return lo
 
 
-@st.composite
-def kernel_reads(draw):
-    """(d, r, n_from, n_to, chunk size) for the column kernel.
+def threshold(d, steps_offsets):
+    """ceil((1-d-offset)/step) maximised over the (step, offset) pairs.
 
-    Runs start near 0 (rows at n <= 0), near where some stretch's argument
-    crosses 2**64, or, for one-row reads, past n = 2**64.  The chunk size
-    is the module's own or a small one, so runs cross chunk boundaries.
-    r runs past d, into the formal families, and d = 0 gives the point's
-    interior.
+    The row from which every read A(d, step*n + offset) has argument
+    k >= 1-d, where it agrees with the polynomial C(k+d-1, d).
+    """
+    return max(-((d - 1 + offset) // step) for step, offset in steps_offsets)
+
+
+def thresholds(d, r, coeffs):
+    """The thresholds of every table form read through the column kernel at (d, r)."""
+    found = {threshold(d, [(i + 1, -r) for i in range(r + 1)]),
+             threshold(d, [(i + 1, r - 2 * i - d - 1) for i in range(r + 1)])}
+    if d >= 1:
+        found.add(threshold(d, [(1, -j) for j in range(d)]))
+    if coeffs:
+        found.add(threshold(d, [(1, -j) for j in range(len(coeffs))]))
+    return sorted(found)
+
+
+@st.composite
+def kernel_reads(draw, coeffs):
+    """(d, r, n_from, n_to) for the column kernel and simplex_table.
+
+    Runs start below, at or just above some table's threshold, where the
+    kernel's head ends and its prefix-sum tail begins; near 0 (rows at
+    n <= 0); near where some stretch's argument crosses 2**64, simplex_table's
+    switch from math.comb to its recurrence; or, for one-row reads, past
+    n = 2**64.  Run lengths straddle the head's d+2 rows and reach a few
+    hundred.  r runs past d, into the formal families, and d = 0 gives the
+    point's interior.
     """
     d = draw(st.integers(0, 16))
     r = draw(st.integers(0, d + 3))
     if draw(st.booleans()):
         n_from = draw(st.integers(2**64, 2**70))
-        return d, r, n_from, n_from, regular._CHUNK
-    anchor = draw(st.sampled_from(["zero", "switch"]))
+        return d, r, n_from, n_from
+    anchor = draw(st.sampled_from(["threshold", "zero", "switch"]))
     if anchor == "switch" and d >= 1:
         n_from = past_64_bits(d) // draw(st.integers(1, r + 1)) - draw(st.integers(0, 60))
+    elif anchor == "threshold":
+        n_from = (draw(st.sampled_from(thresholds(d, r, coeffs)))
+                  + draw(st.integers(-(d + 3), 3)))
     else:
         n_from = draw(st.one_of(st.integers(-3, 6), st.integers(-60, 60)))
-    # A few rows under many stretches read the column sparsely.
-    rows = draw(st.one_of(st.integers(1, 3), st.integers(0, 120)))
-    chunk = draw(st.sampled_from([1, 2, 3, 5, 16, 61, regular._CHUNK]))
-    return d, r, n_from, n_from + rows - 1, chunk
+    rows = draw(st.one_of(st.sampled_from([d + 1, d + 2, d + 3]), st.integers(0, 3),
+                          st.integers(0, 400)))
+    return d, r, n_from, n_from + rows - 1
 
 
-@given(kernel_reads(), st.lists(st.integers(-50, 50), max_size=8))
-# One row under many stretches: a sparse read that reaches the column at k = 1.
-@example((3, 5, 3, 3, regular._CHUNK), [1, -2])
-def test_tables_match_their_per_entry_definitions(read, coeffs):
-    d, r, n_from, n_to, chunk = read
+coefficient_lists = st.lists(st.integers(-50, 50), max_size=8)
+
+
+@given(coefficient_lists.flatmap(lambda coeffs: st.tuples(kernel_reads(coeffs),
+                                                          st.just(coeffs))))
+# One row under many stretches: a read entry by entry that reaches the column at k = 1.
+@example(((3, 5, 3, 3), [1, -2]))
+def test_tables_match_their_per_entry_definitions(read_and_coeffs):
+    read, coeffs = read_and_coeffs
+    d, r, n_from, n_to = read
     ns = range(n_from, n_to + 1)
-    with mock.patch.object(regular, "_CHUNK", chunk):
-        for table, entry, d_min in DEFINITIONS:
-            if d < d_min:
-                continue
-            args = (d, r) if table in (rectified_simplex_table,
-                                       rectified_simplex_interior_table) else (d,)
-            assert table(*args, n_from, n_to) == [entry(d, r, n) for n in ns], (table, read)
-        assert recombine_table(coeffs, d, n_from, n_to) == [
-            sum(c * simplex_entry(d, n - j) for j, c in enumerate(coeffs)) for n in ns]
+    for table, entry, d_min in DEFINITIONS:
+        if d < d_min:
+            continue
+        args = (d, r) if table in (rectified_simplex_table,
+                                   rectified_simplex_interior_table) else (d,)
+        assert table(*args, n_from, n_to) == [entry(d, r, n) for n in ns], (table, read)
+    assert recombine_table(coeffs, d, n_from, n_to) == [
+        sum(c * simplex_entry(d, n - j) for j, c in enumerate(coeffs)) for n in ns]
+
+
+@pytest.mark.parametrize("d", range(0, 9))
+def test_prefix_sum_tail_continues_a_polynomial_and_rejects_a_higher_degree(d):
+    # d+2 rows of a degree-d polynomial with a sign change, then 50 more.
+    values = [5 * (n - 3) ** d - 7 * n ** max(d - 1, 0) for n in range(d + 52)]
+    assert regular._extend(values[:d + 2], 50) == values[d + 2:]
+    # The same number of rows of a degree-(d+1) sequence fail the degree check.
+    with pytest.raises(ArithmeticError):
+        regular._extend([n ** (d + 1) for n in range(5, d + 7)], 10)
+
+
+# The long tables of the seq-formula benchmark's b-files, far past the
+# property test's run lengths: (table, args, d, number of kernel terms).
+LONG_TABLES = [
+    (rectified_simplex_table, (12, 6), 12, 7),
+    (rectified_simplex_interior_table, (12, 6), 12, 7),
+    (cross_polytope_table, (10,), 10, 10),
+    (hypercube_table, (9,), 9, 9),
+]
+
+
+@pytest.mark.parametrize("table, args, d, terms", LONG_TABLES)
+def test_long_tables_match_their_definitions_from_a_short_head(table, args, d, terms):
+    calls = []
+    comb = math.comb
+
+    def counting_comb(*pair):
+        calls.append(pair)
+        return comb(*pair)
+
+    with mock.patch.object(math, "comb", counting_comb):
+        rows = table(*args, 1, 18000)
+    # A head of d+2 rows per term at most; every later row is a prefix sum.
+    assert len(calls) <= (d + 2) * terms, len(calls)
+    entry = next(entry for t, entry, _ in DEFINITIONS if t is table)
+    r = args[1] if len(args) == 2 else 0
+    for n in [*range(1, 18001, 997), 18000]:
+        assert rows[n - 1] == entry(d, r, n), (table, n)
