@@ -81,7 +81,7 @@ def _check(name: str, lhs: object, rhs: object, **params: object) -> IdentityChe
 
 def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
     """The binomial and face-census identities at every point of the grid."""
-    for name, points in identities.REGISTRY.items():
+    for name, (_, points) in identities.REGISTRY.items():
         if name in grid:
             yield from points(grid[name])
 

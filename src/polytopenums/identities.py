@@ -15,6 +15,8 @@ identities need to hold on their full stated ranges.
 Verification grids ship as a plain-text config (see identity_grid.cfg) so
 runs are reproducible; structural constraints between parameters (c >= b,
 k < d, r <= d) are part of the identities and live in the iteration code.
+Each `REGISTRY` entry pairs an identity's grid keys, the ones `parse_grid`
+requires and accepts, with the iterator that reads them.
 """
 from __future__ import annotations
 
@@ -77,6 +79,13 @@ def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
     )
 
 
+def _rectified(r: int, d: int, m: int) -> int:
+    # The r-rectified d-simplex value at index m, as its alternating
+    # stretched-simplex sum: sum (-1)**(r-i) C(d+1, r-i) plain(d, (i+1)*m - r).
+    return sum((-1) ** (r - i) * binomial(d + 1, r - i) * _plain(d, (i + 1) * m - r)
+               for i in range(r + 1))
+
+
 def _census_weighted_interiors(weight, r: int, d: int, n: int) -> int:
     # Shared shape of the two census sums: for each face class (k, m) the
     # inner alternating sum is the interior value of the k-rectified
@@ -104,10 +113,7 @@ def check_face_interior_sum(r: int, d: int, n: int) -> IdentityCheck:
     lhs = _census_weighted_interiors(
         lambda k, m: binomial(d + 1, r - k) * binomial(d + 1 - r + k, m + 1), r, d, n
     )
-    rhs = sum(
-        (-1) ** (r - i) * binomial(d + 1, r - i) * _plain(d, (i + 1) * n - r)
-        for i in range(r + 1)
-    )
+    rhs = _rectified(r, d, n)
     return IdentityCheck("face-interior-sum", (("r", r), ("d", d), ("n", n)), lhs, rhs)
 
 
@@ -121,10 +127,7 @@ def check_vertex_star_sum(r: int, d: int, n: int) -> IdentityCheck:
     lhs = _census_weighted_interiors(
         lambda k, m: binomial(r + 1, r - k) * binomial(d - r, m - k), r, d, n
     )
-    rhs = sum(
-        (-1) ** (r - i) * binomial(d + 1, r - i) * _plain(d, (i + 1) * (n - 1) - r)
-        for i in range(r + 1)
-    )
+    rhs = _rectified(r, d, n - 1)
     return IdentityCheck("vertex-star-sum", (("r", r), ("d", d), ("n", n)), lhs, rhs)
 
 
@@ -149,36 +152,30 @@ def check_pascal_alternating_row(r: int) -> IdentityCheck:
 
 GridRanges = Mapping[str, Mapping[str, Iterable[int]]]
 
-# Identity name -> the keys its grid section sets: every key REGISTRY reads.
-GRID_KEYS: dict[str, tuple[str, ...]] = {
-    "alt-vandermonde": ("b", "c", "n"),
-    "interior-sum": ("d", "j", "n"),
-    "face-interior-sum": ("r", "d", "n"),
-    "vertex-star-sum": ("r", "d", "n"),
-    "subset-convolution": ("d", "r"),
-    "pascal-alternating-row": ("r",),
-}
-
-# Identity name -> iterator over its grid, in suite order.  Each entry looks
-# its checker up when called, so a replaced module-level checker is honored.
-REGISTRY: dict[str, Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]] = {
-    "alt-vandermonde": lambda g: (
+# Identity name -> (the keys its grid section sets, an iterator over its grid
+# that reads exactly those keys), in suite order.  Each iterator looks its
+# checker up when called, so a replaced module-level checker is honored.
+REGISTRY: dict[str, tuple[tuple[str, ...],
+                          Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]]] = {
+    "alt-vandermonde": (("b", "c", "n"), lambda g: (
         check_alt_vandermonde(b, c, n) for b in g["b"] for c in g["c"] if c >= b for n in g["n"]
-    ),
-    "interior-sum": lambda g: (
+    )),
+    "interior-sum": (("d", "j", "n"), lambda g: (
         check_interior_sum(d, k, j, n)
         for d in g["d"] for k in range(d) for j in g["j"] for n in g["n"]
-    ),
-    "face-interior-sum": lambda g: (
+    )),
+    "face-interior-sum": (("r", "d", "n"), lambda g: (
         check_face_interior_sum(r, d, n) for r in g["r"] for d in g["d"] for n in g["n"]
-    ),
-    "vertex-star-sum": lambda g: (
+    )),
+    "vertex-star-sum": (("r", "d", "n"), lambda g: (
         check_vertex_star_sum(r, d, n) for r in g["r"] for d in g["d"] for n in g["n"]
-    ),
-    "subset-convolution": lambda g: (
+    )),
+    "subset-convolution": (("d", "r"), lambda g: (
         check_subset_convolution(d, r) for d in g["d"] for r in g["r"] if r <= d
-    ),
-    "pascal-alternating-row": lambda g: (check_pascal_alternating_row(r) for r in g["r"]),
+    )),
+    "pascal-alternating-row": (("r",), lambda g: (
+        check_pascal_alternating_row(r) for r in g["r"]
+    )),
 }
 
 
@@ -211,15 +208,16 @@ def parse_grid(text: str) -> dict[str, dict[str, range]]:
             continue
         if section not in REGISTRY:
             raise ValueError(f"unknown identity section {section!r}")
+        takes, _ = REGISTRY[section]
         keys = set(parser[section])
-        missing = [key for key in GRID_KEYS[section] if key not in keys]
+        missing = [key for key in takes if key not in keys]
         if missing:
             raise ValueError(f"identity section {section!r} is missing key(s) "
                              f"{', '.join(missing)}")
-        unknown = sorted(keys - set(GRID_KEYS[section]))
+        unknown = sorted(keys - set(takes))
         if unknown:
             raise ValueError(f"identity section {section!r} has unknown key(s) "
-                             f"{', '.join(unknown)}; it takes {', '.join(GRID_KEYS[section])}")
+                             f"{', '.join(unknown)}; it takes {', '.join(takes)}")
         grid[section] = {key: _parse_range(value) for key, value in parser[section].items()}
     return grid
 

@@ -13,6 +13,9 @@ Supported descriptor families: point, simplex, cross-polytope, hypercube,
 and hypersimplex (the convex hull of the 0/1-vectors of length m with
 exactly s ones, which is how rectified simplices arise).  Descriptors are
 canonicalized on construction so that structural equality is type equality.
+Simplex, cross-polytope and hypercube share one body, a frozen dataclass
+holding the dimension d >= 1, and one factory rule: d < 0 is an error and
+d = 0 gives POINT.
 
 Evaluation is bottom-up, with no recursion on n.  Each descriptor has one
 table, a pair of lists holding its value and interior counts for
@@ -43,42 +46,30 @@ class Point:
 
 
 @dataclass(frozen=True)
-class Simplex:
+class _Dimensional:
+    """A family with one polytope per dimension d >= 1; d = 0 is POINT."""
+
     d: int
 
     def __post_init__(self) -> None:
         if self.d < 1:
-            raise ValueError("use simplex(0) / POINT for the 0-dimensional case")
+            raise ValueError(f"{type(self).__name__} needs d >= 1; the 0-dimensional case is POINT")
 
     @property
     def dimension(self) -> int:
         return self.d
 
 
-@dataclass(frozen=True)
-class CrossPolytope:
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("cross-polytope dimension must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return self.d
+class Simplex(_Dimensional):
+    """The d-simplex."""
 
 
-@dataclass(frozen=True)
-class Hypercube:
-    d: int
+class CrossPolytope(_Dimensional):
+    """The d-cross-polytope."""
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("hypercube dimension must be positive")
 
-    @property
-    def dimension(self) -> int:
-        return self.d
+class Hypercube(_Dimensional):
+    """The d-hypercube."""
 
 
 @dataclass(frozen=True)
@@ -100,25 +91,25 @@ PolytopeDescriptor = Point | Simplex | CrossPolytope | Hypercube | Hypersimplex
 POINT = Point()
 
 
-def simplex(d: int) -> PolytopeDescriptor:
-    """Canonical descriptor of the d-simplex."""
+def _dimensional(family: type[_Dimensional], d: int) -> PolytopeDescriptor:
     if d < 0:
         raise ValueError(f"dimension must be nonnegative, got d={d}")
-    return POINT if d == 0 else Simplex(d)
+    return POINT if d == 0 else family(d)
+
+
+def simplex(d: int) -> PolytopeDescriptor:
+    """Canonical descriptor of the d-simplex."""
+    return _dimensional(Simplex, d)
 
 
 def cross_polytope(d: int) -> PolytopeDescriptor:
     """Canonical descriptor of the d-cross-polytope."""
-    if d < 0:
-        raise ValueError(f"dimension must be nonnegative, got d={d}")
-    return POINT if d == 0 else CrossPolytope(d)
+    return _dimensional(CrossPolytope, d)
 
 
 def hypercube(d: int) -> PolytopeDescriptor:
     """Canonical descriptor of the d-hypercube."""
-    if d < 0:
-        raise ValueError(f"dimension must be nonnegative, got d={d}")
-    return POINT if d == 0 else Hypercube(d)
+    return _dimensional(Hypercube, d)
 
 
 def hypersimplex(m: int, s: int) -> PolytopeDescriptor:

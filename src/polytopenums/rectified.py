@@ -15,9 +15,14 @@ degree-d polynomial in n once (i+1)n + offset >= 1-d, so the kernel reads
 a head of about d+2 rows entry by entry and extends it by d-fold prefix
 sums.  The interior reads the same column shifted by d+1, since the simplex
 interior C(k-2, d) is A(d, k-d-1).  The scalar forms are the one-row reads
-of those tables.  The module also has three independent routes to the
-coefficients that rewrite such sequences in the basis A(d, n-j) of unit
-shifts; `recombine` reads a sequence back from its coefficients.
+of those tables.  The module also computes the coefficients that rewrite
+such sequences in the basis A(d, n-j) of unit shifts, and `recombine` reads
+a sequence back from its coefficients.  The double sum and the
+generating-function product convolve the same two sequences, the signed row
+of (1-x)**(d+1) and C(d+ak-b, ak-b), so they cross-check only the
+convolution code; `verify`'s shift-identity checks hold shift vectors
+against the simplex column.  For the rectified coefficients the
+generalized-binomial formula is the independent route.
 
 The degenerate families with d <= r are still defined by the same formulas,
 as formal sequences.  For d == r the value is 1 at every n >= 1 and the

@@ -320,26 +320,36 @@ class TestSeq:
         _, second = run_cli(capsys, *argv)
         assert first == second
 
-    def test_usage_errors(self):
-        expect_usage_error("seq", "--family", "lambda", "-d", "3", "--to", "5")
-        expect_usage_error("seq", "--family", "alpha", "-d", "2", "-r", "1", "--to", "5")
-        expect_usage_error("seq", "--family", "beta", "-d", "0", "--to", "5")
-        expect_usage_error("seq", "--family", "alpha", "-d", "2", "--from", "4", "--to", "2")
-        expect_usage_error("seq", "--family", "nope", "-d", "2", "--to", "5")
-        expect_usage_error(
-            "seq", "--family", "alpha", "-d", "2", "--to", "5",
-            "--route", "both", "--format", "bfile",
-        )
-        expect_usage_error(
-            "seq", "--family", "beta", "-d", "2", "--to", "5", "--interior",
-        )
-        expect_usage_error(
-            "seq", "--family", "lambda", "-d", "3", "-r", "4", "--to", "5",
-            "--route", "oracle",
-        )
-        expect_usage_error(
-            "seq", "--family", "oracle", "-d", "3", "--to", "5", "--route", "formula",
-        )
+    def test_usage_errors(self, capsys):
+        # Each case names the rule it breaks: the message shows which one fired.
+        for argv, message in [
+            (("--family", "lambda", "-d", "3", "--to", "5"),
+             "polytopenums: error: family lambda requires -r"),
+            (("--family", "alpha", "-d", "2", "-r", "1", "--to", "5"),
+             "polytopenums: error: family alpha takes no -r"),
+            (("--family", "lambda", "-d", "3", "-r", "-1", "--to", "5"),
+             "polytopenums: error: -r must be nonnegative"),
+            (("--family", "alpha", "-d", "-1", "--to", "5"),
+             "polytopenums: error: -d must be nonnegative"),
+            (("--family", "beta", "-d", "0", "--to", "5"),
+             "polytopenums: error: -d must be positive"),
+            (("--family", "alpha", "-d", "2", "--from", "4", "--to", "2"),
+             "polytopenums: error: need 0 <= --from <= --to"),
+            (("--family", "nope", "-d", "2", "--to", "5"),
+             "polytopenums seq: error: argument --family: invalid choice: 'nope'"),
+            (("--family", "alpha", "-d", "2", "--to", "5", "--route", "both", "--format", "bfile"),
+             "polytopenums: error: bfile output holds a single plain sequence"),
+            (("--family", "beta", "-d", "2", "--to", "5", "--interior"),
+             "polytopenums: error: family beta has interior counts only via --route oracle"),
+            (("--family", "lambda", "-d", "3", "-r", "4", "--to", "5", "--route", "oracle"),
+             "polytopenums: error: recursive evaluation needs 0 <= r < d"),
+            (("--family", "oracle", "-d", "3", "--to", "5", "--route", "formula"),
+             "polytopenums: error: family oracle always evaluates by recursion; drop --route"),
+        ]:
+            expect_usage_error("seq", *argv)
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert message in captured.err, argv
 
 
 class TestClosedStdout:
@@ -417,13 +427,28 @@ class TestDecompose:
                   if not check.ok]
         assert "route-agreement [d=3 r=1] lhs=[1, 2, 1] rhs=[1, 99, 1]" in failed
 
-    def test_usage_errors(self):
-        expect_usage_error("decompose", "--lambda", "-d", "3")
-        expect_usage_error("decompose", "--lambda", "-d", "3", "-r", "3")
-        expect_usage_error("decompose", "--shift", "-d", "3", "-a", "2")
-        expect_usage_error("decompose", "--shift", "-d", "3", "-a", "0", "-b", "1")
-        expect_usage_error("decompose", "--lambda", "--shift", "-d", "3", "-r", "1")
-        expect_usage_error("decompose", "-d", "3", "-r", "1")
+    def test_usage_errors(self, capsys):
+        for argv, message in [
+            (("--lambda", "-d", "3"), "polytopenums: error: --lambda requires -r"),
+            (("--lambda", "-d", "3", "-r", "3"),
+             "polytopenums: error: --lambda requires 0 <= r < d"),
+            (("--lambda", "-d", "0", "-r", "0"), "polytopenums: error: -d must be positive"),
+            (("--lambda", "-d", "3", "-r", "1", "-a", "1"),
+             "polytopenums: error: --lambda takes no -a/-b"),
+            (("--shift", "-d", "3", "-a", "2"), "polytopenums: error: --shift requires -a and -b"),
+            (("--shift", "-d", "3", "-a", "0", "-b", "1"),
+             "polytopenums: error: --shift requires a >= 1 and b >= 0"),
+            (("--shift", "-d", "3", "-a", "1", "-b", "0", "-r", "1"),
+             "polytopenums: error: --shift takes no -r"),
+            (("--lambda", "--shift", "-d", "3", "-r", "1"),
+             "polytopenums decompose: error: argument --shift: not allowed with argument --lambda"),
+            (("-d", "3", "-r", "1"),
+             "polytopenums decompose: error: one of the arguments --lambda --shift is required"),
+        ]:
+            expect_usage_error("decompose", *argv)
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert message in captured.err, argv
 
 
 class TestVerify:

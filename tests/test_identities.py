@@ -4,7 +4,6 @@ import pytest
 from polytopenums.checks import identity_checks
 from polytopenums.exact import binomial
 from polytopenums.identities import (
-    GRID_KEYS,
     REGISTRY,
     check_alt_vandermonde,
     check_face_interior_sum,
@@ -138,12 +137,11 @@ class TestSuiteRunner:
                 self.read.add(key)
                 return super().__getitem__(key)
 
-        assert list(GRID_KEYS) == list(REGISTRY)
-        for name, points in REGISTRY.items():
-            section = Recording((key, range(1, 3)) for key in GRID_KEYS[name])
+        for name, (keys, points) in REGISTRY.items():
+            section = Recording((key, range(1, 3)) for key in keys)
             section.read = set()
             assert list(points(section)), name
-            assert section.read == set(GRID_KEYS[name]), name
+            assert section.read == set(keys), name
 
     def test_parse_grid_rejects_section_missing_a_key(self):
         with pytest.raises(ValueError, match="'alt-vandermonde' is missing key.s. n"):
@@ -189,4 +187,5 @@ class TestSuiteRunner:
         assert grid["subset-convolution"]["d"] == range(1, 13)
         assert grid["pascal-alternating-row"]["r"] == range(0, 21)
         assert "meta" not in grid
-        assert {name: tuple(section) for name, section in grid.items()} == GRID_KEYS
+        assert {name: tuple(section) for name, section in grid.items()} == {
+            name: keys for name, (keys, _) in REGISTRY.items()}

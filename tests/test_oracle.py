@@ -84,15 +84,26 @@ class TestDescriptors:
             hypersimplex(1, 0)
         with pytest.raises(ValueError):
             hypersimplex(4, 5)
-        with pytest.raises(ValueError):
-            simplex(-1)
+        for factory in (simplex, cross_polytope, hypercube):
+            with pytest.raises(ValueError, match="got d=-1"):
+                factory(-1)
         with pytest.raises(ValueError):
             rectified_simplex_descriptor(3, 3)
         with pytest.raises(ValueError):
             Hypersimplex(4, 1)  # must go through the canonicalizing factory
         for built_directly in (Simplex, CrossPolytope, Hypercube):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="is POINT"):
                 built_directly(0)  # the 0-dimensional case is POINT
+
+    def test_repr_and_identity(self):
+        # `_faces_first` sorts by repr, so it is part of the fill order.
+        assert repr(simplex(3)) == "Simplex(d=3)"
+        assert repr(cross_polytope(3)) == "CrossPolytope(d=3)"
+        assert repr(hypercube(3)) == "Hypercube(d=3)"
+        shapes = [Simplex(3), CrossPolytope(3), Hypercube(3)]
+        assert len({shape: k for k, shape in enumerate(shapes)}) == 3
+        assert all(a != b for k, a in enumerate(shapes) for b in shapes[k + 1:])
+        assert Simplex(3) == simplex(3) and hash(Simplex(3)) == hash(simplex(3))
 
 
 class TestCensus:
