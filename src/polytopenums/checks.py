@@ -8,7 +8,10 @@ module's globals at call time, so the suites check the code the commands
 print from.  Each suite yields `IdentityCheck` records (name, params, lhs,
 rhs); a check holds when lhs == rhs exactly, with a structural check's
 computed value on the left.  `verify` and the acceptance tests iterate
-these same generators.  Bounds left as None take each suite's default grid.
+these same generators, `verify` as `SUITES` declares them: in run order,
+each suite's generator and the bounds it reads, in parameter order.  Every
+bound follows one rule, `_cap`: unset, an axis runs its default grid top;
+set, the smaller of the two.  A bound lowers its axis and never raises it.
 """
 from __future__ import annotations
 
@@ -86,21 +89,24 @@ def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
             yield from points(grid[name])
 
 
+def _cap(default: int, bound: int | None) -> int:
+    """A grid top under a bound: the default when unset, else the smaller of the two."""
+    return default if bound is None else min(default, bound)
+
+
 def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterator[IdentityCheck]:
     """Closed-form columns against `oracle_table`, bridges, degenerate families, censuses."""
-    n_hi = 40 if n_max is None else n_max
-
-    def cap(default: int) -> int:
-        return default if d_max is None else min(default, d_max)
+    n_hi = _cap(40, n_max)
 
     # (family, value check, interior check or None, (d, r) points): each
     # family's closed-form columns against the recursion of its descriptor.
     families = (
-        ("alpha", "simplex-value", "simplex-interior", [(d, None) for d in range(cap(8) + 1)]),
-        ("beta", "cross-polytope", None, [(d, None) for d in range(1, cap(6) + 1)]),
-        ("gamma", "hypercube", None, [(d, None) for d in range(1, cap(6) + 1)]),
+        ("alpha", "simplex-value", "simplex-interior",
+         [(d, None) for d in range(_cap(8, d_max) + 1)]),
+        ("beta", "cross-polytope", None, [(d, None) for d in range(1, _cap(6, d_max) + 1)]),
+        ("gamma", "hypercube", None, [(d, None) for d in range(1, _cap(6, d_max) + 1)]),
         ("lambda", "rectified-value", "rectified-interior",
-         [(d, r) for d in range(2, cap(7) + 1) for r in range(1, d)]),
+         [(d, r) for d in range(2, _cap(7, d_max) + 1) for r in range(1, d)]),
     )
     for family, value_name, interior_name, points in families:
         for d, r in points:
@@ -114,41 +120,39 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
                     yield _check(interior_name, interior, formula_interior, **params, n=n)
 
     # Known-sequence bridges; 3 * octahedral(n) = n (2n^2 + 1).
-    bridge_hi = 200 if n_max is None else n_max
-    for n, octahedral in enumerate(rectified_simplex_table(3, 1, 1, bridge_hi), 1):
+    for n, octahedral in enumerate(rectified_simplex_table(3, 1, 1, _cap(200, n_max)), 1):
         yield _check("octahedral-bridge", 3 * octahedral, n * (2 * n * n + 1), n=n)
-    short_hi = min(n_hi, 60)
-    for d in range(1, cap(8) + 1):
-        columns = zip(simplex_table(d, 1, short_hi), rectified_simplex_table(d, 0, 1, short_hi),
-                      rectified_simplex_table(d, d - 1, 1, short_hi))
+    for d in range(1, _cap(8, d_max) + 1):
+        columns = zip(simplex_table(d, 1, n_hi), rectified_simplex_table(d, 0, 1, n_hi),
+                      rectified_simplex_table(d, d - 1, 1, n_hi))
         for n, (simplex_value, zero, dual) in enumerate(columns, 1):
             yield _check("zero-rectification", zero, simplex_value, d=d, n=n)
             if d >= 2:
                 yield _check("dual-rectification", dual, simplex_value, d=d, n=n)
-    for d in range(1, cap(10) + 1):
+    for d in range(1, _cap(10, d_max) + 1):
         for r in range(d):
             [vertices] = rectified_simplex_table(d, r, 2, 2)
             yield _check("vertex-count", vertices, binomial(d + 1, r + 1), d=d, r=r)
 
     # Degenerate-family conventions (d <= r), valid from n = 2.
-    degenerate_hi = min(n_hi, 40)
-    for r in range(1, cap(8) + 1):
-        columns = zip(rectified_simplex_table(r, r, 1, degenerate_hi),
-                      rectified_simplex_interior_table(r, r, 1, degenerate_hi))
+    for r in range(1, _cap(8, d_max) + 1):
+        columns = zip(rectified_simplex_table(r, r, 1, n_hi),
+                      rectified_simplex_interior_table(r, r, 1, n_hi))
         for n, (value, interior) in enumerate(columns, 1):
             yield _check("constant-family", value, 1, r=r, n=n)
             if n >= 2:
                 yield _check("interior-sign", interior, (-1) ** r, r=r, n=n)
         for d in range(1, r):
             for n, interior in enumerate(
-                    rectified_simplex_interior_table(d, r, 2, degenerate_hi), 2):
+                    rectified_simplex_interior_table(d, r, 2, n_hi), 2):
                 yield _check("vanishing-interior", interior, 0, d=d, r=r, n=n)
 
     # Census structure: Euler relation over every census reachable from the
     # tested polytopes, plus two pinned f-vectors.
-    roots = [oracle.simplex(cap(8)), oracle.cross_polytope(cap(6)), oracle.hypercube(cap(6))]
+    roots = [oracle.simplex(_cap(8, d_max)), oracle.cross_polytope(_cap(6, d_max)),
+             oracle.hypercube(_cap(6, d_max))]
     roots += [oracle.rectified_simplex_descriptor(d, r)
-              for d in range(2, cap(7) + 1) for r in range(1, d)]
+              for d in range(2, _cap(7, d_max) + 1) for r in range(1, d)]
     for p in oracle.face_closure(*roots):
         if isinstance(p, oracle.Point):
             continue
@@ -169,8 +173,8 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                          a_max: int | None = None,
                          b_max: int | None = None) -> Iterator[IdentityCheck]:
     """Coefficient route agreement, recombination and the shift identity."""
-    n_hi = 40 if n_max is None else n_max
-    for d in range(1, (8 if d_max is None else min(8, d_max)) + 1):
+    n_hi = _cap(40, n_max)
+    for d in range(1, _cap(8, d_max) + 1):
         for r in range(d):
             routes = rectified_routes(d, r)
             via_shifts, *others = routes.values()
@@ -186,10 +190,10 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
 
     # One coefficient vector per (d, a, b) serves every n of the identity,
     # and one simplex column from 1 holds every stretched argument >= 1.
-    m = min(30, n_hi)
-    for d in range(1, (6 if d_max is None else min(6, d_max)) + 1):
-        for a in range(1, (5 if a_max is None else a_max) + 1):
-            for b in range((5 if b_max is None else b_max) + 1):
+    m = _cap(30, n_max)
+    for d in range(1, _cap(6, d_max) + 1):
+        for a in range(1, _cap(5, a_max) + 1):
+            for b in range(_cap(5, b_max) + 1):
                 routes = shift_routes(d, a, b)
                 coeffs = routes["double-sum"]
                 yield _check("shift-routes", coeffs, routes["generating-function"],
@@ -202,3 +206,11 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                     if k >= 1:
                         yield _check("shift-identity", stretched[k - 1], recombined,
                                      d=d, a=a, b=b, n=n)
+
+
+# Each verify suite, in run order: its generator and the bounds it reads.
+SUITES = {
+    "identities": (identity_checks, ("grid",)),
+    "oracle": (oracle_checks, ("d_max", "n_max")),
+    "decompositions": (decomposition_checks, ("d_max", "n_max", "a_max", "b_max")),
+}

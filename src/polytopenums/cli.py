@@ -1,8 +1,8 @@
 """Command-line interface: sequence tables, decompositions, verification.
 
 `cli` parses, dispatches to `checks` (each family's closed form and oracle
-descriptor, each coefficient route, the verify suites) and `oracle`,
-renders and exits; it holds no formula.  `seq` renders each format straight
+descriptor, each coefficient route, `SUITES`) and `oracle`, renders and
+exits; it holds no formula or grid.  `seq` renders each format straight
 from its columns (n, value, interior, match); `checks.formula_columns` and
 `oracle.oracle_table` each give theirs for --from..--to in one call.  JSON
 rows fill one fixed row template with the bytes `json.dumps(indent=2,
@@ -30,13 +30,6 @@ from . import checks, identities, oracle
 FAMILIES = ("alpha", "beta", "gamma", "lambda", "oracle")
 ROUTES = ("formula", "oracle", "both")
 FORMATS = ("table", "csv", "json", "bfile")
-# The options each verify suite reads; any other given option would be ignored.
-SUITE_OPTIONS = {
-    "identities": ("grid",),
-    "oracle": ("d_max", "n_max"),
-    "decompositions": ("d_max", "n_max", "a_max", "b_max"),
-}
-SUITES = (*SUITE_OPTIONS, "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,12 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     ver = sub.add_parser("verify", help="run the verification suites")
-    ver.add_argument("--suite", choices=SUITES, default="all")
+    ver.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all")
     ver.add_argument("--grid", default=None, help="identity grid config file")
-    ver.add_argument("--d-max", type=int, default=None)
-    ver.add_argument("--n-max", type=int, default=None)
-    ver.add_argument("--a-max", type=int, default=None)
-    ver.add_argument("--b-max", type=int, default=None)
+    ver.add_argument("--d-max", type=int, help="lowers the default grids' d axis; never raises it")
+    ver.add_argument("--n-max", type=int, help="lowers the default grids' n axis; never raises it")
+    ver.add_argument("--a-max", type=int, help="lowers the default a axis, 1..5; never raises it")
+    ver.add_argument("--b-max", type=int, help="lowers the default b axis, 0..5; never raises it")
 
     return parser
 
@@ -255,35 +248,34 @@ def _cmd_verify(args, parser) -> int:
     for flag in ("d_max", "n_max", "a_max", "b_max"):
         if (getattr(args, flag) or 0) < 0:
             parser.error(f"--{flag.replace('_', '-')} must be nonnegative")
-    names = [name for name in SUITE_OPTIONS if args.suite in (name, "all")]
-    read = {option for name in names for option in SUITE_OPTIONS[name]}
-    for option in ("grid", "d_max", "n_max", "a_max", "b_max"):
-        if getattr(args, option) is not None and option not in read:
+    names = [name for name in checks.SUITES if args.suite in (name, "all")]
+    read = {option for name in names for option in checks.SUITES[name][1]}
+    given = {option: getattr(args, option)
+             for option in ("grid", "d_max", "n_max", "a_max", "b_max")}
+    for option, value in given.items():
+        if value is not None and option not in read:
             parser.error(f"--{option.replace('_', '-')} has no effect on --suite {args.suite}")
     if args.a_max == 0:  # the shift index a starts at 1, as in decompose --shift
         parser.error("--a-max must be positive")
     if args.n_max == 0:  # every column and identity check starts at n = 1
         parser.error("--n-max must be positive")
-
-    suites = []
-    if "identities" in names:
+    if "grid" in read:
         try:
-            grid = identities.load_grid(args.grid) if args.grid else identities.default_grid()
+            given["grid"] = (identities.load_grid(args.grid) if args.grid
+                             else identities.default_grid())
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load identity grid: {exc}")
-        suites.append(("identities", f"{len(grid)} identities, ", checks.identity_checks(grid)))
-    if "oracle" in names:
-        suites.append(("oracle", "", checks.oracle_checks(args.d_max, args.n_max)))
-    if "decompositions" in names:
-        suites.append(("decompositions", "", checks.decomposition_checks(
-            args.d_max, args.n_max, args.a_max, args.b_max)))
-    # A suite with no checks would pass vacuously: take each one's first
-    # record before any suite runs, and refuse the bounds if there is none.
-    for k, (name, header, records) in enumerate(suites):
+
+    # Refuse bounds that leave a suite empty, a vacuous pass, before any suite runs.
+    suites = []
+    for name in names:
+        generator, options = checks.SUITES[name]
+        records = generator(*(given[option] for option in options))
         first = next(records, None)
         if first is None:
             parser.error(f"suite {name} has no checks within the given bounds")
-        suites[k] = (name, header, itertools.chain([first], records))
+        header = f"{len(given['grid'])} identities, " if name == "identities" else ""
+        suites.append((name, header, itertools.chain([first], records)))
 
     out = sys.stdout
     any_failures = False

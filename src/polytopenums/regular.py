@@ -10,7 +10,7 @@ Each family has one formula, written once as its table form
 (`simplex_table`, ...), which returns the values for n_from..n_to as one
 list, and all of them read one simplex column.  `simplex_table` is the
 column itself, and the simplex interior is that column shifted by d+1,
-since C(k-2, d) = A(d, k-d-1) for d >= 1 (only d = 0 is special).  Every
+since C(k-2, d) = A(d, k-d-1) for d >= 1, or by 0 for a point.  Every
 other table form is one call of the private kernel `_column_sum`, a
 weighted sum over terms (weight, step, offset) of the reads
 A(d, step*n + offset): `recombine_table`, which the cross-polytope and
@@ -134,15 +134,11 @@ def simplex_interior_table(d: int, n_from: int, n_to: int) -> list[int]:
     """Points of the n-th d-simplex array on no facet, for n_from..n_to.
 
     C(n-2, d), 0 for n <= 1: the array left after cutting away all d+1
-    facets, which is the simplex column shifted by d+1.  The 0-dimensional
-    case is special: a point is its own interior, so the sequence is
-    already 1 at n = 1.
+    facets, which is the simplex column shifted by d+1.  A point is its own
+    interior, so for d = 0 the shift is 0: 1 from n = 1 on.
     """
-    if d < 0:
-        raise ValueError(f"dimension must be nonnegative, got d={d}")
-    if d == 0:
-        return [int(n > 0) for n in range(n_from, n_to + 1)]
-    return simplex_table(d, n_from - d - 1, n_to - d - 1)
+    shift = d + 1 if d else 0
+    return simplex_table(d, n_from - shift, n_to - shift)
 
 
 def cross_polytope_table(d: int, n_from: int, n_to: int) -> list[int]:

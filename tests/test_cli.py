@@ -1,4 +1,5 @@
 """Tests for the command-line interface."""
+import inspect
 import json
 import os
 import subprocess
@@ -483,6 +484,28 @@ class TestVerify:
         )
         assert code == 0
         assert out == "decompositions: 751 checks, 0 failures\nverify: PASS\n"
+
+    def test_bounds_above_the_default_grid_run_the_default_grid(self, capsys):
+        # A bound lowers its axis and never raises it.
+        _, default = run_cli(capsys, "verify", "--suite", "all")
+        huge = str(10**9)
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--d-max", huge,
+                            "--n-max", huge, "--a-max", huge, "--b-max", huge)
+        assert code == 0
+        assert out == default
+
+    def test_row_bound_past_the_columns_lowers_only_the_bridge(self, capsys):
+        # --n-max 41 keeps the 40-row columns and cuts the 200-row
+        # octahedral bridge to 41 rows: 5509 - 159 checks.
+        code, out = run_cli(capsys, "verify", "--suite", "oracle", "--n-max", "41")
+        assert code == 0
+        assert out == "oracle: 5350 checks, 0 failures\nverify: PASS\n"
+
+    def test_each_suite_declares_its_generators_parameters(self):
+        # `verify` passes each suite the bounds SUITES names, positionally.
+        for name, (generator, options) in checks.SUITES.items():
+            assert tuple(inspect.signature(generator).parameters) == options, name
+        assert list(checks.SUITES) == ["identities", "oracle", "decompositions"]
 
     @pytest.mark.parametrize("suite, name, table, fail_line", [
         ("oracle", "hypercube_table", hypercube_table,

@@ -207,6 +207,15 @@ class TestRectifiedDecomposition:
             for r in range(d):
                 assert recombine(rectified_decomposition_gbinom(d, r), d, 1) == 1
 
+    def test_nonzero_coefficient_at_index_d_is_rejected(self, monkeypatch):
+        # One unit too many at index d of every stretch's shift vector adds
+        # the sum of the stretch weights, (-1)**r C(d, r) != 0, at index d.
+        exact = rectified.shift_decomposition
+        monkeypatch.setattr(rectified, "shift_decomposition",
+                            lambda d, a, b: [c + (j == d) for j, c in enumerate(exact(d, a, b))])
+        with pytest.raises(ArithmeticError, match="d=3 r=1 has nonzero coefficient at index 3"):
+            rectified_decomposition(3, 1)
+
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
             rectified_decomposition(3, 3)

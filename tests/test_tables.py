@@ -223,6 +223,21 @@ def test_regular_tables_reject_what_the_scalars_reject(table, d):
         table(d, 1, 3)
 
 
+def test_recombine_table_rejects_a_negative_dimension():
+    with pytest.raises(ValueError, match="dimension must be nonnegative, got d=-1"):
+        recombine_table([1, 2], -1, 1, 3)
+
+
+def test_simplex_column_rejects_an_inexact_recurrence_step(monkeypatch):
+    # Above 64 bits each entry comes from the one before by divmod: a first
+    # entry one too large leaves a remainder at the next step.
+    d, first = 2, 2**33
+    exact = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: exact(n, k) + ((n, k) == (first + d - 1, d)))
+    with pytest.raises(ArithmeticError, match=f"inexact simplex column step at d=2 k={first + 1}"):
+        simplex_table(d, first, first + 2)
+
+
 @pytest.mark.parametrize("table", [rectified_simplex_table, rectified_simplex_interior_table])
 def test_rectified_tables_reject_what_the_scalars_reject(table):
     with pytest.raises(ValueError):
