@@ -19,6 +19,7 @@ never overflow.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import operator
@@ -32,7 +33,9 @@ ROUTES = ("formula", "oracle", "both")
 FORMATS = ("table", "csv", "json", "bfile")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process at first use and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="polytopenums",
         description="Exact polytope number sequences, decompositions and verification.",

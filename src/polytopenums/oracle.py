@@ -19,21 +19,34 @@ d = 0 gives POINT.
 
 Evaluation is bottom-up, with no recursion on n.  Each descriptor has one
 table, a pair of lists holding its value and interior counts for
-n = 0 .. N.  A query past N walks `face_closure(p)`, p and every face in
-its transitive face closure, faces first, and extends each of their tables
-up to the asked n.  Size policy: a descriptor's N is the largest n asked of
-any descriptor whose closure contains it, never more.  `table_sizes()`
-reports N per descriptor and `clear_tables()` drops every table and face
-census.  Fills and clears run under one lock; a query its table already
-covers reads without it, so concurrent readers are safe.  `oracle_table`
-reads a run of n as value and interior columns, as the closed-form tables
-do; `polytope_number` and `interior_number` read one row.
+n = 0 .. N, filled by the face-lattice recursion: a fill walks
+`face_closure(p)`, p and every face in its transitive face closure, faces
+first, and extends each of their tables up to the asked n.  Size policy:
+the recursion fills a fixed head, rows 0 .. H(p) with
+H(p) = max(40, dim + 3), and never more; a descriptor's N is the largest
+n asked of any descriptor whose closure contains it, capped at that
+root's H.  Rows past H(p) are exact all the same: from row 2 on each
+column is a polynomial in n of degree at most dim (Stanley, Enumerative
+Combinatorics I, section 4.3), so the head's last dim + 2 rows fix every
+later row.  A read past the head checks that their (dim+1)-th difference
+is 0, raising ArithmeticError otherwise, jumps to the run's first row by
+Newton's forward formula and runs dim nested prefix sums from there.  The
+extension is this module's own, not the closed forms' kernel, so the
+oracle stays an independent route at every n.  `table_sizes()` reports N
+per descriptor and `clear_tables()` drops every table and face census.
+Fills and clears run under one lock; a query its table already covers
+reads without it, so concurrent readers are safe.  `oracle_table` reads a
+run of n as value and interior columns, as the closed-form tables do;
+`polytope_number` and `interior_number` read one row.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, islice, repeat
+from math import comb
+from operator import mul, sub
 
 from .exact import binomial
 
@@ -230,8 +243,22 @@ _lock = threading.Lock()  # held by every fill and every change to the tables
 _tables: dict[PolytopeDescriptor, tuple[list[int], list[int]]] = {}
 
 
+def _head(p: PolytopeDescriptor) -> int:
+    """H(p) = max(40, dim + 3), the last row the recursion fills for p.
+
+    The verify oracle suite reads n <= 40, so it compares raw recursion
+    rows; dim + 3 puts the head's last dim + 2 rows at row 2 or later,
+    where every column is a polynomial in n of degree at most dim.
+    """
+    return max(40, p.dimension + 3)
+
+
 def _filled(p: PolytopeDescriptor, n: int) -> tuple[list[int], list[int]]:
-    """The table of p, with every table of `face_closure(p)` extended to hold n, faces first."""
+    """The table of p, with every table of `face_closure(p)` extended to hold n, faces first.
+
+    Its caller asks for n <= H(p), so no table grows past the largest head
+    of the roots asked.
+    """
     with _lock:
         for q in face_closure(p):
             # A point is its own interior: with no rows both of its lists run
@@ -254,11 +281,36 @@ def _filled(p: PolytopeDescriptor, n: int) -> tuple[list[int], list[int]]:
         return _tables[p]
 
 
+def _extended(rows: list[int], skip: int, count: int) -> list[int]:
+    """Rows skip .. skip+count-1 of the sequence of degree <= dim whose rows 0 .. dim+1 are rows.
+
+    Raises ArithmeticError unless the (dim+1)-th difference of rows is 0.
+    """
+    dim = len(rows) - 2
+    forward = []  # forward[j]: the j-th forward difference at rows[0]
+    while rows:
+        forward.append(rows[0])
+        rows = list(map(sub, rows[1:], rows[:-1]))
+    if forward[-1]:
+        raise ArithmeticError(f"oracle head rows are not of degree {dim}")
+    # Newton's forward formula: the j-th difference at row skip is
+    # sum_k (j+k)-th difference at row 0 * C(skip, k).
+    steps = [comb(skip, k) for k in range(dim + 1)]
+    at = [sum(map(mul, forward[j:dim + 1], steps)) for j in range(dim + 1)]
+    # The prefix sums of the (j+1)-th differences from row skip, seeded
+    # with the j-th difference there, are the j-th differences from row skip.
+    rows = repeat(at[dim], count)
+    for j in reversed(range(dim)):
+        rows = accumulate(rows, initial=at[j])
+    return list(islice(rows, count))
+
+
 def oracle_table(p: PolytopeDescriptor, n_from: int, n_to: int) -> tuple[list[int], list[int]]:
     """Value and interior columns of p's recursion for n = n_from .. n_to.
 
-    Rows with n <= 0 are 0 and fill no table; otherwise p's table is filled
-    to n_to first when it is shorter, and the columns are its slices.  The
+    Rows with n <= 0 are 0 and fill no table.  Rows up to H(p) are slices
+    of p's table, which is filled first, to min(n_to, H(p)), when it is
+    shorter; rows past H(p) extend the head's last dim + 2 rows.  The
     covered test reads the interiors list, which a fill appends to after
     the values, so a lock-free read never sees a row without its interior.
     """
@@ -266,11 +318,18 @@ def oracle_table(p: PolytopeDescriptor, n_from: int, n_to: int) -> tuple[list[in
     zeros = [0] * max(0, min(n_to, 0) - n_from + 1)
     if n_to < start:
         return zeros, zeros[:]
+    head = _head(p)
+    top = min(n_to, head)
     table = _tables.get(p)
-    if table is None or len(table[1]) <= n_to:
-        table = _filled(p, n_to)
-    values, interiors = table
-    return zeros + values[start:n_to + 1], zeros + interiors[start:n_to + 1]
+    if table is None or len(table[1]) <= top:
+        table = _filled(p, top)
+    columns = tuple(zeros + column[start:top + 1] for column in table)
+    if n_to > head:
+        first = max(start, head + 1)
+        base = head - p.dimension - 1
+        for column, full in zip(columns, table):
+            column += _extended(full[base:head + 1], first - base, n_to - first + 1)
+    return columns
 
 
 def polytope_number(p: PolytopeDescriptor, n: int) -> int:
@@ -284,7 +343,11 @@ def interior_number(p: PolytopeDescriptor, n: int) -> int:
 
 
 def table_sizes() -> dict[PolytopeDescriptor, int]:
-    """Largest n each descriptor's table holds (it holds every n from 0)."""
+    """Largest n each descriptor's table holds (it holds every n from 0).
+
+    At most the largest head H = max(40, dim + 3) of the roots asked whose
+    closure holds the descriptor: rows past a head are extended, not kept.
+    """
     with _lock:
         return {p: len(values) - 1 for p, (values, _) in _tables.items()}
 

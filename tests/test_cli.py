@@ -9,7 +9,11 @@ import pytest
 
 from polytopenums import checks, cli, identities, oracle
 from polytopenums.identities import IdentityCheck
-from polytopenums.rectified import rectified_simplex_table
+from polytopenums.rectified import (
+    rectified_simplex_interior,
+    rectified_simplex_number,
+    rectified_simplex_table,
+)
 from polytopenums.regular import hypercube_table
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -249,7 +253,19 @@ class TestSeq:
         )
         assert code == 0
         assert len(out.splitlines()) == 301
-        assert fills == [300]
+        assert fills == [40]  # the head, max(40, dim + 3); rows past it are extended
+
+    @pytest.mark.parametrize("route", ["oracle", "both"])
+    def test_failed_degree_check_is_an_internal_error(self, capsys, monkeypatch, route):
+        p = oracle.rectified_simplex_descriptor(4, 1)
+        values, interiors = oracle.oracle_table(p, 0, 40)
+        monkeypatch.setitem(oracle._tables, p, (values[:40] + [values[40] + 1], interiors))
+        code = cli.main(["seq", "--family", "lambda", "-d", "4", "-r", "1", "--from", "38",
+                         "--to", "45", "--route", route])
+        captured = capsys.readouterr()
+        assert code == 3  # never 1: a broken oracle is not a route mismatch
+        assert captured.out == ""
+        assert captured.err.startswith("polytopenums: internal error: ArithmeticError: ")
 
     def test_one_patched_oracle_reaches_seq_and_verify(self, capsys, monkeypatch):
         # `seq` and the oracle suite read the recursion through one function.
@@ -353,6 +369,36 @@ class TestSeq:
             assert message in captured.err, argv
 
 
+class TestParser:
+    SEQ = ["seq", "--family", "lambda", "-d", "4", "-r", "1", "--to", "45", "--route", "both",
+           "--format", "json"]
+
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        parsers = []
+
+        def recorded(args, parser, command=cli._cmd_seq):
+            parsers.append(parser)
+            return command(args, parser)
+
+        monkeypatch.setattr(cli, "_cmd_seq", recorded)
+        assert run_cli(capsys, *self.SEQ) == run_cli(capsys, *self.SEQ)
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1] is cli.build_parser()
+
+    @pytest.mark.parametrize("bad", [
+        ["seq", "--family", "beta", "-d", "3", "--to", "x"],
+        ["seq", "--family", "beta", "-d", "3", "-r", "1", "--from", "7", "--to", "5"],
+        ["verify", "--suite", "oracle", "--grid", "grid.cfg"],
+    ], ids=["parse", "seq-check", "verify-check"])
+    def test_usage_error_leaves_the_next_call_unchanged(self, capsys, bad):
+        cli.build_parser.cache_clear()
+        fresh = run_cli(capsys, *self.SEQ)
+        cli.build_parser.cache_clear()
+        expect_usage_error(*bad)
+        assert capsys.readouterr().out == ""
+        assert run_cli(capsys, *self.SEQ) == fresh
+
+
 class TestClosedStdout:
     def run(self, argv, stdout):
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -374,6 +420,38 @@ class TestClosedStdout:
         os.close(write_end)
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (141, b"")
+
+
+class TestOracleMemory:
+    # The child prints its own peak RSS; RLIMIT_AS stops a table that grows
+    # with --to long before it could strain the machine.
+    CHILD = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from polytopenums.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "sys.stderr.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))\n"
+        "sys.exit(code)\n"
+    )
+
+    def peak_kb(self, n_from, n_to):
+        """The child's exit code, stdout and own peak RSS in KB."""
+        argv = ["seq", "--family", "oracle", "-d", "7", "-r", "3", "--from", str(n_from),
+                "--to", str(n_to)]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", self.CHILD, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout, int(done.stderr)
+
+    def test_one_row_far_past_the_head_keeps_peak_rss_flat(self):
+        _, shallow_kb = self.peak_kb(1, 50)
+        out, deep_kb = self.peak_kb(10**7, 10**7)
+        n = 10**7
+        assert out.split()[3:] == [str(n), str(rectified_simplex_number(7, 3, n)),
+                                   str(rectified_simplex_interior(7, 3, n))]
+        assert deep_kb <= shallow_kb + 4096
 
 
 class TestDecompose:

@@ -4,6 +4,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polytopenums import oracle
 from polytopenums.oracle import (
@@ -33,7 +35,14 @@ from polytopenums.rectified import (
     rectified_simplex_number,
     rectified_simplex_table,
 )
-from polytopenums.regular import simplex_interior, simplex_number
+from polytopenums.regular import (
+    cross_polytope_table,
+    hypercube_table,
+    simplex_interior,
+    simplex_interior_table,
+    simplex_number,
+    simplex_table,
+)
 
 
 def plain_number(p, n):
@@ -221,7 +230,7 @@ class TestTables:
             clear_tables()
             assert polytope_number(p, 5000) == value
             assert interior_number(p, 5000) == interior
-            assert table_sizes()[p] == 5000
+            assert table_sizes()[p] == 40  # the head, max(40, dim + 3)
 
     def test_size_is_the_largest_n_asked_across_the_closure(self):
         polytope_number(simplex(3), 7)
@@ -305,9 +314,109 @@ class TestTables:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 rows = [row for t in range(4) for row in results[t]]
-                assert table_sizes()[p] == max(n for n, _, _ in rows)
+                assert table_sizes()[p] == 40  # the head, max(40, dim + 3)
                 for n, values, interiors in rows:
                     assert values == rectified_simplex_table(5, 2, n - 3, n)
                     assert interiors == rectified_simplex_interior_table(5, 2, n - 3, n)
         finally:
             sys.setswitchinterval(interval)
+
+
+def plain_tables(roots, n_to):
+    """Every table of the roots' closure by the recursion alone, rows 0 .. n_to.
+
+    A loop with no head and no extension: the reference the bounded
+    tables are held to.
+    """
+    tables = {}
+    for q in face_closure(*roots):
+        if isinstance(q, Point):
+            tables[q] = ([0] + [1] * n_to, [0] + [1] * n_to)
+            continue
+        entries = faces_of(q).entries
+        values, interiors = [0, 1], [0, 0]
+        for n in range(2, n_to + 1):
+            face_interiors = [tables[e.face][1][n] for e in entries]
+            value = values[-1] + sum(e.not_containing * x for e, x in zip(entries, face_interiors))
+            values.append(value)
+            interiors.append(value - sum(e.total * x for e, x in zip(entries, face_interiors)))
+        tables[q] = (values, interiors)
+    return tables
+
+
+# The verify oracle suite's roots and every rectified simplex with d <= 10.
+GUARD_ROOTS = [simplex(8), hypercube(6), *map(cross_polytope, range(1, 7))]
+GUARD_ROOTS += [rectified_simplex_descriptor(d, r) for d in range(1, 11) for r in range(d)]
+# Runs below the head (rows 0 .. 40 here), across it and far past it.
+GUARD_RUNS = [(0, 39), (0, 40), (38, 42), (40, 41), (41, 41), (1, 500), (137, 138), (499, 500)]
+
+
+@st.composite
+def family_runs(draw):
+    """(family, d, r, n_from, n_to): a descriptor and a run of up to 31 rows below n = 10**30."""
+    family = draw(st.sampled_from(["simplex", "cross-polytope", "hypercube", "rectified"]))
+    d = draw(st.integers(1, 11 if family == "rectified" else 45))
+    r = draw(st.integers(0, d - 1)) if family == "rectified" else None
+    n_from = draw(st.integers(-5, 10**30))
+    return family, d, r, n_from, n_from + draw(st.integers(-1, 30))
+
+
+class TestHead:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_tables()
+
+    def test_bounded_tables_equal_the_plain_recursion(self):
+        plain = plain_tables(GUARD_ROOTS, 500)
+        assert len(plain) > 40
+        for n_from, n_to in GUARD_RUNS:
+            for q, (values, interiors) in plain.items():
+                expected = values[n_from:n_to + 1], interiors[n_from:n_to + 1]
+                assert oracle_table(q, n_from, n_to) == expected, (q, n_from, n_to)
+        assert max(table_sizes().values()) == 40
+
+    @given(family_runs())
+    @example(("simplex", 45, None, 40, 60))  # dim + 3 > 40: a longer head
+    @example(("hypercube", 39, None, 2**64 - 5, 2**64 + 5))
+    def test_reads_far_past_the_head_equal_the_closed_forms(self, run):
+        family, d, r, n_from, n_to = run
+        if family == "rectified":
+            values, interiors = oracle_table(rectified_simplex_descriptor(d, r), n_from, n_to)
+            assert values == rectified_simplex_table(d, r, n_from, n_to)
+            assert interiors == rectified_simplex_interior_table(d, r, n_from, n_to)
+        elif family == "simplex":
+            assert oracle_table(simplex(d), n_from, n_to) == (
+                simplex_table(d, n_from, n_to), simplex_interior_table(d, n_from, n_to))
+        elif family == "cross-polytope":
+            assert oracle_table(cross_polytope(d), n_from, n_to)[0] == cross_polytope_table(
+                d, n_from, n_to)
+        else:
+            assert oracle_table(hypercube(d), n_from, n_to) == (
+                hypercube_table(d, n_from, n_to),
+                [(n - 2) ** d if n >= 2 else 0 for n in range(n_from, n_to + 1)])
+
+    def test_corrupt_head_row_fails_the_degree_check(self, monkeypatch):
+        p = rectified_simplex_descriptor(4, 1)
+        values, interiors = oracle_table(p, 0, 40)
+        corrupted = values[:]
+        corrupted[40] += 1
+        monkeypatch.setitem(oracle._tables, p, (corrupted, interiors))
+        assert oracle_table(p, 0, 40) == (corrupted, interiors)  # head rows read raw
+        with pytest.raises(ArithmeticError):
+            oracle_table(p, 41, 41)
+        with pytest.raises(ArithmeticError):
+            interior_number(p, 10**7)  # a read past the head extends both columns
+
+    def test_ascending_one_row_reads_fill_only_the_head(self, monkeypatch):
+        fills = []
+
+        def counted(p, n, fill=oracle._filled):
+            fills.append(n)
+            return fill(p, n)
+
+        monkeypatch.setattr(oracle, "_filled", counted)
+        p = rectified_simplex_descriptor(7, 3)
+        rows = [polytope_number(p, n) for n in range(1, 2001)]
+        assert rows == rectified_simplex_table(7, 3, 1, 2000)
+        assert len(fills) <= 40  # the head, max(40, dim + 3)
+        assert table_sizes()[p] == 40

@@ -1,9 +1,10 @@
 """Table forms of the closed forms against references that do not read them.
 
 Each closed form is written once, as its table; the scalar forms are its
-one-row reads.  The references here are the face-lattice recursion (the
-oracle) for n up to a few hundred, an integer Newton extrapolation of
-oracle values beyond that, n**d and C(n+d-1, d) for the hypercube and the
+one-row reads.  The references here are the oracle for n up to a few
+hundred (its recursion rows to n = 40, its own extension past them, held
+to a plain recursion loop in test_oracle), an integer Newton extrapolation
+of oracle values beyond that, n**d and C(n+d-1, d) for the hypercube and the
 simplex, and the pinned values of the formal rectified families (r >= d),
 which have no polytope for the oracle to evaluate.  A property test holds
 every table form and `recombine_table` to a per-entry `math.comb`
@@ -167,11 +168,11 @@ def test_rectified_tables_on_grid(table, scalar):
                 assert [scalar(d, r, n) for n in range(n_from, n_to + 1)] == expected
 
 
-@pytest.mark.parametrize("n_from, n_to", [run for run in RUNS if run[1] < 2**64])
+@pytest.mark.parametrize("n_from, n_to", RUNS)
 def test_oracle_table_matches_every_closed_form_table(n_from, n_to):
     # Both sides are table forms with one contract: the same run, read
-    # straight, with no clamp or slice on either side.  Every run but the
-    # one past 2**64, which no table can hold.
+    # straight, with no clamp or slice on either side.  Past its head the
+    # oracle extends its rows, so the run past 2**64 is read too.
     for table, _, d_min in REGULAR:
         for d in range(d_min, 8):
             columns = oracle.oracle_table(DESCRIPTOR[table](d), n_from, n_to)
