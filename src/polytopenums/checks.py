@@ -27,7 +27,7 @@ from .rectified import (
     rectified_simplex_interior_table,
     rectified_simplex_table,
     shift_decomposition,
-    shift_decomposition_gf,
+    shift_decomposition_gbinom,
 )
 from .regular import (
     cross_polytope_table,
@@ -75,7 +75,7 @@ def rectified_routes(d: int, r: int) -> dict[str, list[int]]:
 def shift_routes(d: int, a: int, b: int) -> dict[str, list[int]]:
     """Simplex-basis coefficients of the stretched sequence, by each route."""
     return {"double-sum": shift_decomposition(d, a, b),
-            "generating-function": shift_decomposition_gf(d, a, b)}
+            "generating-function": shift_decomposition_gbinom(d, a, b)}
 
 
 def _check(name: str, lhs: object, rhs: object, **params: object) -> IdentityCheck:

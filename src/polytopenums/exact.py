@@ -2,8 +2,7 @@
 
 Everything in this package is computed with plain Python integers, so all
 arithmetic is arbitrary precision and exact; no floating point is used
-anywhere.  Polynomials are plain lists of ints, index j holding the
-coefficient of x**j.
+anywhere.
 """
 from __future__ import annotations
 
@@ -33,6 +32,10 @@ def gbinomial(n: int, m: int, s: int) -> int:
     Order 2 reduces to the ordinary binomial C(n, m).  Requires n >= 0 and
     s >= 1; out-of-range m gives 0.  Evaluated as the alternating sum
     sum (-1)**k C(n, k) C(m-sk+n-1, n-1), read off (1-x**s)**n / (1-x)**n.
+    Both `decompose` modes read their second route from here:
+    `rectified.shift_decomposition_gbinom` takes shift coefficients as
+    gbinomial(d+1, a*j - b, a), and `rectified_decomposition_gbinom`
+    combines those vectors.
     """
     if s < 1:
         raise ValueError(f"order must be a positive integer, got s={s}")
@@ -67,23 +70,3 @@ def _eulerian_row(d: int) -> list[int]:
         row = [(i + 1) * a + (e - i) * b for i, (a, b) in enumerate(zip(row + [0], [0] + row))]
     return row
 
-
-def _poly_trim(p: list[int]) -> list[int]:
-    """Canonical form: drop trailing zero coefficients (zero polynomial -> [])."""
-    out = list(p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_mul(p: list[int], q: list[int]) -> list[int]:
-    """Exact convolution product, trailing zeros dropped.  Schoolbook; degrees stay small."""
-    p, q = _poly_trim(p), _poly_trim(q)
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)

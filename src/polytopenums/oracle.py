@@ -333,12 +333,20 @@ def oracle_table(p: PolytopeDescriptor, n_from: int, n_to: int) -> tuple[list[in
 
 
 def polytope_number(p: PolytopeDescriptor, n: int) -> int:
-    """n-th term of the polytope number sequence of p: one row of oracle_table."""
+    """n-th term of the polytope number sequence of p: one row of oracle_table.
+
+    A read past the head redoes the Newton jump on both columns per call,
+    so a loop over n should read its run through oracle_table.
+    """
     return oracle_table(p, n, n)[0][0]
 
 
 def interior_number(p: PolytopeDescriptor, n: int) -> int:
-    """n-th interior count of p, the total minus every proper face's interior: one row."""
+    """n-th interior count of p, the total minus every proper face's interior: one row.
+
+    A read past the head redoes the Newton jump on both columns per call,
+    so a loop over n should read its run through oracle_table.
+    """
     return oracle_table(p, n, n)[1][0]
 
 

@@ -17,12 +17,11 @@ sums.  The interior reads the same column shifted by d+1, since the simplex
 interior C(k-2, d) is A(d, k-d-1).  The scalar forms are the one-row reads
 of those tables.  The module also computes the coefficients that rewrite
 such sequences in the basis A(d, n-j) of unit shifts, and `recombine` reads
-a sequence back from its coefficients.  The double sum and the
-generating-function product convolve the same two sequences, the signed row
-of (1-x)**(d+1) and C(d+ak-b, ak-b), so they cross-check only the
-convolution code; `verify`'s shift-identity checks hold shift vectors
-against the simplex column.  For the rectified coefficients the
-generalized-binomial formula is the independent route.
+a sequence back from its coefficients.  There are two routes per mode: the
+double sum and generalized binomials, the same alternating sum in two
+orders.  They cross-check the code, not the formula; `verify`'s
+shift-identity and recombination checks hold the vectors against the
+simplex and rectified columns.
 
 The degenerate families with d <= r are still defined by the same formulas,
 as formal sequences.  For d == r the value is 1 at every n >= 1 and the
@@ -32,7 +31,9 @@ from n = 2 on.
 """
 from __future__ import annotations
 
-from .exact import binomial, gbinomial, poly_mul
+from typing import Callable
+
+from .exact import binomial, gbinomial
 from .regular import _column_sum, recombine_table
 
 
@@ -140,19 +141,16 @@ def shift_decomposition(d: int, a: int, b: int) -> list[int]:
     return _trim_to_support(coeffs, d, a, b)
 
 
-def shift_decomposition_gf(d: int, a: int, b: int) -> list[int]:
-    """Same coefficients as shift_decomposition, via a power-series product.
+def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
+    """Same coefficients as shift_decomposition, read off generalized binomials.
 
-    Reads the vector off (1-x)**(d+1) times the series whose k-th
-    coefficient is C(d+ak-b, ak-b), truncated high enough to witness the
-    vanishing tail.  Agrees with the double-sum route entry for entry.
+    c[j] is gbinomial(d+1, a*j - b, a), the coefficient of x**(a*j - b) in
+    (1 + x + ... + x**(a-1))**(d+1): the h-vector of a Veronese subring.
+    gbinomial evaluates the same alternating sum as the double sum, summed
+    in the other order.  The vector runs to the same support bound.
     """
     _check_shift(d, a, b)
-    deg = d + a + b + 2
-    series = [binomial(d + a * k - b, a * k - b) for k in range(deg + 1)]
-    alternating = [(-1) ** k * binomial(d + 1, k) for k in range(d + 2)]
-    window = (poly_mul(alternating, series) + [0] * (deg + 1))[:deg + 1]
-    return _trim_to_support(window, d, a, b)
+    return [gbinomial(d + 1, a * j - b, a) for j in range(_support_bound(d, a, b) + 1)]
 
 
 def recombine(coeffs: list[int], d: int, n: int) -> int:
@@ -165,19 +163,16 @@ def recombine(coeffs: list[int], d: int, n: int) -> int:
     return recombine_table(coeffs, d, n, n)[0]
 
 
-def rectified_decomposition(d: int, r: int) -> list[int]:
-    """Simplex-basis coefficients of the r-rectified d-simplex sequence.
+def _combined(d: int, r: int, shift: Callable[[int, int, int], list[int]]) -> list[int]:
+    """The stretches' shift vectors, each read by shift(d, a, b), weighted and summed.
 
-    Returns (a_0 .. a_{d-1}) with the rectified sequence equal to the sum of
-    a_j * simplex_number(d, n-j), built by expanding each stretched term of
-    the alternating formula through shift_decomposition and combining.
     Requires 0 <= r < d.  The combined coefficient at index d must vanish;
     if it does not, ArithmeticError is raised.
     """
     _check_true_rectification(d, r)
     acc = [0] * (d + 1)
     for i, weight in _stretch_weights(d, r):
-        for j, c in enumerate(shift_decomposition(d, i + 1, r - i)):
+        for j, c in enumerate(shift(d, i + 1, r - i)):
             acc[j] += weight * c
     if acc[d] != 0:
         raise ArithmeticError(
@@ -186,20 +181,23 @@ def rectified_decomposition(d: int, r: int) -> list[int]:
     return acc[:d]
 
 
+def rectified_decomposition(d: int, r: int) -> list[int]:
+    """Simplex-basis coefficients of the r-rectified d-simplex sequence.
+
+    Returns (a_0 .. a_{d-1}) with the rectified sequence equal to the sum of
+    a_j * simplex_number(d, n-j), built by expanding each stretched term of
+    the alternating formula through shift_decomposition and combining.
+    Requires 0 <= r < d; a nonzero coefficient at index d raises ArithmeticError.
+    """
+    return _combined(d, r, shift_decomposition)
+
+
 def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
     """Simplex-basis coefficients via generalized binomial coefficients.
 
-    Independent route: a_j is the alternating C(d+1, r-i)-weighted sum of
-    order-(i+1) generalized binomials of d+1 at position (i+1)j + i - r.
-    Must agree with rectified_decomposition entry for entry.
+    The same combination over shift_decomposition_gbinom: a_j is the
+    alternating C(d+1, r-i)-weighted sum of order-(i+1) generalized
+    binomials of d+1 at position (i+1)j + i - r.  Must agree with
+    rectified_decomposition entry for entry; the same checks apply.
     """
-    _check_true_rectification(d, r)
-    return [
-        sum(
-            (-1) ** (r - i)
-            * binomial(d + 1, r - i)
-            * gbinomial(d + 1, (i + 1) * j + i - r, i + 1)
-            for i in range(r + 1)
-        )
-        for j in range(d)
-    ]
+    return _combined(d, r, shift_decomposition_gbinom)

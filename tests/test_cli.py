@@ -454,7 +454,86 @@ class TestOracleMemory:
         assert deep_kb <= shallow_kb + 4096
 
 
+# The complete stdout of one decomposition per mode in every format: the
+# route names, their order and the vectors.  The shift case has b > d, so
+# its vector runs past index d.
+LAMBDA_JSON = """\
+{
+  "coefficients": [
+    "1",
+    "5",
+    "5",
+    "0"
+  ],
+  "decomposition": "lambda d=4 r=1",
+  "routes": {
+    "gbinomial": [
+      "1",
+      "5",
+      "5",
+      "0"
+    ],
+    "shift-composition": [
+      "1",
+      "5",
+      "5",
+      "0"
+    ]
+  },
+  "routes_agree": true
+}
+"""
+SHIFT_JSON = """\
+{
+  "coefficients": [
+    "0",
+    "0",
+    "6",
+    "3"
+  ],
+  "decomposition": "shift d=2 a=3 b=4",
+  "routes": {
+    "double-sum": [
+      "0",
+      "0",
+      "6",
+      "3"
+    ],
+    "generating-function": [
+      "0",
+      "0",
+      "6",
+      "3"
+    ]
+  },
+  "routes_agree": true
+}
+"""
+DECOMPOSE_GOLDEN = {
+    ("--lambda", "-d", "4", "-r", "1", "--format", "table"):
+        "shift-composition  [1, 5, 5, 0]\n"
+        "gbinomial          [1, 5, 5, 0]\n"
+        "routes agree: yes\n",
+    ("--lambda", "-d", "4", "-r", "1", "--format", "csv"):
+        "route,c0,c1,c2,c3\nshift-composition,1,5,5,0\ngbinomial,1,5,5,0\n",
+    ("--lambda", "-d", "4", "-r", "1", "--format", "json"):
+        LAMBDA_JSON,
+    ("--shift", "-d", "2", "-a", "3", "-b", "4", "--format", "table"):
+        "double-sum           [0, 0, 6, 3]\n"
+        "generating-function  [0, 0, 6, 3]\n"
+        "routes agree: yes\n",
+    ("--shift", "-d", "2", "-a", "3", "-b", "4", "--format", "csv"):
+        "route,c0,c1,c2,c3\ndouble-sum,0,0,6,3\ngenerating-function,0,0,6,3\n",
+    ("--shift", "-d", "2", "-a", "3", "-b", "4", "--format", "json"):
+        SHIFT_JSON,
+}
+
+
 class TestDecompose:
+    @pytest.mark.parametrize("argv", DECOMPOSE_GOLDEN)
+    def test_full_stdout_is_pinned(self, capsys, argv):
+        assert run_cli(capsys, "decompose", *argv) == (0, DECOMPOSE_GOLDEN[argv])
+
     def test_rectified_table(self, capsys):
         code, out = run_cli(capsys, "decompose", "--lambda", "-d", "3", "-r", "1")
         assert code == 0

@@ -1,11 +1,10 @@
 """Tests for the exact integer combinatorics primitives."""
 import itertools
 import math
-import random
 
 import pytest
 
-from polytopenums.exact import _eulerian_row, binomial, eulerian, gbinomial, poly_mul
+from polytopenums.exact import _eulerian_row, binomial, eulerian, gbinomial
 
 
 def falling_factorial_binomial(r, k):
@@ -136,35 +135,3 @@ class TestEulerian:
         with pytest.raises(ValueError):
             eulerian(-1, 0)
 
-
-def schoolbook_mul(p, q):
-    """Independent quadratic-time reference for polynomial products."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i in range(len(p)):
-        for j in range(len(q)):
-            out[i + j] += p[i] * q[j]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-class TestPolynomials:
-    def test_product_examples(self):
-        assert poly_mul([1, -1], [1, 1]) == [1, 0, -1]
-        assert poly_mul([1, 2], []) == []
-        # The degree-3 window of (1-x)^3 (1 + 6x + 15x^2 + 28x^3) collapses
-        # to 1 + 3x: this is the d=2, a=2, b=0 shift decomposition.
-        assert poly_mul([1, -3, 3, -1], [1, 6, 15, 28])[:4] == [1, 3, 0, 0]
-
-    def test_trim_canonical_form(self):
-        assert poly_mul([0, 1, 0, 0], [1]) == [0, 1]
-        assert poly_mul([0, 0], [1, 2]) == []
-
-    def test_matches_schoolbook_reference(self):
-        rng = random.Random(20240811)
-        for _ in range(200):
-            p = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 7))]
-            q = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 7))]
-            assert poly_mul(p, q) == schoolbook_mul(p, q)

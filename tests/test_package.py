@@ -20,11 +20,11 @@ PUBLIC = [
     "cross_polytope", "cross_polytope_number", "cross_polytope_table", "default_grid",
     "eulerian", "faces_of", "facet_cut", "gbinomial", "hypercube", "hypercube_number",
     "hypercube_table", "hypersimplex", "interior_number", "load_grid", "oracle_table",
-    "parse_grid", "poly_mul", "polytope_number", "recombine", "recombine_table",
+    "parse_grid", "polytope_number", "recombine", "recombine_table",
     "rectified_decomposition", "rectified_decomposition_gbinom",
     "rectified_simplex_descriptor", "rectified_simplex_interior",
     "rectified_simplex_interior_table", "rectified_simplex_number",
-    "rectified_simplex_table", "shift_decomposition", "shift_decomposition_gf", "simplex",
+    "rectified_simplex_table", "shift_decomposition", "shift_decomposition_gbinom", "simplex",
     "simplex_interior", "simplex_interior_table", "simplex_number", "simplex_table",
 ]
 

@@ -1,4 +1,7 @@
 """Tests for rectified-simplex sequences and their decompositions."""
+import collections
+import itertools
+
 import pytest
 
 from polytopenums import rectified
@@ -10,7 +13,7 @@ from polytopenums.rectified import (
     rectified_simplex_interior,
     rectified_simplex_number,
     shift_decomposition,
-    shift_decomposition_gf,
+    shift_decomposition_gbinom,
 )
 from polytopenums.regular import cross_polytope_number, simplex_number
 
@@ -99,15 +102,28 @@ class TestShiftDecomposition:
             assert shift_decomposition(d, 1, 0) == [1] + [0] * d
 
     def test_gf_examples(self):
-        assert shift_decomposition_gf(1, 2, 0) == [1, 1]
-        assert shift_decomposition_gf(4, 2, 0) == [1, 10, 5, 0, 0]
-        assert shift_decomposition_gf(2, 1, 1) == [0, 1, 0]
+        assert shift_decomposition_gbinom(1, 2, 0) == [1, 1]
+        assert shift_decomposition_gbinom(4, 2, 0) == [1, 10, 5, 0, 0]
+        assert shift_decomposition_gbinom(2, 1, 1) == [0, 1, 0]
+
+    def test_gbinom_route_matches_a_brute_count(self):
+        # c[j] counts the vectors in {0..a-1}**(d+1) with sum a*j - b: a
+        # reference that does not start from the alternating sum.  Past the
+        # vector's end every count is 0.
+        for d in range(1, 5):
+            for a in range(1, 5):
+                sums = collections.Counter(map(sum, itertools.product(range(a), repeat=d + 1)))
+                for b in range(9):
+                    coeffs = shift_decomposition_gbinom(d, a, b)
+                    counts = [sums[a * j - b] for j in range(len(coeffs) + d + b + 2)]
+                    assert coeffs == counts[:len(coeffs)], (d, a, b)
+                    assert not any(counts[len(coeffs):]), (d, a, b)
 
     def test_routes_agree(self):
         for d in range(1, 7):
             for a in range(1, 6):
                 for b in range(6):
-                    assert shift_decomposition(d, a, b) == shift_decomposition_gf(d, a, b)
+                    assert shift_decomposition(d, a, b) == shift_decomposition_gbinom(d, a, b)
 
     def test_matches_the_naive_double_sum(self):
         # Offsets past d included: there the support grows past index d.
@@ -146,7 +162,7 @@ class TestShiftDecomposition:
                 for b in range(d + 1, 6):
                     coeffs = shift_decomposition(d, a, b)
                     assert len(coeffs) == d + 1 + -((d - b) // a)
-                    assert coeffs == shift_decomposition_gf(d, a, b)
+                    assert coeffs == shift_decomposition_gbinom(d, a, b)
 
     def test_identity_examples(self):
         # simplex_number(d, a*n - (a-1) - b) against its recombined vector.
@@ -171,7 +187,7 @@ class TestShiftDecomposition:
         with pytest.raises(ValueError):
             shift_decomposition(2, 0, 0)
         with pytest.raises(ValueError):
-            shift_decomposition_gf(2, 1, -1)
+            shift_decomposition_gbinom(2, 1, -1)
 
 
 class TestRectifiedDecomposition:
@@ -215,6 +231,12 @@ class TestRectifiedDecomposition:
                             lambda d, a, b: [c + (j == d) for j, c in enumerate(exact(d, a, b))])
         with pytest.raises(ArithmeticError, match="d=3 r=1 has nonzero coefficient at index 3"):
             rectified_decomposition(3, 1)
+        # The same bump on the generalized-binomial vectors trips the same check.
+        gbinom = rectified.shift_decomposition_gbinom
+        monkeypatch.setattr(rectified, "shift_decomposition_gbinom",
+                            lambda d, a, b: [c + (j == d) for j, c in enumerate(gbinom(d, a, b))])
+        with pytest.raises(ArithmeticError, match="d=3 r=1 has nonzero coefficient at index 3"):
+            rectified_decomposition_gbinom(3, 1)
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):

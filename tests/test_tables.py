@@ -11,7 +11,9 @@ every table form and `recombine_table` to a per-entry `math.comb`
 definition, on runs that cross the column kernel's threshold, where its
 entry-by-entry head gives way to a prefix-sum tail, and simplex_table's
 switch from `math.comb` to the recurrence above 64 bits; the long
-b-file tables are pinned at sampled rows.
+b-file tables are pinned at sampled rows.  Two more properties hold the two
+routes of each `decompose` mode to each other and to the rows their
+vectors must recombine to, at d up to 40, where coefficients pass 64 bits.
 """
 import math
 from unittest import mock
@@ -23,12 +25,14 @@ from hypothesis import strategies as st
 from polytopenums import oracle, regular
 from polytopenums.exact import binomial
 from polytopenums.rectified import (
+    rectified_decomposition,
+    rectified_decomposition_gbinom,
     rectified_simplex_interior,
     rectified_simplex_interior_table,
     rectified_simplex_number,
     rectified_simplex_table,
     shift_decomposition,
-    shift_decomposition_gf,
+    shift_decomposition_gbinom,
 )
 from polytopenums.regular import (
     cross_polytope_number,
@@ -132,7 +136,7 @@ def assert_shift_facts(d, a, b, n_to=8):
     argument is at least 1.
     """
     coeffs = shift_decomposition(d, a, b)
-    assert coeffs == shift_decomposition_gf(d, a, b), (d, a, b)
+    assert coeffs == shift_decomposition_gbinom(d, a, b), (d, a, b)
     stretched = simplex_table(d, 1, a * n_to - (a - 1) - b)
     for n, recombined in enumerate(recombine_table(coeffs, d, 1, n_to), 1):
         k = a * n - (a - 1) - b
@@ -272,9 +276,20 @@ def test_rectified_tables_property(family, d, r, run):
     assert table(d, r, n_from, n_to) == rectified_reference(table, d, r, n_from, n_to)
 
 
-@given(st.integers(1, 12), st.integers(1, 60), st.integers(0, 80))
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 80))
+@example(40, 40, 60)  # coefficients far past 64 bits
 def test_shift_decomposition_property(d, a, b):
     assert_shift_facts(d, a, b)
+
+
+@given(st.integers(1, 40).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))))
+@example((40, 20))
+def test_rectified_decomposition_property(level):
+    """Both lambda routes agree, and the vector recombines to the rectified rows."""
+    d, r = level
+    coeffs = rectified_decomposition(d, r)
+    assert coeffs == rectified_decomposition_gbinom(d, r), (d, r)
+    assert recombine_table(coeffs, d, 1, 8) == rectified_simplex_table(d, r, 1, 8), (d, r)
 
 
 # Per-entry definitions, one math.comb (or power) per term, that read no table.
