@@ -31,11 +31,12 @@ def gbinomial(n: int, m: int, s: int) -> int:
     Defined as the coefficient of x**m in (1 + x + ... + x**(s-1))**n.
     Order 2 reduces to the ordinary binomial C(n, m).  Requires n >= 0 and
     s >= 1; out-of-range m gives 0.  Evaluated as the alternating sum
-    sum (-1)**k C(n, k) C(m-sk+n-1, n-1), read off (1-x**s)**n / (1-x)**n.
-    Both `decompose` modes read their second route from here:
-    `rectified.shift_decomposition_gbinom` takes shift coefficients as
-    gbinomial(d+1, a*j - b, a), and `rectified_decomposition_gbinom`
-    combines those vectors.
+    sum (-1)**k C(n, k) C(m-sk+n-1, n-1), read off (1-x**s)**n / (1-x)**n,
+    at the nearer of m and its mirror n(s-1) - m: the row is palindromic,
+    and the sum has min(n, m//s) + 1 terms.  Both `decompose` modes read
+    their second route from here: `rectified.shift_decomposition_gbinom`
+    takes shift coefficients as gbinomial(d+1, a*j - b, a), and
+    `rectified_decomposition_gbinom` combines those vectors.
     """
     if s < 1:
         raise ValueError(f"order must be a positive integer, got s={s}")
@@ -45,6 +46,7 @@ def gbinomial(n: int, m: int, s: int) -> int:
         return 0
     if n == 0:
         return 1
+    m = min(m, n * (s - 1) - m)
     return sum(
         (-1) ** k * math.comb(n, k) * math.comb(m - s * k + n - 1, n - 1)
         for k in range(min(n, m // s) + 1)

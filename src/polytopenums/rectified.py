@@ -17,11 +17,13 @@ sums.  The interior reads the same column shifted by d+1, since the simplex
 interior C(k-2, d) is A(d, k-d-1).  The scalar forms are the one-row reads
 of those tables.  The module also computes the coefficients that rewrite
 such sequences in the basis A(d, n-j) of unit shifts, and `recombine` reads
-a sequence back from its coefficients.  There are two routes per mode: the
-double sum and generalized binomials, the same alternating sum in two
-orders.  They cross-check the code, not the formula; `verify`'s
-shift-identity and recombination checks hold the vectors against the
-simplex and rectified columns.
+a sequence back from its coefficients.  There are two routes per mode:
+d+1 backward-difference passes over the stretched simplex column, and
+generalized binomials, each an alternating sum read from the near end of
+its palindromic row.  They evaluate differently but expand the same
+generating function, so they cross-check the code, not the formula;
+`verify`'s shift-identity and recombination checks hold the vectors
+against the simplex and rectified columns.
 
 The degenerate families with d <= r are still defined by the same formulas,
 as formal sequences.  For d == r the value is 1 at every n >= 1 and the
@@ -31,6 +33,9 @@ from n = 2 on.
 """
 from __future__ import annotations
 
+import math
+from itertools import repeat
+from operator import sub
 from typing import Callable
 
 from .exact import binomial, gbinomial
@@ -122,22 +127,21 @@ def shift_decomposition(d: int, a: int, b: int) -> list[int]:
 
     Returns c with simplex_number(d, a*n - (a-1) - b) equal to the sum of
     c[j] * simplex_number(d, n-j), valid whenever the left argument is >= 1.
-    Computed by the explicit double sum
-        c[j] = sum over i of (-1)**i C(d+1, i) C(d+a(j-i)-b, a(j-i)-b),
-    with each binomial computed once per call and the inner sum stopped at
-    i = d+1, the support of (1-x)**(d+1).  The vector has length d+1 when
-    b <= d; larger offsets push the support out to d + ceil((b-d)/a).  All
+    c is (1-x)**(d+1) times the stretched column, the series whose k-th
+    term is C(d+ak-b, d) for ak >= b and 0 below: that column is read by
+    one math.comb map, and multiplying by (1-x)**(d+1) is d+1 passes of
+    backward differences over it.  The vector has length d+1 when b <= d;
+    larger offsets push the support out to d + ceil((b-d)/a).  All
     coefficients out to index d+a+b, past that bound, are computed anyway
     and must vanish; a nonzero one raises ArithmeticError.
     """
     _check_shift(d, a, b)
     limit = d + a + b
-    weights = [(-1) ** i * binomial(d + 1, i) for i in range(d + 2)]
-    series = [binomial(d + a * k - b, a * k - b) for k in range(limit + 1)]
-    coeffs = [
-        sum(weights[i] * series[j - i] for i in range(min(j, d + 1) + 1))
-        for j in range(limit + 1)
-    ]
+    first = -(-b // a)  # the first k with a*k >= b
+    coeffs = [0] * first + list(map(math.comb, range(d + a * first - b, d + a * limit - b + 1, a),
+                                    repeat(d)))
+    for _ in range(d + 1):
+        coeffs = list(map(sub, coeffs, [0] + coeffs[:-1]))
     return _trim_to_support(coeffs, d, a, b)
 
 
@@ -146,8 +150,9 @@ def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
 
     c[j] is gbinomial(d+1, a*j - b, a), the coefficient of x**(a*j - b) in
     (1 + x + ... + x**(a-1))**(d+1): the h-vector of a Veronese subring.
-    gbinomial evaluates the same alternating sum as the double sum, summed
-    in the other order.  The vector runs to the same support bound.
+    gbinomial expands the same generating function as shift_decomposition's
+    difference passes, as an alternating sum over the near end of the row.
+    The vector runs to the same support bound.
     """
     _check_shift(d, a, b)
     return [gbinomial(d + 1, a * j - b, a) for j in range(_support_bound(d, a, b) + 1)]

@@ -35,6 +35,12 @@ def brute_gbinomial(n, m, s):
     return sum(1 for t in itertools.product(range(s), repeat=n) if sum(t) == m)
 
 
+def unreflected_gbinomial(n, m, s):
+    """The alternating sum of (1-x**s)**n / (1-x)**n at m as written: no row symmetry used."""
+    return sum((-1) ** k * math.comb(n, k) * math.comb(m - s * k + n - 1, n - 1)
+               for k in range(min(n, m // s) + 1))
+
+
 class TestBinomial:
     def test_examples(self):
         assert binomial(5, 2) == 10
@@ -84,13 +90,19 @@ class TestGBinomial:
             for m in range(n + 1):
                 assert gbinomial(n, m, 2) == binomial(n, m)
 
-    def test_row_sum_and_symmetry(self):
+    def test_row_sum(self):
         # The last case lies far beyond what enumeration can reach.
         for n, s in [(n, s) for n in range(9) for s in range(1, 5)] + [(60, 7)]:
             width = n * (s - 1)
             assert sum(gbinomial(n, m, s) for m in range(width + 1)) == s**n
-            for m in range(width + 1):
-                assert gbinomial(n, m, s) == gbinomial(n, width - m, s)
+
+    def test_reflected_rows_match_the_unreflected_sum(self):
+        # gbinomial reads the upper half of a row from its mirror image, so
+        # symmetry holds by construction; every entry, both halves and the
+        # middle, is held to the sum taken at m itself.
+        for n, s in [(n, s) for n in range(1, 41) for s in range(1, 9)] + [(60, 7)]:
+            for m in range(n * (s - 1) + 1):
+                assert gbinomial(n, m, s) == unreflected_gbinomial(n, m, s), (n, m, s)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import collections
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polytopenums import rectified
 from polytopenums.exact import binomial
@@ -134,6 +136,19 @@ class TestShiftDecomposition:
                     coeffs = shift_decomposition(d, a, b)
                     assert coeffs == window[:len(coeffs)], (d, a, b)
                     assert not any(window[len(coeffs):]), (d, a, b)
+
+    @settings(max_examples=25)  # the literal window takes up to 0.4 s an example
+    @given(st.integers(1, 32), st.integers(1, 305), st.integers(0, 205))
+    @example(32, 305, 205)  # decompose-large's corner: coefficients past 256 bits
+    @example(32, 1, 205)  # the support furthest past index d
+    def test_matches_the_naive_double_sum_past_64_bits(self, d, a, b):
+        # decompose-large's range, held to the double sum written out rather
+        # than to the gbinomial route, so a fault here shows even when that
+        # route carries the same fault.
+        window = naive_shift_window(d, a, b)
+        coeffs = shift_decomposition(d, a, b)
+        assert coeffs == window[:len(coeffs)]
+        assert not any(window[len(coeffs):])
 
     def test_tail_past_the_support_is_still_checked(self, monkeypatch):
         # (2, 2, 5) has its last coefficient, at the true bound 4, nonzero.
