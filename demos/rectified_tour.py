@@ -3,8 +3,10 @@
 
 Rectifying the d-simplex at level r cuts every vertex back to the centers of
 the incident r-faces; the resulting point-count sequences decompose over
-shifted simplex sequences with small nonnegative coefficients, and two
-independent routes produce the same coefficient vectors.
+shifted simplex sequences with small nonnegative coefficients.  Two routes,
+difference passes and generalized binomials, expand the same generating
+function in different ways and produce the same coefficient vectors: they
+cross-check the code, not the formula.
 """
 from polytopenums import (
     recombine,

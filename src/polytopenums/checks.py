@@ -189,10 +189,11 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                 yield _check("recombination", recombined, formula, d=d, r=r, n=n)
 
     # One coefficient vector per (d, a, b) serves every n of the identity,
-    # and one simplex column from 1 holds every stretched argument >= 1.
+    # and one simplex column per (d, a) holds every stretched argument >= 1.
     m = _cap(30, n_max)
     for d in range(1, _cap(6, d_max) + 1):
         for a in range(1, _cap(5, a_max) + 1):
+            stretched = simplex_table(d, 1, a * m - (a - 1))
             for b in range(_cap(5, b_max) + 1):
                 routes = shift_routes(d, a, b)
                 coeffs = routes["double-sum"]
@@ -200,7 +201,6 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                              d=d, a=a, b=b)
                 if b <= d:
                     yield _check("shift-support", len(coeffs), d + 1, d=d, a=a, b=b)
-                stretched = simplex_table(d, 1, a * m - (a - 1) - b)
                 for n, recombined in enumerate(recombine_table(coeffs, d, 1, m), 1):
                     k = a * n - (a - 1) - b
                     if k >= 1:

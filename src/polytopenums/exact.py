@@ -36,7 +36,7 @@ def gbinomial(n: int, m: int, s: int) -> int:
     and the sum has min(n, m//s) + 1 terms.  Both `decompose` modes read
     their second route from here: `rectified.shift_decomposition_gbinom`
     takes shift coefficients as gbinomial(d+1, a*j - b, a), and
-    `rectified_decomposition_gbinom` combines those vectors.
+    `rectified_decomposition_gbinom` sums the stretches' coefficients.
     """
     if s < 1:
         raise ValueError(f"order must be a positive integer, got s={s}")

@@ -18,9 +18,10 @@ interior C(k-2, d) is A(d, k-d-1).  The scalar forms are the one-row reads
 of those tables.  The module also computes the coefficients that rewrite
 such sequences in the basis A(d, n-j) of unit shifts, and `recombine` reads
 a sequence back from its coefficients.  There are two routes per mode:
-d+1 backward-difference passes over the stretched simplex column, and
-generalized binomials, each an alternating sum read from the near end of
-its palindromic row.  They evaluate differently but expand the same
+d+1 backward-difference passes over the stretched simplex column, applied
+once to the rectified mode's weighted sum of stretches, and generalized
+binomials, each an alternating sum read from the near end of its
+palindromic row.  They evaluate differently but expand the same
 generating function, so they cross-check the code, not the formula;
 `verify`'s shift-identity and recombination checks hold the vectors
 against the simplex and rectified columns.
@@ -33,13 +34,10 @@ from n = 2 on.
 """
 from __future__ import annotations
 
-import math
-from itertools import repeat
 from operator import sub
-from typing import Callable
 
 from .exact import binomial, gbinomial
-from .regular import _column_sum, recombine_table
+from .regular import _column_sum, _reads, recombine_table
 
 
 def _check_dimension(d: int, r: int) -> None:
@@ -112,14 +110,20 @@ def _support_bound(d: int, a: int, b: int) -> int:
     return d + max(0, -((d - b) // a))
 
 
-def _trim_to_support(coeffs: list[int], d: int, a: int, b: int) -> list[int]:
-    bound = _support_bound(d, a, b)
-    bad = [(j, c) for j, c in enumerate(coeffs) if j > bound and c != 0]
+def _trimmed(coeffs: list[int], keep: int, what: str) -> list[int]:
+    """coeffs[:keep], raising ArithmeticError if any later coefficient is nonzero."""
+    bad = [(j, c) for j, c in enumerate(coeffs[keep:], keep) if c != 0]
     if bad:
-        raise ArithmeticError(
-            f"shift coefficients for d={d} a={a} b={b} extend past index {bound}: {bad}"
-        )
-    return coeffs[: bound + 1]
+        raise ArithmeticError(f"{what} extend past index {keep - 1}: {bad}")
+    return coeffs[:keep]
+
+
+def _unit_shifts(d: int, terms: list[tuple[int, int, int]], limit: int) -> list[int]:
+    """(1-x)**(d+1) times the strided read of terms, sum w * A(d, a*k + c), for k = 0..limit."""
+    coeffs = _reads(d, terms, 0, limit)
+    for _ in range(d + 1):
+        coeffs = list(map(sub, coeffs, [0] + coeffs[:-1]))
+    return coeffs
 
 
 def shift_decomposition(d: int, a: int, b: int) -> list[int]:
@@ -128,21 +132,15 @@ def shift_decomposition(d: int, a: int, b: int) -> list[int]:
     Returns c with simplex_number(d, a*n - (a-1) - b) equal to the sum of
     c[j] * simplex_number(d, n-j), valid whenever the left argument is >= 1.
     c is (1-x)**(d+1) times the stretched column, the series whose k-th
-    term is C(d+ak-b, d) for ak >= b and 0 below: that column is read by
-    one math.comb map, and multiplying by (1-x)**(d+1) is d+1 passes of
-    backward differences over it.  The vector has length d+1 when b <= d;
+    term is C(d+ak-b, d) = A(d, ak+1-b) for ak >= b and 0 below: the
+    one-term case of _unit_shifts.  The vector has length d+1 when b <= d;
     larger offsets push the support out to d + ceil((b-d)/a).  All
     coefficients out to index d+a+b, past that bound, are computed anyway
     and must vanish; a nonzero one raises ArithmeticError.
     """
     _check_shift(d, a, b)
-    limit = d + a + b
-    first = -(-b // a)  # the first k with a*k >= b
-    coeffs = [0] * first + list(map(math.comb, range(d + a * first - b, d + a * limit - b + 1, a),
-                                    repeat(d)))
-    for _ in range(d + 1):
-        coeffs = list(map(sub, coeffs, [0] + coeffs[:-1]))
-    return _trim_to_support(coeffs, d, a, b)
+    return _trimmed(_unit_shifts(d, [(1, a, 1 - b)], d + a + b), _support_bound(d, a, b) + 1,
+                    f"shift coefficients for d={d} a={a} b={b}")
 
 
 def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
@@ -168,41 +166,31 @@ def recombine(coeffs: list[int], d: int, n: int) -> int:
     return recombine_table(coeffs, d, n, n)[0]
 
 
-def _combined(d: int, r: int, shift: Callable[[int, int, int], list[int]]) -> list[int]:
-    """The stretches' shift vectors, each read by shift(d, a, b), weighted and summed.
-
-    Requires 0 <= r < d.  The combined coefficient at index d must vanish;
-    if it does not, ArithmeticError is raised.
-    """
-    _check_true_rectification(d, r)
-    acc = [0] * (d + 1)
-    for i, weight in _stretch_weights(d, r):
-        for j, c in enumerate(shift(d, i + 1, r - i)):
-            acc[j] += weight * c
-    if acc[d] != 0:
-        raise ArithmeticError(
-            f"rectified decomposition for d={d} r={r} has nonzero coefficient at index {d}"
-        )
-    return acc[:d]
-
-
 def rectified_decomposition(d: int, r: int) -> list[int]:
     """Simplex-basis coefficients of the r-rectified d-simplex sequence.
 
     Returns (a_0 .. a_{d-1}) with the rectified sequence equal to the sum of
-    a_j * simplex_number(d, n-j), built by expanding each stretched term of
-    the alternating formula through shift_decomposition and combining.
-    Requires 0 <= r < d; a nonzero coefficient at index d raises ArithmeticError.
+    a_j * simplex_number(d, n-j): _unit_shifts over the alternating
+    formula's weighted stretches A(d, (i+1)k + i+1 - r), out to index d+r+1.
+    Requires 0 <= r < d; a nonzero coefficient from index d on raises
+    ArithmeticError.
     """
-    return _combined(d, r, shift_decomposition)
+    _check_true_rectification(d, r)
+    terms = [(w, i + 1, i + 1 - r) for i, w in _stretch_weights(d, r)]
+    return _trimmed(_unit_shifts(d, terms, d + r + 1), d,
+                    f"rectified coefficients for d={d} r={r}")
 
 
 def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
     """Simplex-basis coefficients via generalized binomial coefficients.
 
-    The same combination over shift_decomposition_gbinom: a_j is the
-    alternating C(d+1, r-i)-weighted sum of order-(i+1) generalized
-    binomials of d+1 at position (i+1)j + i - r.  Must agree with
-    rectified_decomposition entry for entry; the same checks apply.
+    a_j is the alternating C(d+1, r-i)-weighted sum over the stretches i of
+    gbinomial(d+1, (i+1)j + i - r, i+1), for j = 0..d.  Must agree with
+    rectified_decomposition entry for entry; a nonzero a_d raises
+    ArithmeticError.
     """
-    return _combined(d, r, shift_decomposition_gbinom)
+    _check_true_rectification(d, r)
+    weights = _stretch_weights(d, r)
+    coeffs = [sum(w * gbinomial(d + 1, (i + 1) * j + i - r, i + 1) for i, w in weights)
+              for j in range(d + 1)]
+    return _trimmed(coeffs, d, f"rectified coefficients for d={d} r={r}")

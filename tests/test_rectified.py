@@ -1,6 +1,7 @@
 """Tests for rectified-simplex sequences and their decompositions."""
 import collections
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -239,19 +240,39 @@ class TestRectifiedDecomposition:
                 assert recombine(rectified_decomposition_gbinom(d, r), d, 1) == 1
 
     def test_nonzero_coefficient_at_index_d_is_rejected(self, monkeypatch):
-        # One unit too many at index d of every stretch's shift vector adds
-        # the sum of the stretch weights, (-1)**r C(d, r) != 0, at index d.
-        exact = rectified.shift_decomposition
-        monkeypatch.setattr(rectified, "shift_decomposition",
-                            lambda d, a, b: [c + (j == d) for j, c in enumerate(exact(d, a, b))])
-        with pytest.raises(ArithmeticError, match="d=3 r=1 has nonzero coefficient at index 3"):
+        # One unit too many at index d of the coefficient vector, from each
+        # route's own reads.  Adding C(k, d), the series of x**d / (1-x)**(d+1),
+        # to the shift-composition route's summed column does that after its
+        # d+1 difference passes.
+        reads = rectified._reads
+        monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to: [
+            v + math.comb(k, d) for k, v in enumerate(reads(d, terms, n_from, n_to), n_from)])
+        message = r"rectified coefficients for d=3 r=1 extend past index 2: \[\(3, 1\)\]"
+        with pytest.raises(ArithmeticError, match=message):
             rectified_decomposition(3, 1)
-        # The same bump on the generalized-binomial vectors trips the same check.
-        gbinom = rectified.shift_decomposition_gbinom
-        monkeypatch.setattr(rectified, "shift_decomposition_gbinom",
-                            lambda d, a, b: [c + (j == d) for j, c in enumerate(gbinom(d, a, b))])
-        with pytest.raises(ArithmeticError, match="d=3 r=1 has nonzero coefficient at index 3"):
+        monkeypatch.undo()
+        # On the gbinomial route, coefficient d of stretch i = r, whose weight
+        # is 1, is gbinomial(d+1, (r+1)d, r+1): the only call with m == s*d.
+        gbinomial = rectified.gbinomial
+        monkeypatch.setattr(rectified, "gbinomial",
+                            lambda n, m, s: gbinomial(n, m, s) + (m == s * (n - 1)))
+        with pytest.raises(ArithmeticError, match=message):
             rectified_decomposition_gbinom(3, 1)
+
+    def test_tail_is_checked_out_to_index_d_plus_r_plus_1(self, monkeypatch):
+        # Each stretch's own shift vector reaches index d+r+1, so the summed
+        # expansion must read and check that far.  Adding C(k - t + d, d)
+        # from k = t on puts one unit at coefficient t alone.
+        reads = rectified._reads
+        for d, r in [(3, 1), (5, 2), (6, 5)]:
+            for t in range(d, d + r + 2):
+                monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to, t=t: [
+                    v + (math.comb(k - t + d, d) if k >= t else 0)
+                    for k, v in enumerate(reads(d, terms, n_from, n_to), n_from)])
+                message = rf"d={d} r={r} extend past index {d - 1}: \[\({t}, 1\)\]"
+                with pytest.raises(ArithmeticError, match=message):
+                    rectified_decomposition(d, r)
+                monkeypatch.undo()
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,10 @@ entry-by-entry head gives way to a prefix-sum tail, and simplex_table's
 switch from `math.comb` to the recurrence above 64 bits; the long
 b-file tables are pinned at sampled rows.  Two more properties hold the two
 routes of each `decompose` mode to each other and to the rows their
-vectors must recombine to, at d up to 40, where coefficients pass 64 bits.
+vectors must recombine to, at d up to 40, where coefficients pass 64 bits;
+the lambda property also holds `rectified_decomposition`, which expands the
+summed stretches once, to each stretch's `shift_decomposition` weighted and
+summed.
 """
 import math
 from unittest import mock
@@ -282,13 +285,25 @@ def test_shift_decomposition_property(d, a, b):
     assert_shift_facts(d, a, b)
 
 
+def composed_decomposition(d, r):
+    """The stretches' shift vectors, each expanded on its own, weighted, summed and trimmed to d."""
+    acc = [0] * (d + 1)
+    for i in range(r + 1):
+        weight = (-1) ** (r - i) * binomial(d + 1, r - i)
+        for j, c in enumerate(shift_decomposition(d, i + 1, r - i)):
+            acc[j] += weight * c
+    assert acc[d] == 0, (d, r)
+    return acc[:d]
+
+
 @given(st.integers(1, 40).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))))
-@example((40, 20))
+@example((40, 20))  # coefficients far past 64 bits
 def test_rectified_decomposition_property(level):
-    """Both lambda routes agree, and the vector recombines to the rectified rows."""
+    """Both lambda routes agree, equal the composed shift vectors, and recombine to the rows."""
     d, r = level
     coeffs = rectified_decomposition(d, r)
     assert coeffs == rectified_decomposition_gbinom(d, r), (d, r)
+    assert coeffs == composed_decomposition(d, r), (d, r)
     assert recombine_table(coeffs, d, 1, 8) == rectified_simplex_table(d, r, 1, 8), (d, r)
 
 
