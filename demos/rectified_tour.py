@@ -6,9 +6,11 @@ the incident r-faces; the resulting point-count sequences decompose over
 shifted simplex sequences with small nonnegative coefficients.  Two routes,
 difference passes and generalized binomials, expand the same generating
 function in different ways and produce the same coefficient vectors: they
-cross-check the code, not the formula.
+cross-check the code, not the formula.  Each rectified vector is also the
+alternating sum of the shift vectors of its stretched simplex sequences.
 """
 from polytopenums import (
+    binomial,
     recombine,
     rectified_decomposition,
     rectified_decomposition_gbinom,
@@ -48,3 +50,15 @@ print("\nSpot check of the stretch identity at d=3, a=2, b=0, n=4:")
 lhs = simplex_number(3, 2 * 4 - 1)
 rhs = recombine(shift_decomposition(3, 2, 0), 3, 4)
 print(f"  direct value {lhs} vs recombined value {rhs}")
+
+print("\nA rectified vector is the alternating sum of its stretches' shift vectors.")
+print("Stretch i = 0..r reads A(d, a*n-(a-1)-b) with a = i+1, b = r-i, weight")
+print("(-1)**(r-i) C(d+1, r-i).  The sum is 0 at index d, where the vector stops:")
+d, r = 3, 1
+total = [0] * (d + 1)
+for i in range(r + 1):
+    a, b, w = i + 1, r - i, (-1) ** (r - i) * binomial(d + 1, r - i)
+    shifts = shift_decomposition(d, a, b)
+    print(f"  a={a} b={b} weight {w:+d}: {shifts}")
+    total = [t + w * c for t, c in zip(total, shifts)]
+print(f"  sum {total} vs rectified_decomposition({d}, {r}) = {rectified_decomposition(d, r)}")

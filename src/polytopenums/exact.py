@@ -33,10 +33,7 @@ def gbinomial(n: int, m: int, s: int) -> int:
     s >= 1; out-of-range m gives 0.  Evaluated as the alternating sum
     sum (-1)**k C(n, k) C(m-sk+n-1, n-1), read off (1-x**s)**n / (1-x)**n,
     at the nearer of m and its mirror n(s-1) - m: the row is palindromic,
-    and the sum has min(n, m//s) + 1 terms.  Both `decompose` modes read
-    their second route from here: `rectified.shift_decomposition_gbinom`
-    takes shift coefficients as gbinomial(d+1, a*j - b, a), and
-    `rectified_decomposition_gbinom` sums the stretches' coefficients.
+    and the sum has min(n, m//s) + 1 terms.
     """
     if s < 1:
         raise ValueError(f"order must be a positive integer, got s={s}")

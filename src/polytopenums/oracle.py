@@ -20,8 +20,8 @@ d = 0 gives POINT.
 Evaluation is bottom-up, with no recursion on n.  Each descriptor has one
 table, a pair of lists holding its value and interior counts for
 n = 0 .. N, filled by the face-lattice recursion: a fill walks
-`face_closure(p)`, p and every face in its transitive face closure, faces
-first, and extends each of their tables up to the asked n.  Size policy:
+`face_closure(p)`, p and every face type its census lists, faces first,
+and extends each of their tables up to the asked n.  Size policy:
 the recursion fills a fixed head, rows 0 .. H(p) with
 H(p) = max(40, dim + 3), and never more; a descriptor's N is the largest
 n asked of any descriptor whose closure contains it, capped at that
@@ -224,18 +224,14 @@ def faces_of(p: PolytopeDescriptor) -> FaceCensus:
 def face_closure(*roots: PolytopeDescriptor) -> list[PolytopeDescriptor]:
     """The roots and every face of theirs, POINT included, faces first.
 
-    Sorted by (dimension, repr), the order `faces_of` lists its entries in,
-    so each face comes before any polytope it is a face of.
+    A face of a face is a face (Ziegler, Lectures on Polytopes, 1995), so
+    each root's census already lists every face type below it: the closure
+    is the roots and the faces of their censuses.  Sorted by (dimension,
+    repr), the order `faces_of` lists its entries in, so each face comes
+    before any polytope it is a face of.
     """
-    closure: set[PolytopeDescriptor] = set()
-    stack = list(roots)
-    while stack:
-        q = stack.pop()
-        if q not in closure:
-            closure.add(q)
-            if not isinstance(q, Point):
-                stack.extend(e.face for e in faces_of(q).entries)
-    return sorted(closure, key=_faces_first)
+    faces = {e.face for p in roots if not isinstance(p, Point) for e in faces_of(p).entries}
+    return sorted(faces.union(roots), key=_faces_first)
 
 
 _lock = threading.Lock()  # held by every fill and every change to the tables

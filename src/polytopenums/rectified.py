@@ -3,25 +3,27 @@
 Rectifying the d-simplex at level r (truncating every vertex to the centers
 of the incident r-faces) produces the polytope whose vertices are the
 (r+1)-subsets of d+1 points.  Its point-count sequence is an alternating,
-inclusion-exclusion style sum of stretched simplex sequences:
+inclusion-exclusion style sum over the stretches (w, a, b) of `_stretches`:
 
-    value(d, r, n) = sum over i of (-1)**(r-i) C(d+1, r-i) A(d, (i+1)n - r)
+    value(d, r, n) = sum of w * A(d, a*n - (a-1) - b) over the stretches
 
-where A is the clamped d-simplex sequence.  That sum and its interior
-companion are written once, as table forms: each is one call of the
-`regular` column kernel, whose terms are the weighted stretches
-(weight, i+1, offset) of a single simplex column.  Each stretch is a
-degree-d polynomial in n once (i+1)n + offset >= 1-d, so the kernel reads
-a head of about d+2 rows entry by entry and extends it by d-fold prefix
-sums.  The interior reads the same column shifted by d+1, since the simplex
-interior C(k-2, d) is A(d, k-d-1).  The scalar forms are the one-row reads
-of those tables.  The module also computes the coefficients that rewrite
-such sequences in the basis A(d, n-j) of unit shifts, and `recombine` reads
-a sequence back from its coefficients.  There are two routes per mode:
-d+1 backward-difference passes over the stretched simplex column, applied
-once to the rectified mode's weighted sum of stretches, and generalized
-binomials, each an alternating sum read from the near end of its
-palindromic row.  They evaluate differently but expand the same
+where A is the clamped d-simplex sequence and stretch i = 0..r has
+w = (-1)**(r-i) C(d+1, r-i), a = i+1 and b = r-i: the sequence that
+`shift_decomposition(d, a, b)` rewrites, read by every formula here.  The
+sum and its interior companion are written once, as table forms: each is
+one call of the `regular` column kernel, whose terms (w, a, offset) read a
+single simplex column.  Each stretch is a degree-d polynomial in n once
+a*n + offset >= 1-d, so the kernel reads a head of about d+2 rows entry by
+entry and extends it by d-fold prefix sums.  The interior sum reads the
+simplex interior at a*n + 1 - a + b, the same column shifted by d+1, since
+the simplex interior C(k-2, d) is A(d, k-d-1).  The scalar forms are the
+one-row reads of those tables.  The module also computes the coefficients
+that rewrite such sequences in the basis A(d, n-j) of unit shifts, and
+`recombine` reads a sequence back from its coefficients.  There are two
+routes per mode: d+1 backward-difference passes over the stretched simplex
+column, applied once to the rectified mode's weighted sum of stretches, and
+generalized binomials, each an alternating sum read from the near end of
+its palindromic row.  They evaluate differently but expand the same
 generating function, so they cross-check the code, not the formula;
 `verify`'s shift-identity and recombination checks hold the vectors
 against the simplex and rectified columns.
@@ -62,9 +64,9 @@ def _check_true_rectification(d: int, r: int) -> None:
         raise ValueError(f"decomposition requires 0 <= r < d, got d={d} r={r}")
 
 
-def _stretch_weights(d: int, r: int) -> list[tuple[int, int]]:
-    """(i, (-1)**(r-i) C(d+1, r-i)) for the stretches i = 0..r of the alternating sum."""
-    return [(i, (-1) ** (r - i) * binomial(d + 1, r - i)) for i in range(r + 1)]
+def _stretches(d: int, r: int) -> list[tuple[int, int, int]]:
+    """(w, a, b) = ((-1)**(r-i) C(d+1, r-i), i+1, r-i): the stretches i = 0..r."""
+    return [((-1) ** (r - i) * binomial(d + 1, r - i), i + 1, r - i) for i in range(r + 1)]
 
 
 def rectified_simplex_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
@@ -72,22 +74,21 @@ def rectified_simplex_table(d: int, r: int, n_from: int, n_to: int) -> list[int]
 
     Valid as geometric counts for 0 <= r < d; larger r evaluates the same
     alternating formula as a formal sequence.  Rows with n <= 0 come out 0
-    with no special case: every argument (i+1)n - r is then below 1.
+    with no special case: every argument a*n + 1 - a - b is then below 1.
     """
     _check_dimension(d, r)
-    return _column_sum(d, [(w, i + 1, -r) for i, w in _stretch_weights(d, r)], n_from, n_to)
+    return _column_sum(d, [(w, a, 1 - a - b) for w, a, b in _stretches(d, r)], n_from, n_to)
 
 
 def rectified_simplex_interior_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
     """Interior point counts of the r-rectified d-simplex arrays for n_from..n_to.
 
-    Stretch i reads the simplex interior at (i+1)n + r - 2i, which is the
-    simplex column at (i+1)n + r - 2i - d - 1.  Rows with n <= 0 come out
-    0: a nonzero weight needs r-i <= d+1, and then that argument is below 1.
+    Stretch (w, a, b) reads the simplex interior at a*n + 1 - a + b, which
+    is the simplex column at a*n + b - a - d.  Rows with n <= 0 come out 0:
+    a nonzero weight needs b <= d+1, and then that argument is below 1.
     """
     _check_dimension(d, r)
-    return _column_sum(d, [(w, i + 1, r - 2 * i - d - 1) for i, w in _stretch_weights(d, r)],
-                       n_from, n_to)
+    return _column_sum(d, [(w, a, b - a - d) for w, a, b in _stretches(d, r)], n_from, n_to)
 
 
 def rectified_simplex_number(d: int, r: int, n: int) -> int:
@@ -118,9 +119,9 @@ def _trimmed(coeffs: list[int], keep: int, what: str) -> list[int]:
     return coeffs[:keep]
 
 
-def _unit_shifts(d: int, terms: list[tuple[int, int, int]], limit: int) -> list[int]:
-    """(1-x)**(d+1) times the strided read of terms, sum w * A(d, a*k + c), for k = 0..limit."""
-    coeffs = _reads(d, terms, 0, limit)
+def _unit_shifts(d: int, stretches: list[tuple[int, int, int]], limit: int) -> list[int]:
+    """(1-x)**(d+1) times sum w * A(d, a*k + 1 - b) over stretches (w, a, b), for k = 0..limit."""
+    coeffs = _reads(d, [(w, a, 1 - b) for w, a, b in stretches], 0, limit)
     for _ in range(d + 1):
         coeffs = list(map(sub, coeffs, [0] + coeffs[:-1]))
     return coeffs
@@ -132,14 +133,14 @@ def shift_decomposition(d: int, a: int, b: int) -> list[int]:
     Returns c with simplex_number(d, a*n - (a-1) - b) equal to the sum of
     c[j] * simplex_number(d, n-j), valid whenever the left argument is >= 1.
     c is (1-x)**(d+1) times the stretched column, the series whose k-th
-    term is C(d+ak-b, d) = A(d, ak+1-b) for ak >= b and 0 below: the
-    one-term case of _unit_shifts.  The vector has length d+1 when b <= d;
+    term is C(d+ak-b, d) = A(d, ak+1-b) for ak >= b and 0 below:
+    _unit_shifts of [(1, a, b)].  The vector has length d+1 when b <= d;
     larger offsets push the support out to d + ceil((b-d)/a).  All
     coefficients out to index d+a+b, past that bound, are computed anyway
     and must vanish; a nonzero one raises ArithmeticError.
     """
     _check_shift(d, a, b)
-    return _trimmed(_unit_shifts(d, [(1, a, 1 - b)], d + a + b), _support_bound(d, a, b) + 1,
+    return _trimmed(_unit_shifts(d, [(1, a, b)], d + a + b), _support_bound(d, a, b) + 1,
                     f"shift coefficients for d={d} a={a} b={b}")
 
 
@@ -170,27 +171,25 @@ def rectified_decomposition(d: int, r: int) -> list[int]:
     """Simplex-basis coefficients of the r-rectified d-simplex sequence.
 
     Returns (a_0 .. a_{d-1}) with the rectified sequence equal to the sum of
-    a_j * simplex_number(d, n-j): _unit_shifts over the alternating
-    formula's weighted stretches A(d, (i+1)k + i+1 - r), out to index d+r+1.
-    Requires 0 <= r < d; a nonzero coefficient from index d on raises
-    ArithmeticError.
+    a_j * simplex_number(d, n-j): _unit_shifts over the stretches (w, a, b),
+    out to index d+r+1, the shift rule d+a+b for every stretch.  Requires
+    0 <= r < d; a nonzero coefficient from index d on raises ArithmeticError.
     """
     _check_true_rectification(d, r)
-    terms = [(w, i + 1, i + 1 - r) for i, w in _stretch_weights(d, r)]
-    return _trimmed(_unit_shifts(d, terms, d + r + 1), d,
+    return _trimmed(_unit_shifts(d, _stretches(d, r), d + r + 1), d,
                     f"rectified coefficients for d={d} r={r}")
 
 
 def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
     """Simplex-basis coefficients via generalized binomial coefficients.
 
-    a_j is the alternating C(d+1, r-i)-weighted sum over the stretches i of
-    gbinomial(d+1, (i+1)j + i - r, i+1), for j = 0..d.  Must agree with
-    rectified_decomposition entry for entry; a nonzero a_d raises
-    ArithmeticError.
+    a_j sums w * gbinomial(d+1, a*j - b, a) over the stretches (w, a, b),
+    for j = 0..d: _support_bound + 1 = d+1 entries for every stretch, as
+    b <= r < d.  Must agree with rectified_decomposition entry for entry;
+    a nonzero a_d raises ArithmeticError.
     """
     _check_true_rectification(d, r)
-    weights = _stretch_weights(d, r)
-    coeffs = [sum(w * gbinomial(d + 1, (i + 1) * j + i - r, i + 1) for i, w in weights)
+    stretches = _stretches(d, r)
+    coeffs = [sum(w * gbinomial(d + 1, a * j - b, a) for w, a, b in stretches)
               for j in range(d + 1)]
     return _trimmed(coeffs, d, f"rectified coefficients for d={d} r={r}")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polytopenums import oracle
+from polytopenums import checks, oracle
 from polytopenums.oracle import (
     POINT,
     CrossPolytope,
@@ -115,6 +115,11 @@ class TestDescriptors:
         assert Simplex(3) == simplex(3) and hash(Simplex(3)) == hash(simplex(3))
 
 
+# The census tests' roots: every family, at several dimensions.
+CENSUS_ROOTS = [simplex(8), cross_polytope(6), hypercube(6)] + [
+    hypersimplex(m, s) for m in range(4, 10) for s in range(2, m // 2 + 1)]
+
+
 class TestCensus:
     def test_triangle(self):
         census = faces_of(simplex(2))
@@ -149,9 +154,7 @@ class TestCensus:
         assert [e.total - e.not_containing for e in cube.entries] == [1, 3, 3]
 
     def test_euler_relation_everywhere(self):
-        roots = [simplex(8), cross_polytope(6), hypercube(6)]
-        roots += [hypersimplex(m, s) for m in range(4, 10) for s in range(2, m // 2 + 1)]
-        point, *polytopes = face_closure(*roots)
+        point, *polytopes = face_closure(*CENSUS_ROOTS)
         assert point is POINT  # the one 0-dimensional descriptor sorts first
         for p in polytopes:
             census = faces_of(p)
@@ -159,13 +162,15 @@ class TestCensus:
             assert alternating == 1 + (-1) ** (p.dimension - 1), p
             for e in census.entries:
                 assert 0 <= e.not_containing <= e.total
-        assert len(polytopes) > 25  # the walk really closed over sub-faces
+        assert len(polytopes) > 25  # the roots' censuses bring in faces that are not roots
 
-    @pytest.mark.parametrize("root", [simplex(6), cross_polytope(5), hypercube(4),
-                                      hypersimplex(7, 3)])
-    def test_face_closure_is_closed_and_faces_first(self, root):
-        closure = face_closure(root)
-        assert root in closure and POINT in closure
+    @pytest.mark.parametrize("roots", [[root] for root in CENSUS_ROOTS] + [CENSUS_ROOTS],
+                             ids=[repr(root) for root in CENSUS_ROOTS] + ["all-roots"])
+    def test_face_closure_is_closed_and_faces_first(self, roots):
+        # The closure reads only the roots' censuses, so this holds each
+        # census to listing every face of each of its faces.
+        closure = face_closure(*roots)
+        assert all(root in closure for root in roots) and POINT in closure
         position = {q: i for i, q in enumerate(closure)}
         for q in closure:
             if not isinstance(q, Point):
@@ -420,3 +425,17 @@ class TestHead:
         assert rows == rectified_simplex_table(7, 3, 1, 2000)
         assert len(fills) <= 40  # the head, max(40, dim + 3)
         assert table_sizes()[p] == 40
+
+    @pytest.mark.parametrize("bounds", [(None, None), (None, 41)])
+    def test_verify_family_checks_read_raw_recursion_rows(self, bounds):
+        # verify's oracle suite compares the recursion's own rows, never the
+        # extension past the head: an n bound lowers n and never raises it.
+        families = {"simplex-value": "alpha", "simplex-interior": "alpha",
+                    "cross-polytope": "beta", "hypercube": "gamma",
+                    "rectified-value": "lambda", "rectified-interior": "lambda"}
+        compared = [check for check in checks.oracle_checks(*bounds) if check.identity in families]
+        assert {check.identity for check in compared} == set(families)
+        for check in compared:
+            params = dict(check.params)
+            p = checks.family_descriptor(families[check.identity], params["d"], params.get("r"))
+            assert params["n"] <= oracle._head(p), check.describe()
