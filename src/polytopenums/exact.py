@@ -7,6 +7,7 @@ anywhere.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 
 def binomial(r: int, k: int) -> int:
@@ -33,21 +34,34 @@ def gbinomial(n: int, m: int, s: int) -> int:
     s >= 1; out-of-range m gives 0.  Evaluated as the alternating sum
     sum (-1)**k C(n, k) C(m-sk+n-1, n-1), read off (1-x**s)**n / (1-x)**n,
     at the nearer of m and its mirror n(s-1) - m: the row is palindromic,
-    and the sum has min(n, m//s) + 1 terms.
+    and the sum has min(n, m//s) + 1 terms: `_gbinomials` of one read.
     """
-    if s < 1:
-        raise ValueError(f"order must be a positive integer, got s={s}")
+    return _gbinomials(n, [(m, s)])[0]
+
+
+def _gbinomials(n: int, reads: list[tuple[int, int]]) -> list[int]:
+    """gbinomial(n, m, s) for each (m, s) in reads, m reflected to its row's near end.
+
+    Every read sums the signed row (-1)**k C(n, k) against one column
+    C(t+n-1, n-1) at t = m, m-s, m-2s, ...  The column is built once per
+    call, up to the largest reflected m, by the exact step
+    C(t+n-1, n-1) = C(t+n-2, n-1) * (t+n-1) / t; a remainder raises ArithmeticError.
+    """
+    for _, s in reads:
+        if s < 1:
+            raise ValueError(f"order must be a positive integer, got s={s}")
     if n < 0:
         raise ValueError(f"upper argument must be nonnegative, got n={n}")
-    if m < 0 or m > n * (s - 1):
-        return 0
-    if n == 0:
-        return 1
-    m = min(m, n * (s - 1) - m)
-    return sum(
-        (-1) ** k * math.comb(n, k) * math.comb(m - s * k + n - 1, n - 1)
-        for k in range(min(n, m // s) + 1)
-    )
+    near = [min(m, n * (s - 1) - m) for m, s in reads]  # negative when m is out of range
+    value, column = 1, [1]
+    for t in range(1, max(near, default=0) + 1):
+        value, remainder = divmod(value * (t + n - 1), t)
+        if remainder:
+            raise ArithmeticError(f"inexact gbinomial column step at n={n} t={t}")
+        column.append(value)
+    signed = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+    return [sum(map(mul, signed, column[m::-s])) if m >= 0 else 0
+            for m, (_, s) in zip(near, reads)]
 
 
 def eulerian(d: int, i: int) -> int:

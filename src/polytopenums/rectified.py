@@ -23,10 +23,11 @@ that rewrite such sequences in the basis A(d, n-j) of unit shifts, and
 routes per mode: d+1 backward-difference passes over the stretched simplex
 column, applied once to the rectified mode's weighted sum of stretches, and
 generalized binomials, each an alternating sum read from the near end of
-its palindromic row.  They evaluate differently but expand the same
-generating function, so they cross-check the code, not the formula;
-`verify`'s shift-identity and recombination checks hold the vectors
-against the simplex and rectified columns.
+its palindromic row; one `exact._gbinomials` call reads all of a
+decomposition's from one column C(t+d, d) of its own.  They evaluate
+differently but expand the same generating function, so they cross-check
+the code, not the formula; `verify`'s shift-identity and recombination
+checks hold the vectors against the simplex and rectified columns.
 
 The degenerate families with d <= r are still defined by the same formulas,
 as formal sequences.  For d == r the value is 1 at every n >= 1 and the
@@ -36,9 +37,9 @@ from n = 2 on.
 """
 from __future__ import annotations
 
-from operator import sub
+from operator import mul, sub
 
-from .exact import binomial, gbinomial
+from .exact import _gbinomials, binomial
 from .regular import _column_sum, _reads, recombine_table
 
 
@@ -151,10 +152,10 @@ def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
     (1 + x + ... + x**(a-1))**(d+1): the h-vector of a Veronese subring.
     gbinomial expands the same generating function as shift_decomposition's
     difference passes, as an alternating sum over the near end of the row.
-    The vector runs to the same support bound.
+    The vector runs to the same support bound, read by one `_gbinomials` call.
     """
     _check_shift(d, a, b)
-    return [gbinomial(d + 1, a * j - b, a) for j in range(_support_bound(d, a, b) + 1)]
+    return _gbinomials(d + 1, [(a * j - b, a) for j in range(_support_bound(d, a, b) + 1)])
 
 
 def recombine(coeffs: list[int], d: int, n: int) -> int:
@@ -185,11 +186,13 @@ def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
 
     a_j sums w * gbinomial(d+1, a*j - b, a) over the stretches (w, a, b),
     for j = 0..d: _support_bound + 1 = d+1 entries for every stretch, as
-    b <= r < d.  Must agree with rectified_decomposition entry for entry;
-    a nonzero a_d raises ArithmeticError.
+    b <= r < d.  One `_gbinomials` call reads all (r+1)(d+1) of them from one
+    shared column C(t+d, d).  Must agree with rectified_decomposition entry
+    for entry; a nonzero a_d raises ArithmeticError.
     """
     _check_true_rectification(d, r)
     stretches = _stretches(d, r)
-    coeffs = [sum(w * gbinomial(d + 1, a * j - b, a) for w, a, b in stretches)
-              for j in range(d + 1)]
+    values = _gbinomials(d + 1, [(a * j - b, a) for _, a, b in stretches for j in range(d + 1)])
+    weights = [w for w, _, _ in stretches]
+    coeffs = [sum(map(mul, weights, values[j::d + 1])) for j in range(d + 1)]
     return _trimmed(coeffs, d, f"rectified coefficients for d={d} r={r}")

@@ -3,8 +3,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from polytopenums.exact import _eulerian_row, binomial, eulerian, gbinomial
+from polytopenums import exact
+from polytopenums.exact import _eulerian_row, _gbinomials, binomial, eulerian, gbinomial
 
 
 def falling_factorial_binomial(r, k):
@@ -109,6 +112,44 @@ class TestGBinomial:
             gbinomial(3, 1, 0)
         with pytest.raises(ValueError):
             gbinomial(-1, 0, 2)
+
+
+@st.composite
+def gbinomial_batches(draw):
+    """(n, reads): mixed orders s <= 9, m from below 0 to past n(s-1), n <= 40."""
+    n = draw(st.integers(0, 40))
+    read = st.integers(1, 9).flatmap(
+        lambda s: st.tuples(st.integers(-3, n * (s - 1) + 3), st.just(s)))
+    return n, draw(st.lists(read, max_size=30))
+
+
+class TestGBinomials:
+    @given(gbinomial_batches())
+    @example((0, [(0, 1), (0, 5), (-1, 3), (1, 3)]))  # n = 0: only m = 0 is in range
+    @example((7, []))  # empty batches build no column past t = 0
+    @example((0, []))
+    @example((40, [(40 * 8, 9), (40 * 8 + 1, 9), (-1, 9), (160, 9), (20, 2)]))  # ends, middle
+    def test_batch_matches_the_unreflected_sum_read_by_read(self, batch):
+        n, reads = batch
+        # The unreflected sum is 0 past the row's end; at n = 0 its C(., -1)
+        # is undefined, and the count of empty tuples stands in.
+        want = [unreflected_gbinomial(n, m, s) if n else brute_gbinomial(n, m, s)
+                for m, s in reads]
+        assert _gbinomials(n, reads) == want
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="order must be a positive integer, got s=0"):
+            _gbinomials(3, [(1, 2), (1, 0)])
+        with pytest.raises(ValueError, match="upper argument must be nonnegative, got n=-1"):
+            _gbinomials(-1, [(0, 2)])
+
+    def test_column_rejects_an_inexact_step(self, monkeypatch):
+        # The column's steps divide exactly; a remainder injected at t = 3
+        # must raise rather than be dropped.
+        monkeypatch.setattr(exact, "divmod", lambda x, y: (x // y, x % y + (y == 3)),
+                            raising=False)
+        with pytest.raises(ArithmeticError, match="inexact gbinomial column step at n=4 t=3"):
+            _gbinomials(4, [(4, 3)])
 
 
 class TestEulerian:

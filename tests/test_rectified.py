@@ -128,6 +128,10 @@ class TestShiftDecomposition:
                 for b in range(6):
                     assert shift_decomposition(d, a, b) == shift_decomposition_gbinom(d, a, b)
 
+    @pytest.mark.parametrize("d, a, b", [(32, 305, 205), (6, 300, 200)])
+    def test_routes_agree_at_decompose_large_corners(self, d, a, b):
+        assert shift_decomposition(d, a, b) == shift_decomposition_gbinom(d, a, b)
+
     def test_matches_the_naive_double_sum(self):
         # Offsets past d included: there the support grows past index d.
         for d in range(1, 7):
@@ -232,6 +236,10 @@ class TestRectifiedDecomposition:
                 assert via_shifts[0] == 1
                 assert all(c >= 0 for c in via_shifts)
 
+    def test_routes_agree_at_large_parameters(self):
+        # d = 100 is past every grid; each route is well under a second here.
+        assert rectified_decomposition(100, 50) == rectified_decomposition_gbinom(100, 50)
+
     def test_recombination_examples(self):
         assert recombine(rectified_decomposition_gbinom(4, 1), 4, 3) == 45
         assert recombine(rectified_decomposition_gbinom(3, 1), 3, 4) == 44
@@ -252,10 +260,11 @@ class TestRectifiedDecomposition:
             rectified_decomposition(3, 1)
         monkeypatch.undo()
         # On the gbinomial route, coefficient d of stretch i = r, whose weight
-        # is 1, is gbinomial(d+1, (r+1)d, r+1): the only call with m == s*d.
-        gbinomial = rectified.gbinomial
-        monkeypatch.setattr(rectified, "gbinomial",
-                            lambda n, m, s: gbinomial(n, m, s) + (m == s * (n - 1)))
+        # is 1, is gbinomial(d+1, (r+1)d, r+1): in the route's one batch of
+        # reads, the only read with m == s*d.
+        gbinomials = rectified._gbinomials
+        monkeypatch.setattr(rectified, "_gbinomials", lambda n, reads: [
+            v + (m == s * (n - 1)) for v, (m, s) in zip(gbinomials(n, reads), reads)])
         with pytest.raises(ArithmeticError, match=message):
             rectified_decomposition_gbinom(3, 1)
 
