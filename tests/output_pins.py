@@ -7,8 +7,9 @@ committed digests and `tests/test_output_pins.py` recomputes them.
 
 - decompose-lambda: every `decompose --lambda` case with d <= 32 in every
   format, r from 0 to d+1, so the usage errors at d = 0 and r >= d are in.
-- decompose-shift: a seeded sample of `decompose --shift` over d <= 8,
-  small and large a and b, every format, plus the usage errors of the mode.
+- decompose-shift: a grid and a seeded sample of `decompose --shift` over
+  d <= 8, small and large a and b, every format, plus the usage errors of
+  a missing or mixed mode and of missing or stray parameters.
 
 A change that moves output on purpose updates only the groups it moves.
 Print the current digests with
