@@ -4,9 +4,14 @@
 descriptor, each coefficient route, `SUITES`) and `oracle`, renders and
 exits; it holds no formula or grid.  `seq` renders each format straight
 from its columns (n, value, interior, match); `checks.formula_columns` and
-`oracle.oracle_table` each give theirs for --from..--to in one call.  JSON
-rows fill one fixed row template with the bytes `json.dumps(indent=2,
-sort_keys=True)` would give, so no encoder runs per row.
+`oracle.oracle_table` each give theirs for --from..--to in one call.  Every
+format fills one row template, `%s` for each cell, so the int columns stay
+ints and are converted inside one `%` per row: JSON rows the bytes
+`json.dumps(indent=2, sort_keys=True)` would give, CSV and b-file rows
+their separators, table rows each column but the last left-justified to
+its width, which for integers is that of its min or its max (or of its
+name).  Every format builds its output in memory, head, rows and tail, and
+writes it in slices.
 
 Exit codes: 0 success, 1 verification failure or route mismatch, 2 usage
 error, 3 internal error: any other exception, reported on stderr as
@@ -31,18 +36,26 @@ from . import checks, identities, oracle
 FAMILIES = ("alpha", "beta", "gamma", "lambda", "oracle")
 ROUTES = ("formula", "oracle", "both")
 FORMATS = ("table", "csv", "json", "bfile")
+_WRITE_SLICE = 1 << 16  # characters of `seq` output per stdout write
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process at first use and shared by every `main` call."""
+    """The argument parser, built once per process at first use and shared by every `main` call.
+
+    Help and usage wrap at a fixed 78 columns, argparse's own width on an
+    80-column terminal, so usage errors do not depend on `COLUMNS`.
+    """
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="polytopenums",
         description="Exact polytope number sequences, decompositions and verification.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seq = sub.add_parser("seq", help="emit a sequence as a table, CSV, JSON or b-file")
+    seq = sub.add_parser("seq", help="emit a sequence as a table, CSV, JSON or b-file",
+                         formatter_class=formatter)
     seq.add_argument("--family", choices=FAMILIES, required=True)
     seq.add_argument("-d", type=int, required=True, help="ambient dimension")
     seq.add_argument("-r", type=int, default=None, help="rectification level")
@@ -53,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--format", choices=FORMATS, default="table")
     seq.add_argument("--interior", action="store_true", help="also emit interior counts")
 
-    dec = sub.add_parser("decompose", help="simplex-basis coefficients via every route")
+    dec = sub.add_parser("decompose", help="simplex-basis coefficients via every route",
+                         formatter_class=formatter)
     mode = dec.add_mutually_exclusive_group(required=True)
     mode.add_argument("--lambda", dest="mode_rectified", action="store_true",
                       help="decompose the r-rectified d-simplex sequence")
@@ -65,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("-b", type=int, default=None)
     dec.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
-    ver = sub.add_parser("verify", help="run the verification suites")
+    ver = sub.add_parser("verify", help="run the verification suites", formatter_class=formatter)
     ver.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all")
     ver.add_argument("--grid", default=None, help="identity grid config file")
     ver.add_argument("--d-max", type=int, help="lowers the default grids' d axis; never raises it")
@@ -161,10 +175,10 @@ def _cmd_seq(args, parser) -> int:
 
 
 def _emit_rows(args, route: str, columns: dict) -> None:
-    out = sys.stdout
-    names = list(columns)
-    cells = [["true" if ok else "false" for ok in column] if name == "match"
-             else list(map(str, column)) for name, column in columns.items()]
+    names = sorted(columns) if args.format == "json" else list(columns)
+    # Only match becomes strings; `%s` converts the int columns in the one `%` per row.
+    data = [["true" if ok else "false" for ok in columns[name]] if name == "match"
+            else columns[name] for name in names]
     if args.format == "json":
         query = {
             "family": args.family,
@@ -177,22 +191,29 @@ def _emit_rows(args, route: str, columns: dict) -> None:
         }
         # Each row as json.dumps(indent=2, sort_keys=True) lays it out: keys
         # in sorted order, values and interiors as quoted decimal strings.
-        keys = sorted(names)
         template = "    {\n" + ",\n".join(
-            f'      "{key}": ' + ('"%s"' if key in ("value", "interior") else "%s")
-            for key in keys) + "\n    }"
-        rows = map(template.__mod__, zip(*(cells[names.index(key)] for key in keys)))
-        head = json.dumps({"query": query}, indent=2, sort_keys=True)[:-2]  # drop "\n}"
-        out.write(head + ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
-        return
-    if args.format == "bfile":
-        out.write("".join(f"{n} {value}\n" for n, value in zip(*cells)))
-    elif args.format == "csv":
-        out.write("".join(",".join(row) + "\n" for row in [names, *zip(*cells)]))
+            f'      "{name}": ' + ('"%s"' if name in ("value", "interior") else "%s")
+            for name in names) + "\n    }"
+        head = json.dumps({"query": query}, indent=2, sort_keys=True)[:-2] + ',\n  "rows": [\n'
+        sep, tail = ",\n", "\n  ]\n}\n"  # the [:-2] drops the query's closing "\n}"
+    elif args.format == "bfile":
+        head, template, sep, tail = "", "%s %s", "\n", "\n"
     else:
-        widths = [max(len(name), *map(len, column)) for name, column in zip(names, cells)]
-        for row in [names, *zip(*cells)]:
-            out.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
+        if args.format == "csv":
+            template = ",".join(["%s"] * len(names))
+        else:
+            # An integer column's longest decimal is at its min or its max.
+            # The last column is never padded, so no line needs an rstrip.
+            widths = [max(len(name), len(str(min(column))), len(str(max(column))))
+                      for name, column in zip(names[:-1], data)]
+            template = "".join(f"%-{width}s  " for width in widths) + "%s"
+        head, sep, tail = template % tuple(names) + "\n", "\n", "\n"
+    text = head + sep.join(map(template.__mod__, zip(*data))) + tail
+    # Unbuffered stdout (python -u) drops the rest of a write that a closed
+    # pipe cuts short and returns as if it were whole; the next write raises.
+    # Writing in slices lets the reader's early close surface as exit 141.
+    for start in range(0, len(text), _WRITE_SLICE):
+        sys.stdout.write(text[start:start + _WRITE_SLICE])
 
 
 # --- decompose ---------------------------------------------------------------

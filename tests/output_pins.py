@@ -10,6 +10,14 @@ committed digests and `tests/test_output_pins.py` recomputes them.
 - decompose-shift: a grid and a seeded sample of `decompose --shift` over
   d <= 8, small and large a and b, every format, plus the usage errors of
   a missing or mixed mode and of missing or stray parameters.
+- seq-alpha, seq-beta, seq-gamma, seq-lambda, seq-oracle: one group per
+  `seq` family, every d and r of a small grid (for lambda and oracle r runs
+  to d+1, so the formal family's negative interiors are in) under every
+  --route, with and without --interior, in every format, over a seeded run
+  of n within 0..60; the combinations `seq` refuses are its usage errors.
+- seq-long: tables of about 3000 rows with d up to 20, so columns widen
+  row by row, in every format.
+- usage: one argv for each usage rule of `seq`, `decompose` and `verify`.
 
 A change that moves output on purpose updates only the groups it moves.
 Print the current digests with
@@ -17,6 +25,7 @@ Print the current digests with
     PYTHONPATH=src python tests/output_pins.py
 """
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -55,7 +64,99 @@ def _decompose_shift():
     return argvs
 
 
-GROUPS = {"decompose-lambda": _decompose_lambda, "decompose-shift": _decompose_shift}
+SEQ_FORMATS = ("table", "csv", "json", "bfile")
+SEQ_ROUTES = (None, "formula", "oracle", "both")
+# Each family's (d, r) grid: d = 0 is refused where the family needs d >= 1,
+# and r >= d is refused on the recursive routes.
+SEQ_POINTS = {
+    "alpha": [(d, None) for d in range(7)],
+    "beta": [(d, None) for d in range(6)],
+    "gamma": [(d, None) for d in range(6)],
+    "lambda": [(d, r) for d in range(7) for r in range(d + 2)],
+    "oracle": [(d, r) for d in range(6) for r in (None, *range(d + 2))],
+}
+
+
+def seq_argv(family, d, r, n_from, n_to, route=None, fmt="table", interior=False):
+    argv = ["seq", "--family", family, "-d", str(d), "--from", str(n_from), "--to", str(n_to),
+            "--format", fmt]
+    argv += ["-r", str(r)] if r is not None else []
+    argv += ["--route", route] if route is not None else []
+    return argv + (["--interior"] if interior else [])
+
+
+def _seq_family(family):
+    rng = random.Random(f"{SEED} {family}")
+    argvs = []
+    for d, r in SEQ_POINTS[family]:
+        for route in SEQ_ROUTES:
+            for interior in (False, True):
+                for fmt in SEQ_FORMATS:
+                    n_from = rng.choice((0, 1, rng.randint(0, 60)))
+                    argvs.append(seq_argv(family, d, r, n_from, rng.randint(n_from, 60),
+                                           route, fmt, interior))
+    return argvs
+
+
+def _seq_long():
+    argvs = [seq_argv("alpha", 20, None, 1, 3000, interior=True),
+             seq_argv("beta", 12, None, 0, 3000),
+             seq_argv("gamma", 20, None, 2900, 3000, "both"),
+             seq_argv("lambda", 20, 7, 1, 3000, interior=True),
+             seq_argv("lambda", 9, 12, 0, 3000, interior=True),  # negative interiors
+             seq_argv("lambda", 8, 3, 1, 3000, "both", interior=True),
+             seq_argv("oracle", 8, 3, 0, 3000)]
+    argvs += [seq_argv("lambda", 12, 6, 1, 3000, fmt=fmt) for fmt in SEQ_FORMATS]
+    argvs += [seq_argv("alpha", 15, None, 1, 3000, "both", fmt, True)
+              for fmt in ("csv", "json")]
+    return argvs
+
+
+def _usage():
+    seq = ["seq", "--family"]
+    return [
+        # `seq`: each rule of _validate_seq, then argparse's own.
+        seq + ["oracle", "-d", "3", "--to", "5", "--route", "formula"],
+        seq + ["lambda", "-d", "3", "--to", "5"],
+        seq + ["gamma", "-d", "2", "-r", "1", "--to", "5"],
+        seq + ["lambda", "-d", "3", "-r", "-1", "--to", "5"],
+        seq + ["oracle", "-d", "-1", "--to", "5"],
+        seq + ["lambda", "-d", "0", "-r", "0", "--to", "5"],
+        seq + ["oracle", "-d", "3", "-r", "3", "--to", "5"],
+        seq + ["alpha", "-d", "2", "--from", "-1", "--to", "5"],
+        seq + ["alpha", "-d", "2", "--from", "6", "--to", "5"],
+        seq + ["alpha", "-d", "2", "--to", "5", "--interior", "--format", "bfile"],
+        seq + ["beta", "-d", "2", "--to", "5", "--interior", "--route", "both"],
+        seq + ["nope", "-d", "2", "--to", "5"],
+        seq + ["alpha", "-d", "2"],
+        seq + ["alpha", "-d", "x", "--to", "5"],
+        # `decompose`: each rule of _cmd_decompose, then argparse's own.
+        ["decompose", "--lambda", "-d", "0", "-r", "0"],
+        ["decompose", "--lambda", "-d", "3"],
+        ["decompose", "--lambda", "-d", "3", "-r", "1", "-b", "0"],
+        ["decompose", "--lambda", "-d", "3", "-r", "3"],
+        ["decompose", "--shift", "-d", "3", "-b", "1"],
+        ["decompose", "--shift", "-d", "3", "-a", "2", "-b", "1", "-r", "0"],
+        ["decompose", "--shift", "-d", "3", "-a", "0", "-b", "1"],
+        ["decompose", "--shift", "-d", "3", "-a", "2", "-b", "-1"],
+        ["decompose", "--lambda", "--shift", "-d", "3", "-r", "1"],
+        ["decompose", "-d", "3", "-r", "1"],
+        # `verify`: each rule of _cmd_verify, then argparse's own.
+        ["verify", "--d-max", "-1"],
+        ["verify", "--suite", "oracle", "--a-max", "2"],
+        ["verify", "--suite", "decompositions", "--a-max", "0"],
+        ["verify", "--suite", "oracle", "--n-max", "0"],
+        ["verify", "--suite", "identities", "--grid", "no-such-grid.cfg"],
+        ["verify", "--suite", "decompositions", "--d-max", "0"],
+        ["verify", "--suite", "nope"],
+        # no command at all
+        [],
+    ]
+
+
+GROUPS = {"decompose-lambda": _decompose_lambda, "decompose-shift": _decompose_shift,
+          **{f"seq-{family}": functools.partial(_seq_family, family) for family in SEQ_POINTS},
+          "seq-long": _seq_long, "usage": _usage}
 
 
 def run(argv):
@@ -78,5 +179,4 @@ def digest(group):
 
 
 if __name__ == "__main__":
-    os.environ["COLUMNS"] = "80"  # argparse wraps its usage line to the terminal
     print(json.dumps({group: digest(group) for group in GROUPS}, indent=2))

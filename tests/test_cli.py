@@ -6,7 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import output_pins
 from polytopenums import checks, cli, identities, oracle
 from polytopenums.identities import IdentityCheck
 from polytopenums.rectified import (
@@ -369,6 +372,87 @@ class TestSeq:
             assert message in captured.err, argv
 
 
+@st.composite
+def seq_argvs(draw):
+    """A `seq` argv that passes every usage rule, as (family, d, r, from, to, route, fmt, interior)."""
+    family = draw(st.sampled_from(cli.FAMILIES))
+    d = draw(st.integers(0 if family in ("alpha", "oracle") else 1, 12))
+    r = None
+    if family == "lambda":
+        r = draw(st.integers(0, 14))  # r >= d: the formal family, negative interiors
+    elif family == "oracle" and d >= 1:
+        r = draw(st.none() | st.integers(0, d - 1))
+    if family == "oracle":
+        route = None
+    else:
+        routes = ["formula", "both", "oracle"] if r is None or r < d else ["formula"]
+        route = draw(st.sampled_from(routes))
+    interior = draw(st.booleans()) and (family not in ("beta", "gamma") or route == "oracle")
+    formats = list(cli.FORMATS)
+    if route == "both" or interior or family == "oracle":
+        formats.remove("bfile")
+    fmt = draw(st.sampled_from(formats))
+    n_from = draw(st.integers(0, 200))
+    n_to = draw(st.integers(n_from, 200))
+    return family, d, r, n_from, n_to, route, fmt, interior
+
+
+def expected_columns(family, d, r, n_from, n_to, route, interior):
+    """The columns `seq` prints, as ints and bools, from the closed forms or the recursion."""
+    want_interior = interior or family == "oracle"
+    if family == "oracle" or route == "oracle":
+        values, interiors = oracle.oracle_table(checks.family_descriptor(family, d, r),
+                                                n_from, n_to)
+    else:
+        values, interiors = checks.formula_columns(family, d, r, n_from, n_to, want_interior)
+    columns = {"n": list(range(n_from, n_to + 1)), "value": values}
+    if want_interior:
+        columns["interior"] = interiors
+    if route == "both":
+        columns["match"] = [True] * len(values)
+    return columns
+
+
+def parsed(cell):
+    """A printed text cell back as the int or bool it renders."""
+    return cell == "true" if cell in ("true", "false") else int(cell)
+
+
+class TestSeqLayouts:
+    """Each format held to a reference layout of its own parsed cells."""
+
+    @given(seq_argvs())
+    @example(("lambda", 9, 12, 0, 200, "formula", "table", True))  # negative interiors
+    @example(("alpha", 12, None, 0, 200, "both", "table", True))  # widths grow row by row
+    @example(("oracle", 0, None, 0, 0, None, "table", False))  # one row of zeros
+    @example(("beta", 1, None, 0, 3, "oracle", "csv", True))  # interiors only by recursion
+    def test_every_format_lays_out_the_columns(self, case):
+        family, d, r, n_from, n_to, route, fmt, interior = case
+        code, out, err = output_pins.run(
+            output_pins.seq_argv(family, d, r, n_from, n_to, route, fmt, interior))
+        assert (code, err) == (0, "")
+        columns = expected_columns(family, d, r, n_from, n_to, route, interior)
+        rows = [list(row) for row in zip(*columns.values())]
+        if fmt == "json":
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+            strings = [[cell if name in ("n", "match") else str(cell)
+                        for name, cell in zip(columns, row)] for row in rows]
+            assert [[row[name] for name in columns] for row in json.loads(out)["rows"]] == strings
+            return
+        lines = out.split("\n")
+        assert lines.pop() == ""  # every line ends in a newline
+        if fmt == "bfile":
+            assert [list(map(int, line.split(" "))) for line in lines] == rows
+            return
+        cells = [line.split("," if fmt == "csv" else None) for line in lines]
+        if fmt == "table":
+            widths = [max(map(len, column)) for column in zip(*cells)]
+            assert lines == ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                             for row in cells]
+        assert cells[0] == list(columns)
+        assert [list(map(parsed, row)) for row in cells[1:]] == rows
+
+
 class TestParser:
     SEQ = ["seq", "--family", "lambda", "-d", "4", "-r", "1", "--to", "45", "--route", "both",
            "--format", "json"]
@@ -384,6 +468,19 @@ class TestParser:
         assert run_cli(capsys, *self.SEQ) == run_cli(capsys, *self.SEQ)
         assert len(parsers) == 2
         assert parsers[0] is parsers[1] is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "-d", "3", "-r", "1"],
+        ["seq", "--family", "lambda", "-d", "3", "--to", "5"],
+    ], ids=["decompose", "seq"])
+    def test_usage_errors_do_not_wrap_to_the_terminal(self, monkeypatch, argv):
+        errors = set()
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, err = output_pins.run(argv)
+            assert (code, out) == (2, "")
+            errors.add(err)
+        assert len(errors) == 1
 
     @pytest.mark.parametrize("bad", [
         ["seq", "--family", "beta", "-d", "3", "--to", "x"],
@@ -410,6 +507,18 @@ class TestClosedStdout:
                         subprocess.PIPE)
         assert proc.stdout.readline() == b"n       value\n"
         proc.stdout.close()  # as `| head -1` does
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_reader_closing_early_ends_unbuffered_output(self, monkeypatch, fmt):
+        # Unbuffered stdout returns a write that a closed pipe cut short as if
+        # it were whole; the next write must still see the pipe gone.
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        proc = self.run(["seq", "--family", "alpha", "-d", "2", "--to", "200000",
+                         "--format", fmt], subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (141, b"")
 
