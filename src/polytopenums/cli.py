@@ -10,8 +10,10 @@ ints and are converted inside one `%` per row: JSON rows the bytes
 `json.dumps(indent=2, sort_keys=True)` would give, CSV and b-file rows
 their separators, table rows each column but the last left-justified to
 its width, which for integers is that of its min or its max (or of its
-name).  Every format builds its output in memory, head, rows and tail, and
-writes it in slices.
+name).  All output goes through `_write`, in slices: each `seq` table and
+`decompose` result is built in memory and written in one call, `verify`
+writes one suite at a time.  Output has no digit limit: `main` lifts
+the interpreter's limit on `str(int)` while a command runs.
 
 Exit codes: 0 success, 1 verification failure or route mismatch, 2 usage
 error, 3 internal error: any other exception, reported on stderr as
@@ -36,7 +38,7 @@ from . import checks, identities, oracle
 FAMILIES = ("alpha", "beta", "gamma", "lambda", "oracle")
 ROUTES = ("formula", "oracle", "both")
 FORMATS = ("table", "csv", "json", "bfile")
-_WRITE_SLICE = 1 << 16  # characters of `seq` output per stdout write
+_WRITE_SLICE = 1 << 16  # characters per write; all output goes through `_write`
 
 
 @functools.cache
@@ -94,6 +96,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {"seq": _cmd_seq, "decompose": _cmd_decompose, "verify": _cmd_verify}
+    # Values run past str()'s 4300-digit limit (Python 3.10.7+): lift it for the command.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = commands[args.command](args, parser)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
@@ -108,10 +114,19 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a bug, not a failed check: never exit 1 for it
         sys.stderr.write(f"polytopenums: internal error: {type(exc).__name__}: {exc}\n")
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
-def entry() -> None:
-    sys.exit(main())
+def _write(text: str) -> None:
+    """Write text to sys.stdout as it is now (tests swap it), in slices.
+
+    Unbuffered stdout (python -u) drops the rest of a write that a closed
+    pipe cuts short and returns as if it were whole; the next write raises.
+    Writing in slices lets the reader's early close surface as exit 141."""
+    for start in range(0, len(text), _WRITE_SLICE):
+        sys.stdout.write(text[start:start + _WRITE_SLICE])
 
 
 # --- seq -------------------------------------------------------------------
@@ -208,12 +223,7 @@ def _emit_rows(args, route: str, columns: dict) -> None:
                       for name, column in zip(names[:-1], data)]
             template = "".join(f"%-{width}s  " for width in widths) + "%s"
         head, sep, tail = template % tuple(names) + "\n", "\n", "\n"
-    text = head + sep.join(map(template.__mod__, zip(*data))) + tail
-    # Unbuffered stdout (python -u) drops the rest of a write that a closed
-    # pipe cuts short and returns as if it were whole; the next write raises.
-    # Writing in slices lets the reader's early close surface as exit 141.
-    for start in range(0, len(text), _WRITE_SLICE):
-        sys.stdout.write(text[start:start + _WRITE_SLICE])
+    _write(head + sep.join(map(template.__mod__, zip(*data))) + tail)
 
 
 # --- decompose ---------------------------------------------------------------
@@ -244,7 +254,6 @@ def _cmd_decompose(args, parser) -> int:
     vectors = list(routes.values())
     agree = all(v == vectors[0] for v in vectors)
 
-    out = sys.stdout
     if args.format == "json":
         payload = {
             "decomposition": label,
@@ -252,16 +261,16 @@ def _cmd_decompose(args, parser) -> int:
             "routes": {name: [str(c) for c in vec] for name, vec in routes.items()},
             "routes_agree": agree,
         }
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        lines = [json.dumps(payload, indent=2, sort_keys=True)]
     elif args.format == "csv":
         lines = ["route," + ",".join(f"c{j}" for j in range(len(vectors[0])))]
         lines += [name + "," + ",".join(str(c) for c in vec) for name, vec in routes.items()]
-        out.write("\n".join(lines) + "\n")
     else:
         width = max(len(name) for name in routes)
-        for name, vec in routes.items():
-            out.write(f"{name.ljust(width)}  [{', '.join(str(c) for c in vec)}]\n")
-        out.write(f"routes agree: {'yes' if agree else 'NO'}\n")
+        lines = [f"{name.ljust(width)}  [{', '.join(str(c) for c in vec)}]"
+                 for name, vec in routes.items()]
+        lines.append(f"routes agree: {'yes' if agree else 'NO'}")
+    _write("\n".join(lines) + "\n")
     return 0 if agree else 1
 
 
@@ -301,19 +310,14 @@ def _cmd_verify(args, parser) -> int:
         header = f"{len(given['grid'])} identities, " if name == "identities" else ""
         suites.append((name, header, itertools.chain([first], records)))
 
-    out = sys.stdout
     any_failures = False
     for name, header, records in suites:
-        count = 0
         failures = []
-        for check in records:
-            count += 1
+        for count, check in enumerate(records, 1):  # never empty: refused above
             if not check.ok:
-                failures.append(check.describe())
-        out.write(f"{name}: {header}{count} checks, {len(failures)} failures\n")
-        for line in failures:
-            out.write(f"  FAIL {line}\n")
+                failures.append(f"  FAIL {check.describe()}\n")
+        _write(f"{name}: {header}{count} checks, {len(failures)} failures\n" + "".join(failures))
         any_failures = any_failures or bool(failures)
 
-    out.write(f"verify: {'FAIL' if any_failures else 'PASS'}\n")
+    _write(f"verify: {'FAIL' if any_failures else 'PASS'}\n")
     return 1 if any_failures else 0

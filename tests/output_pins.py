@@ -17,24 +17,42 @@ committed digests and `tests/test_output_pins.py` recomputes them.
   of n within 0..60; the combinations `seq` refuses are its usage errors.
 - seq-long: tables of about 3000 rows with d up to 20, so columns widen
   row by row, in every format.
+- verify: `verify --suite all`, each suite alone, and bounded runs at the
+  edges of each bound: `--d-max 1`, `--n-max 1`, `--n-max 41` (which cuts
+  only the octahedral bridge) and `--a-max 1 --b-max 0`.
 - usage: one argv for each usage rule of `seq`, `decompose` and `verify`.
 
 A change that moves output on purpose updates only the groups it moves.
 Print the current digests with
 
     PYTHONPATH=src python tests/output_pins.py
+
+and, for a group whose digest moved, the first argv whose exit code, stdout
+or stderr differs between a git revision and the working tree with
+
+    PYTHONPATH=src python tests/output_pins.py --diff REV GROUP
+
+which checks REV out into a temporary `git worktree`, runs the group there
+and in the tree, each in a fresh interpreter, and removes the worktree.
 """
+import argparse
 import contextlib
+import difflib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
+import subprocess
+import sys
+import tempfile
 
 from polytopenums import cli
 
-PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_pins.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+PINS = os.path.join(HERE, "output_pins.json")
 SEED = 2015
 DECOMPOSE_FORMATS = ("table", "csv", "json")
 
@@ -112,6 +130,16 @@ def _seq_long():
     return argvs
 
 
+def _verify():
+    edges = [["--d-max", "1"], ["--n-max", "1"], ["--n-max", "41"]]
+    argvs = [["verify", "--suite", suite] for suite in ("all", "identities", "oracle",
+                                                        "decompositions")]
+    argvs += [["verify", "--suite", "oracle", *bound] for bound in edges]
+    argvs += [["verify", "--suite", "decompositions", *bound]
+              for bound in (*edges, ["--a-max", "1", "--b-max", "0"])]
+    return argvs + [["verify", "--d-max", "1", "--n-max", "1", "--a-max", "1", "--b-max", "0"]]
+
+
 def _usage():
     seq = ["seq", "--family"]
     return [
@@ -156,7 +184,7 @@ def _usage():
 
 GROUPS = {"decompose-lambda": _decompose_lambda, "decompose-shift": _decompose_shift,
           **{f"seq-{family}": functools.partial(_seq_family, family) for family in SEQ_POINTS},
-          "seq-long": _seq_long, "usage": _usage}
+          "seq-long": _seq_long, "verify": _verify, "usage": _usage}
 
 
 def run(argv):
@@ -178,5 +206,51 @@ def digest(group):
     return sha.hexdigest()
 
 
+def _outputs(src, group):
+    """run() of each argv of the group, in a fresh interpreter importing the package from src."""
+    code = ("import json, sys, output_pins as pins; "
+            "json.dump([pins.run(argv) for argv in pins.GROUPS[sys.argv[1]]()], sys.stdout)")
+    done = subprocess.run([sys.executable, "-c", code, group], cwd=HERE, check=True,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def diff(rev, group):
+    """Print the first argv of the group whose output at rev differs from the tree's; 0 if none."""
+    root = os.path.dirname(HERE)
+    with tempfile.TemporaryDirectory() as scratch:
+        checkout = os.path.join(scratch, "rev")
+        if subprocess.run(["git", "-C", root, "worktree", "add", "--detach", "--quiet",
+                           checkout, rev]).returncode:
+            return 2
+        try:
+            before = _outputs(os.path.join(checkout, "src"), group)
+        finally:
+            subprocess.run(["git", "-C", root, "worktree", "remove", "--force", checkout],
+                           check=True)
+    after = _outputs(os.path.join(root, "src"), group)
+    for argv, old, new in zip(GROUPS[group](), before, after):
+        if old != new:
+            print("differs:", " ".join(argv))
+            for part, old_part, new_part in zip(("exit code", "stdout", "stderr"), old, new):
+                if old_part != new_part:
+                    lines = difflib.unified_diff(str(old_part).splitlines(),
+                                                 str(new_part).splitlines(), f"{part} at {rev}",
+                                                 f"{part} in the tree", lineterm="")
+                    print(*itertools.islice(lines, 40), sep="\n")
+            return 1
+    print(f"{group}: no difference from {rev} in {len(after)} argvs")
+    return 0
+
+
 if __name__ == "__main__":
-    print(json.dumps({group: digest(group) for group in GROUPS}, indent=2))
+    parser = argparse.ArgumentParser(description="Print the pinned groups' digests.")
+    parser.add_argument("--diff", nargs=2, metavar=("REV", "GROUP"),
+                        help="print the first argv of GROUP whose output differs at REV")
+    args = parser.parse_args()
+    if args.diff is None:
+        print(json.dumps({group: digest(group) for group in GROUPS}, indent=2))
+    elif args.diff[1] not in GROUPS:
+        parser.error(f"unknown group {args.diff[1]!r}; choose from {', '.join(GROUPS)}")
+    else:
+        sys.exit(diff(*args.diff))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -510,13 +511,21 @@ class TestClosedStdout:
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (141, b"")
 
-    @pytest.mark.parametrize("fmt", cli.FORMATS)
-    def test_reader_closing_early_ends_unbuffered_output(self, monkeypatch, fmt):
+    # Each output leaves slices unwritten when the reader closes.  The lambda
+    # table at d = 150 (64,854 bytes) fits in a 64 KiB pipe and rightly exits
+    # 0, and a decompose table's first line is half its bytes, so the table
+    # case is a 389 KB shift decomposition.
+    @pytest.mark.parametrize("argv", [
+        *(["seq", "--family", "alpha", "-d", "2", "--to", "200000", "--format", fmt]
+          for fmt in cli.FORMATS),
+        ["decompose", "--lambda", "-d", "150", "-r", "75", "--format", "json"],
+        ["decompose", "--shift", "-d", "300", "-a", "300", "-b", "200", "--format", "table"],
+    ], ids=[*cli.FORMATS, "decompose-lambda-json", "decompose-shift-table"])
+    def test_reader_closing_early_ends_unbuffered_output(self, monkeypatch, argv):
         # Unbuffered stdout returns a write that a closed pipe cut short as if
         # it were whole; the next write must still see the pipe gone.
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-        proc = self.run(["seq", "--family", "alpha", "-d", "2", "--to", "200000",
-                         "--format", fmt], subprocess.PIPE)
+        proc = self.run(argv, subprocess.PIPE)
         assert proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
@@ -529,6 +538,41 @@ class TestClosedStdout:
         os.close(write_end)
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no str() digit limit")
+class TestDigitLimit:
+    def test_values_past_the_str_digit_limit_print(self, capsys):
+        code, out = run_cli(capsys, "seq", "--family", "alpha", "-d", "8000", "--from", "8000",
+                            "--to", "8000", "--format", "bfile")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"8000 {math.comb(15999, 8000)}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (0, expected)
+
+    def test_main_gives_the_caller_back_its_digit_limit(self, monkeypatch):
+        def broken(d, a, b):
+            raise RuntimeError("route lost")
+
+        monkeypatch.setattr(checks, "shift_routes", broken)
+        cases = [(["seq", "--family", "alpha", "-d", "2", "--to", "3"], 0),
+                 (["seq", "--family", "alpha", "-d", "2", "--from", "4", "--to", "3"], 2),
+                 (["decompose", "--shift", "-d", "2", "-a", "2", "-b", "0"], 3)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            for argv, code in cases:
+                try:
+                    got = cli.main(argv)
+                except SystemExit as exc:
+                    got = exc.code
+                assert (got, sys.get_int_max_str_digits()) == (code, 5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestOracleMemory:

@@ -1,5 +1,6 @@
 """The public surface, the demos and the README examples."""
 import doctest
+import importlib
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import polytopenums
+from polytopenums import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
@@ -53,6 +55,14 @@ def test_benchmark_unit_tests_run_on_this_package():
                           cwd=os.path.join(ROOT, "perfbench"), capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_console_script_calls_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["polytopenums"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 def test_readme_examples():
