@@ -38,7 +38,7 @@ from . import checks, identities, oracle
 FAMILIES = ("alpha", "beta", "gamma", "lambda", "oracle")
 ROUTES = ("formula", "oracle", "both")
 FORMATS = ("table", "csv", "json", "bfile")
-_WRITE_SLICE = 1 << 16  # characters per write; all output goes through `_write`
+_WRITE_SLICE = 1 << 16  # bytes (characters without a buffer) per write; see `_write`
 
 
 @functools.cache
@@ -122,11 +122,22 @@ def main(argv: list[str] | None = None) -> int:
 def _write(text: str) -> None:
     """Write text to sys.stdout as it is now (tests swap it), in slices.
 
-    Unbuffered stdout (python -u) drops the rest of a write that a closed
-    pipe cuts short and returns as if it were whole; the next write raises.
-    Writing in slices lets the reader's early close surface as exit 141."""
-    for start in range(0, len(text), _WRITE_SLICE):
-        sys.stdout.write(text[start:start + _WRITE_SLICE])
+    Unbuffered stdout (python -u) writes straight to the raw file, whose
+    write stops short when the reader closes the pipe mid-write; the text
+    layer ignores that count, so the rest is lost and the run exits 0.  A
+    stream with a byte buffer therefore gets the encoded text there, after
+    its text layer is flushed, each slice resumed from the count written:
+    the write after the close raises, and the run exits 141."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        for start in range(0, len(text), _WRITE_SLICE):
+            out.write(text[start:start + _WRITE_SLICE])
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[buffer.write(data[:_WRITE_SLICE]):]
 
 
 # --- seq -------------------------------------------------------------------

@@ -21,15 +21,13 @@ requires and accepts, with the iterator that reads them.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .exact import binomial
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """One two-sided check: it holds when lhs equals rhs exactly.
 
     The identity checkers below compare integers; the structural checks in

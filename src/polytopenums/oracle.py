@@ -12,10 +12,10 @@ faces by a census of (type, count, count avoiding the base vertex).
 Supported descriptor families: point, simplex, cross-polytope, hypercube,
 and hypersimplex (the convex hull of the 0/1-vectors of length m with
 exactly s ones, which is how rectified simplices arise).  Descriptors are
-canonicalized on construction so that structural equality is type equality.
-Simplex, cross-polytope and hypercube share one body, a frozen dataclass
-holding the dimension d >= 1, and one factory rule: d < 0 is an error and
-d = 0 gives POINT.
+immutable tuples of their fields, canonicalized on construction and equal
+only within their own type, so structural equality is type equality.
+Simplex, cross-polytope and hypercube share one body holding the dimension
+d >= 1, and one factory rule: d < 0 is an error and d = 0 gives POINT.
 
 Evaluation is bottom-up, with no recursion on n.  Each descriptor has one
 table, a pair of lists holding its value and interior counts for
@@ -42,31 +42,50 @@ run of n as value and interior columns, as the closed-form tables do;
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import comb
 from operator import mul, sub
+from typing import NamedTuple
 
 from .exact import binomial
 
 
-@dataclass(frozen=True)
-class Point:
+class _Descriptor(tuple):
+    """Fields in a tuple: equal and hashed by them, only within one type, and unordered."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __lt__(self, other: object) -> bool:
+        raise TypeError(f"polytope descriptors have no order: {self!r}, {other!r}")
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+class Point(_Descriptor, namedtuple("Point", ())):
+    __slots__ = ()
+
     @property
     def dimension(self) -> int:
         return 0
 
 
-@dataclass(frozen=True)
-class _Dimensional:
+class _Dimensional(_Descriptor, namedtuple("_Dimensional", "d")):
     """A family with one polytope per dimension d >= 1; d = 0 is POINT."""
 
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"{type(self).__name__} needs d >= 1; the 0-dimensional case is POINT")
+    def __new__(cls, d: int) -> _Dimensional:
+        if d < 1:
+            raise ValueError(f"{cls.__name__} needs d >= 1; the 0-dimensional case is POINT")
+        return super().__new__(cls, d)
 
     @property
     def dimension(self) -> int:
@@ -75,24 +94,27 @@ class _Dimensional:
 
 class Simplex(_Dimensional):
     """The d-simplex."""
+    __slots__ = ()
 
 
 class CrossPolytope(_Dimensional):
     """The d-cross-polytope."""
+    __slots__ = ()
 
 
 class Hypercube(_Dimensional):
     """The d-hypercube."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Hypersimplex:
-    m: int  # number of 0/1 coordinates
-    s: int  # ones per vertex; canonical form has 2 <= s <= m//2
+class Hypersimplex(_Descriptor, namedtuple("Hypersimplex", "m s")):
+    # m: number of 0/1 coordinates; s: ones per vertex, canonical when 2 <= s <= m//2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 2 <= self.s <= self.m // 2:
+    def __new__(cls, m: int, s: int) -> Hypersimplex:
+        if not 2 <= s <= m // 2:
             raise ValueError("not in canonical form; construct via hypersimplex(m, s)")
+        return super().__new__(cls, m, s)
 
     @property
     def dimension(self) -> int:
@@ -149,15 +171,13 @@ def rectified_simplex_descriptor(d: int, r: int) -> PolytopeDescriptor:
     return hypersimplex(d + 1, r + 1)
 
 
-@dataclass(frozen=True)
-class FaceEntry:
+class FaceEntry(NamedTuple):
     face: PolytopeDescriptor
     total: int
     not_containing: int  # faces of this type avoiding the base vertex
 
 
-@dataclass(frozen=True)
-class FaceCensus:
+class FaceCensus(NamedTuple):
     polytope: PolytopeDescriptor
     entries: tuple[FaceEntry, ...]
 

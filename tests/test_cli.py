@@ -514,13 +514,16 @@ class TestClosedStdout:
     # Each output leaves slices unwritten when the reader closes.  The lambda
     # table at d = 150 (64,854 bytes) fits in a 64 KiB pipe and rightly exits
     # 0, and a decompose table's first line is half its bytes, so the table
-    # case is a 389 KB shift decomposition.
+    # cases are shift decompositions of 389 KB and of 173 KB.  In the second
+    # the close cuts a slice short, and only the write after it can tell.
     @pytest.mark.parametrize("argv", [
         *(["seq", "--family", "alpha", "-d", "2", "--to", "200000", "--format", fmt]
           for fmt in cli.FORMATS),
         ["decompose", "--lambda", "-d", "150", "-r", "75", "--format", "json"],
         ["decompose", "--shift", "-d", "300", "-a", "300", "-b", "200", "--format", "table"],
-    ], ids=[*cli.FORMATS, "decompose-lambda-json", "decompose-shift-table"])
+        ["decompose", "--shift", "-d", "200", "-a", "300", "-b", "200", "--format", "table"],
+    ], ids=[*cli.FORMATS, "decompose-lambda-json", "decompose-shift-table",
+            "decompose-shift-table-short-write"])
     def test_reader_closing_early_ends_unbuffered_output(self, monkeypatch, argv):
         # Unbuffered stdout returns a write that a closed pipe cut short as if
         # it were whole; the next write must still see the pipe gone.

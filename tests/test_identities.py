@@ -3,8 +3,10 @@ import pytest
 
 from polytopenums.checks import identity_checks
 from polytopenums.exact import binomial
+from polytopenums.oracle import hypersimplex
 from polytopenums.identities import (
     REGISTRY,
+    IdentityCheck,
     check_alt_vandermonde,
     check_face_interior_sum,
     check_interior_sum,
@@ -119,6 +121,19 @@ class TestSuiteRunner:
     def test_describe_line(self):
         check = check_alt_vandermonde(2, 5, 2)
         assert check.describe() == "alt-vandermonde [b=2 c=5 n=2] lhs=3 rhs=3"
+
+    def test_check_record_keeps_its_fields_repr_and_verdict(self):
+        check = IdentityCheck(identity="f-vector", params=(("polytope", hypersimplex(5, 2)),),
+                              lhs=(10, 30), rhs=(10, 31))
+        assert repr(check) == ("IdentityCheck(identity='f-vector', params=(('polytope', "
+                               "Hypersimplex(m=5, s=2)),), lhs=(10, 30), rhs=(10, 31))")
+        assert (check.identity, check.params, check.lhs, check.rhs) == (
+            "f-vector", (("polytope", hypersimplex(5, 2)),), (10, 30), (10, 31))
+        assert not check.ok and IdentityCheck("x", (), [1], [1]).ok
+        assert check.describe() == (
+            "f-vector [polytope=Hypersimplex(m=5, s=2)] lhs=(10, 30) rhs=(10, 31)")
+        with pytest.raises(AttributeError):
+            check.lhs = check.rhs
 
     def test_parse_grid_roundtrip(self):
         grid = parse_grid(

@@ -1,4 +1,5 @@
 """Tests for the recursive face-lattice oracle."""
+import operator
 import random
 import sys
 import threading
@@ -12,6 +13,7 @@ from polytopenums.oracle import (
     POINT,
     CrossPolytope,
     FaceCensus,
+    FaceEntry,
     Hypercube,
     Hypersimplex,
     Point,
@@ -68,6 +70,15 @@ def plain_interior(p, n):
     )
 
 
+DIMENSIONAL = (Simplex, CrossPolytope, Hypercube)
+DESCRIPTORS = st.one_of(
+    st.just(POINT),
+    st.builds(lambda family, d: family(d), st.sampled_from(DIMENSIONAL), st.integers(1, 12)),
+    st.integers(4, 12).flatmap(
+        lambda m: st.builds(Hypersimplex, st.just(m), st.integers(2, m // 2))),
+)
+
+
 class TestDescriptors:
     def test_canonicalization(self):
         assert simplex(0) is POINT
@@ -113,6 +124,83 @@ class TestDescriptors:
         assert len({shape: k for k, shape in enumerate(shapes)}) == 3
         assert all(a != b for k, a in enumerate(shapes) for b in shapes[k + 1:])
         assert Simplex(3) == simplex(3) and hash(Simplex(3)) == hash(simplex(3))
+        assert repr(POINT) == str(POINT) == "Point()" and POINT == Point()
+        assert hash(POINT) == hash(()) and POINT != () and () != POINT
+
+    # The contract of the tuple-backed descriptors: each holds what the
+    # frozen-dataclass descriptors did, and none compares as a plain tuple.
+    @given(st.integers(1, 12))
+    def test_dimensional_families_equal_only_within_their_type(self, d):
+        shapes = [family(d) for family in DIMENSIONAL]
+        for family, shape in zip(DIMENSIONAL, shapes):
+            assert repr(shape) == str(shape) == f"{family.__name__}(d={d})"
+            assert hash(shape) == hash((d,))  # the hash of the field tuple
+            assert shape == family(d) and not shape != family(d)
+            assert shape != (d,) and (d,) != shape
+            assert not shape == (d,) and not (d,) == shape
+        for a in shapes:
+            for b in shapes:
+                same = type(a) is type(b)
+                assert (a == b, a != b, hash(a) == hash(b)) == (same, not same, True)
+
+    @given(st.integers(4, 12).flatmap(lambda m: st.tuples(st.just(m), st.integers(2, m // 2))))
+    def test_hypersimplex_values(self, ms):
+        m, s = ms
+        shape = hypersimplex(m, s)
+        assert repr(shape) == str(shape) == f"Hypersimplex(m={m}, s={s})"
+        assert hash(shape) == hash((m, s)) and shape == Hypersimplex(m, s)
+        assert shape != (m, s) and (m, s) != shape and not shape == (m, s)
+
+    @given(DESCRIPTORS)
+    def test_descriptors_are_immutable_and_unordered(self, p):
+        for name in ("d", "m", "s", "dimension", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 7)
+        for other in (p, simplex(3), (3,), ()):
+            for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    compare(p, other)
+                with pytest.raises(TypeError):
+                    compare(other, p)
+
+    @given(DESCRIPTORS)
+    def test_class_patterns_bind_the_fields(self, p):
+        match p:
+            case Simplex(d) | CrossPolytope(d) | Hypercube(d):
+                fields = (d,)
+            case Hypersimplex(m, s):
+                fields = (m, s)
+            case Point():
+                fields = ()
+        names = {Point: (), Hypersimplex: ("m", "s")}.get(type(p), ("d",))
+        assert type(p).__match_args__ == names
+        assert fields == tuple(getattr(p, name) for name in names)
+        assert type(p)(*fields) == p
+
+    def test_constructor_messages(self):
+        for family in DIMENSIONAL:
+            with pytest.raises(ValueError) as raised:
+                family(0)
+            assert str(raised.value) == (
+                f"{family.__name__} needs d >= 1; the 0-dimensional case is POINT")
+        with pytest.raises(ValueError) as raised:
+            Hypersimplex(6, 1)
+        assert str(raised.value) == "not in canonical form; construct via hypersimplex(m, s)"
+        with pytest.raises(ValueError) as raised:
+            simplex(-2)
+        assert str(raised.value) == "dimension must be nonnegative, got d=-2"
+
+    def test_face_closure_order(self):
+        assert [repr(q) for q in face_closure(hypercube(3), hypersimplex(6, 3))] == [
+            "Point()", "Hypercube(d=1)", "Simplex(d=1)", "Hypercube(d=2)", "Simplex(d=2)",
+            "Hypercube(d=3)", "Hypersimplex(m=4, s=2)", "Simplex(d=3)",
+            "Hypersimplex(m=5, s=2)", "Hypersimplex(m=6, s=3)"]
+
+    @given(st.lists(DESCRIPTORS, min_size=1, max_size=3))
+    def test_face_closure_sorts_by_dimension_then_repr(self, roots):
+        closure = face_closure(*roots)
+        assert closure == sorted(closure, key=lambda q: (q.dimension, repr(q)))
+        assert len(set(closure)) == len(closure)
 
 
 # The census tests' roots: every family, at several dimensions.
@@ -176,6 +264,20 @@ class TestCensus:
             if not isinstance(q, Point):
                 for e in faces_of(q).entries:
                     assert position[e.face] < position[q]
+
+    def test_census_records_keep_their_fields_and_repr(self):
+        census = faces_of(cross_polytope(2))
+        assert repr(census) == (
+            "FaceCensus(polytope=CrossPolytope(d=2), entries=("
+            "FaceEntry(face=Point(), total=4, not_containing=3), "
+            "FaceEntry(face=Simplex(d=1), total=4, not_containing=2)))")
+        entry = FaceEntry(face=POINT, total=4, not_containing=3)
+        assert census == FaceCensus(polytope=cross_polytope(2),
+                                    entries=(entry, FaceEntry(simplex(1), 4, 2)))
+        assert (entry.face, entry.total, entry.not_containing) == (POINT, 4, 3)
+        assert census.f_vector() == (4, 4)
+        with pytest.raises(AttributeError):
+            census.entries = ()
 
     def test_point_has_no_census(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,16 @@ def test_benchmark_unit_tests_run_on_this_package():
     assert done.returncode == 0, done.stderr
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Both cost milliseconds on every start; -S keeps site's imports out.
+    code = ("import polytopenums.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_console_script_calls_main():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
