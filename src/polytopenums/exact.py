@@ -3,11 +3,20 @@
 Everything in this package is computed with plain Python integers, so all
 arithmetic is arbitrary precision and exact; no floating point is used
 anywhere.
+
+One builder, `_column`, makes every run of the simplex column A(d, k) =
+C(k+d-1, d) that `regular.simplex_table` returns or `_gbinomials` sums
+against: by `math.comb` (CPython's fast path) while the run's top entry is
+below 2**64, above that each entry from the one before, A(d, k) =
+A(d, k-1) * (k+d-1) / (k-1); a remainder raises ArithmeticError.
 """
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from operator import mul
+
+_FAST = 1 << 64  # column entries below this come from math.comb
 
 
 def binomial(r: int, k: int) -> int:
@@ -26,6 +35,21 @@ def binomial(r: int, k: int) -> int:
     return -value if k % 2 else value
 
 
+def _column(d: int, start: int, stop: int) -> list[int]:
+    """A(d, k) = C(k+d-1, d) for start <= k < stop, where 1 <= start < stop."""
+    if math.comb(stop + d - 2, d) < _FAST:
+        return list(map(math.comb, range(start + d - 1, stop + d - 1), repeat(d)))
+    value = math.comb(start + d - 1, d)
+    column = [value]
+    # A(d, k) = A(d, k-1) * (k+d-1) / (k-1) for k = start+1 .. stop-1.
+    for up, down in zip(range(start + d, stop + d - 1), range(start, stop - 1)):
+        value, remainder = divmod(value * up, down)
+        if remainder:
+            raise ArithmeticError(f"inexact simplex column step at d={d} k={down + 1}")
+        column.append(value)
+    return column
+
+
 def gbinomial(n: int, m: int, s: int) -> int:
     """Generalized binomial coefficient of order s.
 
@@ -42,10 +66,9 @@ def gbinomial(n: int, m: int, s: int) -> int:
 def _gbinomials(n: int, reads: list[tuple[int, int]]) -> list[int]:
     """gbinomial(n, m, s) for each (m, s) in reads, m reflected to its row's near end.
 
-    Every read sums the signed row (-1)**k C(n, k) against one column
-    C(t+n-1, n-1) at t = m, m-s, m-2s, ...  The column is built once per
-    call, up to the largest reflected m, by the exact step
-    C(t+n-1, n-1) = C(t+n-2, n-1) * (t+n-1) / t; a remainder raises ArithmeticError.
+    Every read sums the signed row (-1)**k C(n, k) against the column
+    C(t+n-1, n-1) = A(n-1, t+1) at t = m, m-s, m-2s, ...: one `_column` run
+    up to t = max(0, largest reflected m), or the lone entry 1 when n = 0.
     """
     for _, s in reads:
         if s < 1:
@@ -53,12 +76,7 @@ def _gbinomials(n: int, reads: list[tuple[int, int]]) -> list[int]:
     if n < 0:
         raise ValueError(f"upper argument must be nonnegative, got n={n}")
     near = [min(m, n * (s - 1) - m) for m, s in reads]  # negative when m is out of range
-    value, column = 1, [1]
-    for t in range(1, max(near, default=0) + 1):
-        value, remainder = divmod(value * (t + n - 1), t)
-        if remainder:
-            raise ArithmeticError(f"inexact gbinomial column step at n={n} t={t}")
-        column.append(value)
+    column = _column(n - 1, 1, max([0, *near]) + 2) if n else [1]
     signed = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
     return [sum(map(mul, signed, column[m::-s])) if m >= 0 else 0
             for m, (_, s) in zip(near, reads)]

@@ -24,7 +24,7 @@ routes per mode: d+1 backward-difference passes over the stretched simplex
 column, applied once to the rectified mode's weighted sum of stretches, and
 generalized binomials, each an alternating sum read from the near end of
 its palindromic row; one `exact._gbinomials` call reads all of a
-decomposition's from one column C(t+d, d) of its own.  They evaluate
+decomposition's from `simplex_table`'s column C(t+d, d).  They evaluate
 differently but expand the same generating function, so they cross-check
 the code, not the formula; `verify`'s shift-identity and recombination
 checks hold the vectors against the simplex and rectified columns.

@@ -30,11 +30,9 @@ backward differences: d integer additions per row, whatever the terms.  A
 run no longer than the head, such as one row past n = 2**64, makes
 O(terms) `math.comb` calls and builds no column.
 
-`simplex_table` keeps its own column, whose entries are its output and beat
-d additions per row.  They come from `math.comb` while the run's top entry
-fits in 64 bits, where CPython's fast path wins, and above that from the
-one before, A(d, k) = A(d, k-1) * (k+d-1) / (k-1), by `divmod`; a
-remainder raises ArithmeticError.
+`simplex_table` calls no kernel: building its rows as one run of the
+column, by `exact._column` as for the generalized binomials, beats d
+additions per row.
 """
 from __future__ import annotations
 
@@ -42,24 +40,7 @@ import math
 from itertools import accumulate, islice, repeat
 from operator import add, mul, sub
 
-from .exact import _eulerian_row, binomial
-
-_FAST = 1 << 64  # simplex_table's entries below this come from math.comb
-
-
-def _column(d: int, start: int, stop: int) -> list[int]:
-    """A(d, k) = C(k+d-1, d) for start <= k < stop, where 1 <= start < stop."""
-    if math.comb(stop + d - 2, d) < _FAST:
-        return list(map(math.comb, range(start + d - 1, stop + d - 1), repeat(d)))
-    value = math.comb(start + d - 1, d)
-    column = [value]
-    # A(d, k) = A(d, k-1) * (k+d-1) / (k-1) for k = start+1 .. stop-1.
-    for up, down in zip(range(start + d, stop + d - 1), range(start, stop - 1)):
-        value, remainder = divmod(value * up, down)
-        if remainder:
-            raise ArithmeticError(f"inexact simplex column step at d={d} k={down + 1}")
-        column.append(value)
-    return column
+from .exact import _column, _eulerian_row, binomial
 
 
 def _reads(d: int, terms: list[tuple[int, int, int]], n_from: int, n_to: int) -> list[int]:

@@ -21,6 +21,12 @@ committed digests and `tests/test_output_pins.py` recomputes them.
   edges of each bound: `--d-max 1`, `--n-max 1`, `--n-max 41` (which cuts
   only the octahedral bridge) and `--a-max 1 --b-max 0`.
 - usage: one argv for each usage rule of `seq`, `decompose` and `verify`.
+- workloads: every op of seed 1 of the benchmark's `seq-formula`,
+  `seq-oracle` and `decompose-large` workloads, generated by
+  `perfbench/workloads.py` (loaded by path), so a change is held to the
+  benchmark's own ops without rebuilding that comparison by hand;
+  `decompose-shift` stops at d = 8, while decompose-large runs to d = 20.
+  `verify-all` is left out: the verify group already holds `--suite all`.
 
 A change that moves output on purpose updates only the groups it moves.
 Print the current digests with
@@ -40,6 +46,7 @@ import contextlib
 import difflib
 import functools
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -182,9 +189,21 @@ def _usage():
     ]
 
 
+WORKLOADS = ("seq-formula", "seq-oracle", "decompose-large")
+
+
+def _workloads():
+    path = os.path.join(os.path.dirname(HERE), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [op["argv"] for workload in WORKLOADS for op in module.generate(workload, 1)]
+
+
 GROUPS = {"decompose-lambda": _decompose_lambda, "decompose-shift": _decompose_shift,
           **{f"seq-{family}": functools.partial(_seq_family, family) for family in SEQ_POINTS},
-          "seq-long": _seq_long, "verify": _verify, "usage": _usage}
+          "seq-long": _seq_long, "verify": _verify, "usage": _usage,
+          "workloads": _workloads}
 
 
 def run(argv):
