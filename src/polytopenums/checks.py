@@ -1,21 +1,27 @@
 """Every route to each answer, and every verification suite over them.
 
-`formula_columns` and `family_descriptor` give each `seq` family's closed
-form and oracle descriptor; `rectified_routes` and `shift_routes` give each
-`decompose` mode's coefficient vectors, one entry per route.  `seq`,
-`decompose` and `verify` all read these functions, which look up this
-module's globals at call time, so the suites check the code the commands
-print from.  Each suite yields `IdentityCheck` records (name, params, lhs,
-rhs); a check holds when lhs == rhs exactly, with a structural check's
-computed value on the left.  `verify` and the acceptance tests iterate
-these same generators, `verify` as `SUITES` declares them: in run order,
-each suite's generator and the bounds it reads, in parameter order.  Every
-bound follows one rule, `_cap`: unset, an axis runs its default grid top;
-set, the smaller of the two.  A bound lowers its axis and never raises it.
+`FAMILIES` has one row per `seq` family: its value and interior tables
+(names in this module, or None), oracle descriptor factory, -r rule
+("required", "refused" or "optional"), smallest d, and oracle-suite value
+and interior checks with their grid's top d.  A row with no value table
+is recursion only and always prints interiors.  `formula_columns` and
+`family_descriptor` look the rows up; `rectified_routes` and
+`shift_routes` give each `decompose` mode's coefficient vectors, one entry
+per route.  `seq`, `decompose` and `verify` all read these, resolved from
+this module's globals at call time, so the suites check the code the
+commands print from.  Each suite yields `IdentityCheck` records (name,
+params, lhs, rhs); a check holds when lhs == rhs exactly, with a
+structural check's computed value on the left.  `verify` and the
+acceptance tests iterate these same generators, `verify` as `SUITES`
+declares them: in run order, each suite's generator and the bounds it
+reads, in parameter order.  Every bound follows one rule, `_cap`: unset,
+an axis runs its default grid top; set, the smaller of the two.  A bound
+lowers its axis and never raises it.
 """
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from typing import Iterator
 
 from . import identities, oracle
@@ -38,32 +44,39 @@ from .regular import (
 )
 
 
+_Family = namedtuple("_Family", "values interiors descriptor r d_min value_check "
+                     "interior_check d_top")
+
+
+def _rectified(d: int, r: int | None) -> oracle.PolytopeDescriptor:
+    return oracle.simplex(d) if r is None else oracle.rectified_simplex_descriptor(d, r)
+
+
+FAMILIES = {
+    "alpha": _Family("simplex_table", "simplex_interior_table", lambda d, r: oracle.simplex(d),
+                     "refused", 0, "simplex-value", "simplex-interior", 8),
+    "beta": _Family("cross_polytope_table", None, lambda d, r: oracle.cross_polytope(d),
+                    "refused", 1, "cross-polytope", None, 6),
+    "gamma": _Family("hypercube_table", None, lambda d, r: oracle.hypercube(d),
+                     "refused", 1, "hypercube", None, 6),
+    "lambda": _Family("rectified_simplex_table", "rectified_simplex_interior_table",
+                      _rectified, "required", 1, "rectified-value", "rectified-interior", 7),
+    "oracle": _Family(None, None, _rectified, "optional", 0, None, None, None),
+}
+
+
 def formula_columns(family: str, d: int, r: int | None, n_from: int, n_to: int,
                     want_interior: bool) -> tuple[list[int], list[int] | None]:
-    """Closed-form values for n_from..n_to, and interiors when asked for."""
-    if family == "alpha":
-        values = simplex_table(d, n_from, n_to)
-        interiors = simplex_interior_table(d, n_from, n_to) if want_interior else None
-    elif family == "beta":
-        values, interiors = cross_polytope_table(d, n_from, n_to), None
-    elif family == "gamma":
-        values, interiors = hypercube_table(d, n_from, n_to), None
-    else:
-        values = rectified_simplex_table(d, r, n_from, n_to)
-        interiors = (rectified_simplex_interior_table(d, r, n_from, n_to)
-                     if want_interior else None)
-    return values, interiors
+    """Closed-form values for n_from..n_to, and interiors when asked for and the row has them."""
+    row = FAMILIES[family]
+    args = (d, r, n_from, n_to) if row.r == "required" else (d, n_from, n_to)
+    interiors = globals()[row.interiors](*args) if want_interior and row.interiors else None
+    return globals()[row.values](*args), interiors
 
 
 def family_descriptor(family: str, d: int, r: int | None) -> oracle.PolytopeDescriptor:
     """The oracle descriptor whose recursion a `seq` family's closed form matches."""
-    if family == "beta":
-        return oracle.cross_polytope(d)
-    if family == "gamma":
-        return oracle.hypercube(d)
-    if family in ("lambda", "oracle") and r is not None:
-        return oracle.rectified_simplex_descriptor(d, r)
-    return oracle.simplex(d)
+    return FAMILIES[family].descriptor(d, r)
 
 
 def rectified_routes(d: int, r: int) -> dict[str, list[int]]:
@@ -98,26 +111,24 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
     """Closed-form columns against `oracle_table`, bridges, degenerate families, censuses."""
     n_hi = _cap(40, n_max)
 
-    # (family, value check, interior check or None, (d, r) points): each
-    # family's closed-form columns against the recursion of its descriptor.
-    families = (
-        ("alpha", "simplex-value", "simplex-interior",
-         [(d, None) for d in range(_cap(8, d_max) + 1)]),
-        ("beta", "cross-polytope", None, [(d, None) for d in range(1, _cap(6, d_max) + 1)]),
-        ("gamma", "hypercube", None, [(d, None) for d in range(1, _cap(6, d_max) + 1)]),
-        ("lambda", "rectified-value", "rectified-interior",
-         [(d, r) for d in range(2, _cap(7, d_max) + 1) for r in range(1, d)]),
-    )
-    for family, value_name, interior_name, points in families:
+    # Each family's closed-form columns against the recursion of its descriptor.
+    roots = []  # the census roots below: each family's descriptors at its top d
+    for family, row in FAMILIES.items():
+        if row.d_top is None:
+            continue
+        top = _cap(row.d_top, d_max)
+        points = [(d, r) for d in range(row.d_min, top + 1)
+                  for r in (range(1, d) if row.r == "required" else [None])]
+        roots += [family_descriptor(family, d, r) for d, r in points if d == top]
         for d, r in points:
             params = {"d": d} if r is None else {"d": d, "r": r}
-            values, interiors = formula_columns(family, d, r, 1, n_hi, interior_name is not None)
+            values, interiors = formula_columns(family, d, r, 1, n_hi, bool(row.interior_check))
             columns = zip(*oracle.oracle_table(family_descriptor(family, d, r), 1, n_hi),
                           values, interiors or itertools.repeat(None))
             for n, (value, interior, formula, formula_interior) in enumerate(columns, 1):
-                yield _check(value_name, value, formula, **params, n=n)
-                if interior_name is not None:
-                    yield _check(interior_name, interior, formula_interior, **params, n=n)
+                yield _check(row.value_check, value, formula, **params, n=n)
+                if row.interior_check:
+                    yield _check(row.interior_check, interior, formula_interior, **params, n=n)
 
     # Known-sequence bridges; 3 * octahedral(n) = n (2n^2 + 1).
     for n, octahedral in enumerate(rectified_simplex_table(3, 1, 1, _cap(200, n_max)), 1):
@@ -149,10 +160,6 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
 
     # Census structure: Euler relation over every census reachable from the
     # tested polytopes, plus two pinned f-vectors.
-    roots = [oracle.simplex(_cap(8, d_max)), oracle.cross_polytope(_cap(6, d_max)),
-             oracle.hypercube(_cap(6, d_max))]
-    roots += [oracle.rectified_simplex_descriptor(d, r)
-              for d in range(2, _cap(7, d_max) + 1) for r in range(1, d)]
     for p in oracle.face_closure(*roots):
         if isinstance(p, oracle.Point):
             continue

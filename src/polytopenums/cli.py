@@ -1,12 +1,12 @@
 """Command-line interface: sequence tables, decompositions, verification.
 
-`cli` parses, dispatches to `checks` (each family's closed form and oracle
-descriptor, each coefficient route, `SUITES`) and `oracle`, renders and
-exits; it holds no formula or grid.  `seq` renders each format straight
-from its columns (n, value, interior, match); `checks.formula_columns` and
-`oracle.oracle_table` each give theirs for --from..--to in one call.  Every
-format fills one row template, `%s` for each cell, so the int columns stay
-ints and are converted inside one `%` per row: JSON rows the bytes
+`cli` parses, dispatches to `checks` (the `FAMILIES` rows, each coefficient
+route, `SUITES`) and `oracle`, renders and exits; it holds no formula, grid
+or family name.  `seq` renders each format from its columns (n, value,
+interior, match); `checks.formula_columns` and `oracle.oracle_table` each
+give theirs for --from..--to in one call.  Every format fills one row
+template, `%s` for each cell, so the int columns stay ints and are
+converted inside one `%` per row: JSON rows the bytes
 `json.dumps(indent=2, sort_keys=True)` would give, CSV and b-file rows
 their separators, table rows each column but the last left-justified to
 its width, which for integers is that of its min or its max (or of its
@@ -35,7 +35,7 @@ import sys
 
 from . import checks, identities, oracle
 
-FAMILIES = ("alpha", "beta", "gamma", "lambda", "oracle")
+FAMILIES = tuple(checks.FAMILIES)
 ROUTES = ("formula", "oracle", "both")
 FORMATS = ("table", "csv", "json", "bfile")
 _WRITE_SLICE = 1 << 16  # bytes (characters without a buffer) per write; see `_write`
@@ -143,59 +143,48 @@ def _write(text: str) -> None:
 # --- seq -------------------------------------------------------------------
 
 
-def _validate_seq(args, error) -> str:
-    family = args.family
-    route = args.route
-    if route is None:
-        route = "oracle" if family == "oracle" else "formula"
-    if family == "oracle" and route != "oracle":
-        error("family oracle always evaluates by recursion; drop --route")
-    if family == "lambda" and args.r is None:
-        error("family lambda requires -r")
-    if family in ("alpha", "beta", "gamma") and args.r is not None:
-        error(f"family {family} takes no -r")
+def _validate_seq(args, error) -> tuple[str, bool]:
+    """The route and whether interiors are printed, or a usage error from the family's row."""
+    family = checks.FAMILIES[args.family]
+    route = args.route or ("formula" if family.values else "oracle")
+    want_interior = args.interior or family.values is None
+    if family.values is None and route != "oracle":
+        error(f"family {args.family} always evaluates by recursion; drop --route")
+    if family.r == "required" and args.r is None:
+        error(f"family {args.family} requires -r")
+    if family.r == "refused" and args.r is not None:
+        error(f"family {args.family} takes no -r")
     if args.r is not None and args.r < 0:
         error("-r must be nonnegative")
-    if family == "alpha" or family == "oracle":
-        if args.d < 0:
-            error("-d must be nonnegative")
-    elif args.d < 1:
-        error("-d must be positive")
-    if family in ("lambda", "oracle") and args.r is not None and route in ("oracle", "both"):
-        if not args.r < args.d:
-            error("recursive evaluation needs 0 <= r < d")
+    if args.d < family.d_min:
+        error("-d must be positive" if family.d_min else "-d must be nonnegative")
+    if args.r is not None and route != "formula" and not args.r < args.d:
+        error("recursive evaluation needs 0 <= r < d")
     if args.n_from < 0 or args.n_to < args.n_from:
         error("need 0 <= --from <= --to")
-    if args.format == "bfile" and (route == "both" or args.interior or family == "oracle"):
+    if args.format == "bfile" and (route == "both" or want_interior):
         error("bfile output holds a single plain sequence; no match or interior columns")
-    if args.interior and family in ("beta", "gamma") and route != "oracle":
-        error(f"family {family} has interior counts only via --route oracle")
-    return route
+    if args.interior and family.interiors is None and route != "oracle":
+        error(f"family {args.family} has interior counts only via --route oracle")
+    return route, want_interior
 
 
 def _cmd_seq(args, parser) -> int:
-    route = _validate_seq(args, parser.error)
+    route, want_interior = _validate_seq(args, parser.error)
     family, d, r, n_from, n_to = args.family, args.d, args.r, args.n_from, args.n_to
-    want_interior = args.interior or family == "oracle"
 
     if route != "oracle":
-        values, interiors = checks.formula_columns(family, d, r, n_from, n_to, want_interior)
+        formula = checks.formula_columns(family, d, r, n_from, n_to, want_interior)
     if route != "formula":
-        recursion_values, recursion_interiors = oracle.oracle_table(
-            checks.family_descriptor(family, d, r), n_from, n_to)
-        if route == "oracle":
-            values, interiors = recursion_values, recursion_interiors
+        recursion = oracle.oracle_table(checks.family_descriptor(family, d, r), n_from, n_to)
+    values, interiors = recursion if route == "oracle" else formula
 
     columns = {"n": range(n_from, n_to + 1), "value": values}
     if want_interior:
         columns["interior"] = interiors
-    if route == "both":
-        if want_interior:
-            formula_rows = zip(values, interiors)
-            recursion_rows = zip(recursion_values, recursion_interiors)
-        else:
-            formula_rows, recursion_rows = values, recursion_values
-        columns["match"] = list(map(operator.eq, formula_rows, recursion_rows))
+    if route == "both":  # a row matches when each printed column does
+        kept = 2 if want_interior else 1
+        columns["match"] = list(map(operator.eq, zip(*formula[:kept]), zip(*recursion[:kept])))
     _emit_rows(args, route, columns)
     return 0 if all(columns.get("match", ())) else 1
 

@@ -92,12 +92,15 @@ def eulerian(d: int, i: int) -> int:
     return row[i] if 0 <= i < len(row) else 0
 
 
-def _eulerian_row(d: int) -> list[int]:
-    """E(d, 0), ..., E(d, max(d-1, 0)), built by a loop over the rows: no recursion, no memo."""
+def _eulerian_row(d: int, width: int | None = None) -> list[int]:
+    """E(d, 0), ..., E(d, max(d-1, 0)) by a loop over the rows: no recursion, no memo.
+
+    Each row is cut to width entries: entry i reads only entries i and i-1 above."""
     if d < 0:
         raise ValueError(f"dimension must be nonnegative, got d={d}")
-    row = [1]
+    row = [1][:width]
     for e in range(2, d + 1):
-        row = [(i + 1) * a + (e - i) * b for i, (a, b) in enumerate(zip(row + [0], [0] + row))]
+        row = [(i + 1) * a + (e - i) * b
+               for i, (a, b) in enumerate(zip(row + [0], [0] + row))][:width]
     return row
 

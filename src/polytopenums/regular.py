@@ -136,11 +136,12 @@ def hypercube_table(d: int, n_from: int, n_to: int) -> list[int]:
     """Points in the n-th d-hypercube array, i.e. n**d, for n_from..n_to (d >= 1).
 
     The Eulerian-weighted sum of d unit shifts of one simplex column, so
-    the closed form, not n**d, is what the table evaluates.
+    the closed form, not n**d, is what the table evaluates.  Shift j is 0
+    at n <= j, so only the first max(n_to, 1) Eulerian numbers are built.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got d={d}")
-    return recombine_table(_eulerian_row(d), d, n_from, n_to)
+    return recombine_table(_eulerian_row(d, max(n_to, 1)), d, n_from, n_to)
 
 
 def simplex_number(d: int, n: int) -> int:

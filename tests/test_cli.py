@@ -838,10 +838,10 @@ class TestVerify:
         assert out.endswith("verify: FAIL\n")
 
     def test_oracle_suite_checks_the_tables_seq_prints_from(self, monkeypatch):
-        # The closed forms `seq` prints are the globals checks.formula_columns
-        # reads, and `cli` binds none of them itself.
-        names = sorted(name for name in checks.formula_columns.__code__.co_names
-                       if name.endswith("_table"))
+        # The closed forms `seq` prints are the globals the FAMILIES rows
+        # name, and `cli` binds none of them itself.
+        names = sorted({name for row in checks.FAMILIES.values()
+                        for name in (row.values, row.interiors) if name})
         assert len(names) == 6
         called = set()
 

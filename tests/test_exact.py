@@ -182,6 +182,12 @@ class TestEulerian:
         assert len(row) == 1000
         assert sum(row) == math.factorial(1000)
 
+    def test_truncated_row_is_the_full_rows_prefix(self):
+        for d in range(61):
+            full = _eulerian_row(d)
+            for width in range(d + 3):
+                assert _eulerian_row(d, width) == full[:width], (d, width)
+
     def test_closed_form(self):
         # Alternating-sum closed form, used only as an oracle here.
         for d in range(1, 10):

@@ -532,12 +532,31 @@ class TestHead:
     def test_verify_family_checks_read_raw_recursion_rows(self, bounds):
         # verify's oracle suite compares the recursion's own rows, never the
         # extension past the head: an n bound lowers n and never raises it.
-        families = {"simplex-value": "alpha", "simplex-interior": "alpha",
-                    "cross-polytope": "beta", "hypercube": "gamma",
-                    "rectified-value": "lambda", "rectified-interior": "lambda"}
+        families = {name: family for family, row in checks.FAMILIES.items()
+                    for name in (row.value_check, row.interior_check) if name}
+        assert len(families) == 6
         compared = [check for check in checks.oracle_checks(*bounds) if check.identity in families]
         assert {check.identity for check in compared} == set(families)
         for check in compared:
             params = dict(check.params)
             p = checks.family_descriptor(families[check.identity], params["d"], params.get("r"))
             assert params["n"] <= oracle._head(p), check.describe()
+
+    @pytest.mark.parametrize("d_max", [None, *range(11)])
+    def test_census_roots_derived_from_the_family_rows(self, monkeypatch, d_max):
+        # The oracle suite's census roots are the family rows' descriptors at
+        # each top d; their closure is that of the hand-written reference list.
+        top = {default: default if d_max is None else min(default, d_max) for default in (6, 7, 8)}
+        reference = [simplex(top[8]), cross_polytope(top[6]), hypercube(top[6])]
+        reference += [rectified_simplex_descriptor(d, r)
+                      for d in range(2, top[7] + 1) for r in range(1, d)]
+        derived = []
+
+        def recording(*roots):
+            derived.append(roots)
+            return face_closure(*roots)
+
+        monkeypatch.setattr(oracle, "face_closure", recording)
+        assert all(check.ok for check in checks.oracle_checks(d_max, 1))
+        roots = derived[-1]  # the table fills call it first, one descriptor each
+        assert face_closure(*roots) == face_closure(*reference)

@@ -121,6 +121,10 @@ class TestHypercube:
         # The Eulerian weights are built by a loop, so no recursion limit applies.
         assert hypercube_table(600, 1, 3) == [1, 2**600, 3**600]
 
+    def test_large_dimension_builds_only_the_eulerian_prefix(self):
+        # Rows up to n = 10 read the first 10 Eulerian numbers of 2000, not all of them.
+        assert hypercube_table(2000, 9, 10) == [9**2000, 10**2000]
+
 
 class TestFacetCut:
     def test_examples(self):
