@@ -10,10 +10,10 @@ converted inside one `%` per row: JSON rows the bytes
 `json.dumps(indent=2, sort_keys=True)` would give, CSV and b-file rows
 their separators, table rows each column but the last left-justified to
 its width, which for integers is that of its min or its max (or of its
-name).  All output goes through `_write`, in slices: each `seq` table and
-`decompose` result is built in memory and written in one call, `verify`
-writes one suite at a time.  Output has no digit limit: `main` lifts
-the interpreter's limit on `str(int)` while a command runs.
+name).  All output goes through `_write`: each `seq` table and `decompose`
+result is built in memory and written in one call, `verify` writes one
+suite at a time.  Output has no digit limit: `main` lifts the
+interpreter's limit on `str(int)` while a command runs.
 
 Exit codes: 0 success, 1 verification failure or route mismatch, 2 usage
 error, 3 internal error: any other exception, reported on stderr as
@@ -38,7 +38,6 @@ from . import checks, identities, oracle
 FAMILIES = tuple(checks.FAMILIES)
 ROUTES = ("formula", "oracle", "both")
 FORMATS = ("table", "csv", "json", "bfile")
-_WRITE_SLICE = 1 << 16  # bytes (characters without a buffer) per write; see `_write`
 
 
 @functools.cache
@@ -120,24 +119,23 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _write(text: str) -> None:
-    """Write text to sys.stdout as it is now (tests swap it), in slices.
+    """Write text to sys.stdout as it is now (tests swap it).
 
     Unbuffered stdout (python -u) writes straight to the raw file, whose
     write stops short when the reader closes the pipe mid-write; the text
     layer ignores that count, so the rest is lost and the run exits 0.  A
     stream with a byte buffer therefore gets the encoded text there, after
-    its text layer is flushed, each slice resumed from the count written:
-    the write after the close raises, and the run exits 141."""
+    its text layer is flushed, each write resumed from the count the last
+    one returned: the write after the close raises, and the run exits 141."""
     out = sys.stdout
     buffer = getattr(out, "buffer", None)
     if buffer is None:
-        for start in range(0, len(text), _WRITE_SLICE):
-            out.write(text[start:start + _WRITE_SLICE])
+        out.write(text)
         return
     out.flush()
     data = memoryview(text.encode(out.encoding, out.errors))
     while data:
-        data = data[buffer.write(data[:_WRITE_SLICE]):]
+        data = data[buffer.write(data):]
 
 
 # --- seq -------------------------------------------------------------------

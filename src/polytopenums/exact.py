@@ -86,9 +86,10 @@ def eulerian(d: int, i: int) -> int:
     """Eulerian number: permutations of d elements with exactly i descents.
 
     Computed by the recurrence E(d, i) = (i+1) E(d-1, i) + (d-i) E(d-1, i-1)
-    with E(0, 0) = 1.  Zero outside 0 <= i <= max(d-1, 0).
+    with E(0, 0) = 1, on the first i+1 entries of each row, all it reads.
+    Zero outside 0 <= i <= max(d-1, 0).
     """
-    row = _eulerian_row(d)
+    row = _eulerian_row(d, max(i, 0) + 1)
     return row[i] if 0 <= i < len(row) else 0
 
 

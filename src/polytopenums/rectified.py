@@ -18,16 +18,15 @@ entry and extends it by d-fold prefix sums.  The interior sum reads the
 simplex interior at a*n + 1 - a + b, the same column shifted by d+1, since
 the simplex interior C(k-2, d) is A(d, k-d-1).  The scalar forms are the
 one-row reads of those tables.  The module also computes the coefficients
-that rewrite such sequences in the basis A(d, n-j) of unit shifts, and
-`recombine` reads a sequence back from its coefficients.  There are two
-routes per mode: d+1 backward-difference passes over the stretched simplex
-column, applied once to the rectified mode's weighted sum of stretches, and
-generalized binomials, each an alternating sum read from the near end of
-its palindromic row; one `exact._gbinomials` call reads all of a
-decomposition's from `simplex_table`'s column C(t+d, d).  They evaluate
-differently but expand the same generating function, so they cross-check
-the code, not the formula; `verify`'s shift-identity and recombination
-checks hold the vectors against the simplex and rectified columns.
+that rewrite such sequences in the basis A(d, n-j) of unit shifts, read
+back by `recombine`.  A decomposition is a stretch list, (1, a, b) alone
+or `_stretches(d, r)`, and each route one body over it: d+1 backward
+difference passes over the summed stretched column read out to
+d + max(a+b), or one `exact._gbinomials` batch of width the largest
+`_support_bound` + 1, weighted by w.  The two expand the same generating
+function differently, so they cross-check the code, not the formula;
+`verify`'s shift-identity and recombination checks hold the vectors
+against the simplex and rectified columns.
 
 The degenerate families with d <= r are still defined by the same formulas,
 as formal sequences.  For d == r the value is 1 at every n >= 1 and the
@@ -120,29 +119,36 @@ def _trimmed(coeffs: list[int], keep: int, what: str) -> list[int]:
     return coeffs[:keep]
 
 
-def _unit_shifts(d: int, stretches: list[tuple[int, int, int]], limit: int) -> list[int]:
-    """(1-x)**(d+1) times sum w * A(d, a*k + 1 - b) over stretches (w, a, b), for k = 0..limit."""
+def _difference_route(d: int, stretches: list, keep: int, what: str) -> list[int]:
+    """(1-x)**(d+1) times the sum of w * A(d, a*k + 1 - b) over stretches (w, a, b), trimmed."""
+    limit = d + max(a + b for _, a, b in stretches)
     coeffs = _reads(d, [(w, a, 1 - b) for w, a, b in stretches], 0, limit)
     for _ in range(d + 1):
         coeffs = list(map(sub, coeffs, [0] + coeffs[:-1]))
-    return coeffs
+    return _trimmed(coeffs, keep, what)
+
+
+def _gbinomial_route(d: int, stretches: list, keep: int, what: str) -> list[int]:
+    """The sum of w * gbinomial(d+1, a*j - b, a) over stretches (w, a, b), trimmed."""
+    width = max(_support_bound(d, a, b) for _, a, b in stretches) + 1
+    values = _gbinomials(d + 1, [(a * j - b, a) for _, a, b in stretches for j in range(width)])
+    weights = [w for w, _, _ in stretches]
+    coeffs = [sum(map(mul, weights, values[j::width])) for j in range(width)]
+    return _trimmed(coeffs, keep, what)
 
 
 def shift_decomposition(d: int, a: int, b: int) -> list[int]:
     """Coefficients rewriting a stretched simplex sequence over unit shifts.
 
     Returns c with simplex_number(d, a*n - (a-1) - b) equal to the sum of
-    c[j] * simplex_number(d, n-j), valid whenever the left argument is >= 1.
-    c is (1-x)**(d+1) times the stretched column, the series whose k-th
-    term is C(d+ak-b, d) = A(d, ak+1-b) for ak >= b and 0 below:
-    _unit_shifts of [(1, a, b)].  The vector has length d+1 when b <= d;
-    larger offsets push the support out to d + ceil((b-d)/a).  All
-    coefficients out to index d+a+b, past that bound, are computed anyway
-    and must vanish; a nonzero one raises ArithmeticError.
+    c[j] * simplex_number(d, n-j) whenever the left argument is >= 1: the
+    difference route of the one stretch (1, a, b).  c has length d+1 when
+    b <= d, and offsets past d push it out to d + ceil((b-d)/a) + 1; every
+    coefficient out to index d+a+b is computed and checked anyway.
     """
     _check_shift(d, a, b)
-    return _trimmed(_unit_shifts(d, [(1, a, b)], d + a + b), _support_bound(d, a, b) + 1,
-                    f"shift coefficients for d={d} a={a} b={b}")
+    return _difference_route(d, [(1, a, b)], _support_bound(d, a, b) + 1,
+                             f"shift coefficients for d={d} a={a} b={b}")
 
 
 def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
@@ -150,12 +156,11 @@ def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
 
     c[j] is gbinomial(d+1, a*j - b, a), the coefficient of x**(a*j - b) in
     (1 + x + ... + x**(a-1))**(d+1): the h-vector of a Veronese subring.
-    gbinomial expands the same generating function as shift_decomposition's
-    difference passes, as an alternating sum over the near end of the row.
-    The vector runs to the same support bound, read by one `_gbinomials` call.
+    The gbinomial route of the one stretch (1, a, b), to the support bound.
     """
     _check_shift(d, a, b)
-    return _gbinomials(d + 1, [(a * j - b, a) for j in range(_support_bound(d, a, b) + 1)])
+    return _gbinomial_route(d, [(1, a, b)], _support_bound(d, a, b) + 1,
+                            f"shift coefficients for d={d} a={a} b={b}")
 
 
 def recombine(coeffs: list[int], d: int, n: int) -> int:
@@ -172,27 +177,20 @@ def rectified_decomposition(d: int, r: int) -> list[int]:
     """Simplex-basis coefficients of the r-rectified d-simplex sequence.
 
     Returns (a_0 .. a_{d-1}) with the rectified sequence equal to the sum of
-    a_j * simplex_number(d, n-j): _unit_shifts over the stretches (w, a, b),
-    out to index d+r+1, the shift rule d+a+b for every stretch.  Requires
+    a_j * simplex_number(d, n-j): the difference route of `_stretches(d, r)`,
+    out to index d+r+1, as a+b = r+1 for every stretch.  Requires
     0 <= r < d; a nonzero coefficient from index d on raises ArithmeticError.
     """
     _check_true_rectification(d, r)
-    return _trimmed(_unit_shifts(d, _stretches(d, r), d + r + 1), d,
-                    f"rectified coefficients for d={d} r={r}")
+    return _difference_route(d, _stretches(d, r), d, f"rectified coefficients for d={d} r={r}")
 
 
 def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
     """Simplex-basis coefficients via generalized binomial coefficients.
 
-    a_j sums w * gbinomial(d+1, a*j - b, a) over the stretches (w, a, b),
-    for j = 0..d: _support_bound + 1 = d+1 entries for every stretch, as
-    b <= r < d.  One `_gbinomials` call reads all (r+1)(d+1) of them from one
-    shared column C(t+d, d).  Must agree with rectified_decomposition entry
-    for entry; a nonzero a_d raises ArithmeticError.
+    The gbinomial route of `_stretches(d, r)`: one batch of (r+1)(d+1)
+    reads, as b <= r < d puts every support bound at d.  Must agree with
+    rectified_decomposition; a nonzero a_d raises ArithmeticError.
     """
     _check_true_rectification(d, r)
-    stretches = _stretches(d, r)
-    values = _gbinomials(d + 1, [(a * j - b, a) for _, a, b in stretches for j in range(d + 1)])
-    weights = [w for w, _, _ in stretches]
-    coeffs = [sum(map(mul, weights, values[j::d + 1])) for j in range(d + 1)]
-    return _trimmed(coeffs, d, f"rectified coefficients for d={d} r={r}")
+    return _gbinomial_route(d, _stretches(d, r), d, f"rectified coefficients for d={d} r={r}")

@@ -125,11 +125,13 @@ def simplex_interior_table(d: int, n_from: int, n_to: int) -> list[int]:
 def cross_polytope_table(d: int, n_from: int, n_to: int) -> list[int]:
     """Points in the n-th d-cross-polytope array for n_from..n_to (d >= 1).
 
-    The C(d-1, j)-weighted sum of d unit shifts of one simplex column.
+    The C(d-1, j)-weighted sum of d unit shifts of one simplex column.  Shift
+    j is 0 at n <= j, so only the first min(d, max(n_to, 1)) are built.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got d={d}")
-    return recombine_table([binomial(d - 1, j) for j in range(d)], d, n_from, n_to)
+    weights = [binomial(d - 1, j) for j in range(min(d, max(n_to, 1)))]
+    return recombine_table(weights, d, n_from, n_to)
 
 
 def hypercube_table(d: int, n_from: int, n_to: int) -> list[int]:

@@ -511,11 +511,11 @@ class TestClosedStdout:
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (141, b"")
 
-    # Each output leaves slices unwritten when the reader closes.  The lambda
+    # Each output leaves bytes unwritten when the reader closes.  The lambda
     # table at d = 150 (64,854 bytes) fits in a 64 KiB pipe and rightly exits
     # 0, and a decompose table's first line is half its bytes, so the table
     # cases are shift decompositions of 389 KB and of 173 KB.  In the second
-    # the close cuts a slice short, and only the write after it can tell.
+    # the close cuts a write short, and only the write after it can tell.
     @pytest.mark.parametrize("argv", [
         *(["seq", "--family", "alpha", "-d", "2", "--to", "200000", "--format", fmt]
           for fmt in cli.FORMATS),

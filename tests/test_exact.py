@@ -188,6 +188,16 @@ class TestEulerian:
             for width in range(d + 3):
                 assert _eulerian_row(d, width) == full[:width], (d, width)
 
+    def test_entry_is_the_full_rows_entry(self):
+        for d in range(61):
+            full = _eulerian_row(d)
+            for i in range(-2, d + 3):
+                assert eulerian(d, i) == (full[i] if 0 <= i < len(full) else 0), (d, i)
+        # E(d, 1) = 2**d - d - 1, read from a two-entry prefix of each row.
+        assert eulerian(2000, 1) == 2**2000 - 2001
+        with pytest.raises(ValueError):
+            eulerian(-1, -2)
+
     def test_closed_form(self):
         # Alternating-sum closed form, used only as an oracle here.
         for d in range(1, 10):

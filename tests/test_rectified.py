@@ -236,6 +236,19 @@ class TestRectifiedDecomposition:
                 assert via_shifts[0] == 1
                 assert all(c >= 0 for c in via_shifts)
 
+    def test_weighted_sum_of_stretch_shift_vectors(self):
+        # The identity both routes rest on: the rectified vector is the
+        # w-weighted sum of its stretches' shift vectors, padded to d+r+2,
+        # and that sum is 0 from index d on.
+        for d in range(1, 13):
+            for r in range(d):
+                total = [0] * (d + r + 2)
+                for w, a, b in rectified._stretches(d, r):
+                    for j, c in enumerate(shift_decomposition(d, a, b)):
+                        total[j] += w * c
+                assert total[:d] == rectified_decomposition(d, r), (d, r)
+                assert not any(total[d:]), (d, r)
+
     def test_routes_agree_at_large_parameters(self):
         # d = 100 is past every grid; each route is well under a second here.
         assert rectified_decomposition(100, 50) == rectified_decomposition_gbinom(100, 50)

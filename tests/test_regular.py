@@ -5,6 +5,7 @@ import pytest
 
 from polytopenums.regular import (
     cross_polytope_number,
+    cross_polytope_table,
     facet_cut,
     hypercube_number,
     hypercube_table,
@@ -100,6 +101,10 @@ class TestCrossPolytope:
     def test_rejects_dimension_zero(self):
         with pytest.raises(ValueError):
             cross_polytope_number(0, 3)
+
+    def test_large_dimension_builds_only_the_binomial_prefix(self):
+        # Rows up to n = 3 read 3 of the 8000 weights C(7999, j): 1, 2d, 2d**2 + 1.
+        assert cross_polytope_table(8000, 1, 3) == [1, 16000, 2 * 8000**2 + 1]
 
 
 class TestHypercube:
