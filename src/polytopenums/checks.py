@@ -161,7 +161,7 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
     # Census structure: Euler relation over every census reachable from the
     # tested polytopes, plus two pinned f-vectors.
     for p in oracle.face_closure(*roots):
-        if isinstance(p, oracle.Point):
+        if isinstance(p, oracle.Point):  # an empty census: its records would move the count
             continue
         census = oracle.faces_of(p)
         yield _check("euler-relation",

@@ -9,6 +9,8 @@ C(k+d-1, d) that `regular.simplex_table` returns or `_gbinomials` sums
 against: by `math.comb` (CPython's fast path) while the run's top entry is
 below 2**64, above that each entry from the one before, A(d, k) =
 A(d, k-1) * (k+d-1) / (k-1); a remainder raises ArithmeticError.
+`_check_dimension` is the one rule d >= 0 (or d >= 1) and its message for
+the tables, decompositions, `eulerian` and the descriptor factories alike.
 """
 from __future__ import annotations
 
@@ -33,6 +35,12 @@ def binomial(r: int, k: int) -> int:
         return math.comb(r, k) if k <= r else 0
     value = math.comb(k - r - 1, k)
     return -value if k % 2 else value
+
+
+def _check_dimension(d: int, least: int = 0) -> None:
+    """Raise ValueError unless d >= least, where least is 0 (nonnegative) or 1 (positive)."""
+    if d < least:
+        raise ValueError(f"dimension must be {('nonnegative', 'positive')[least]}, got d={d}")
 
 
 def _column(d: int, start: int, stop: int) -> list[int]:
@@ -97,8 +105,7 @@ def _eulerian_row(d: int, width: int | None = None) -> list[int]:
     """E(d, 0), ..., E(d, max(d-1, 0)) by a loop over the rows: no recursion, no memo.
 
     Each row is cut to width entries: entry i reads only entries i and i-1 above."""
-    if d < 0:
-        raise ValueError(f"dimension must be nonnegative, got d={d}")
+    _check_dimension(d)
     row = [1][:width]
     for e in range(2, d + 1):
         row = [(i + 1) * a + (e - i) * b

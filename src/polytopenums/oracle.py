@@ -7,7 +7,8 @@ vertex with the n-th array of that face's own sequence.  That recursion
 only depends on how many faces of each combinatorial type the polytope has
 and how many of them contain the base vertex, never on which vertex was
 chosen, so polytopes are represented here by canonical descriptors and
-faces by a census of (type, count, count avoiding the base vertex).
+faces by a census of (type, count, count avoiding the base vertex), empty
+for the point, which has no proper faces.
 
 Supported descriptor families: point, simplex, cross-polytope, hypercube,
 and hypersimplex (the convex hull of the 0/1-vectors of length m with
@@ -49,7 +50,7 @@ from math import comb
 from operator import mul, sub
 from typing import NamedTuple
 
-from .exact import binomial
+from .exact import _check_dimension, binomial
 
 
 class _Descriptor(tuple):
@@ -127,8 +128,7 @@ POINT = Point()
 
 
 def _dimensional(family: type[_Dimensional], d: int) -> PolytopeDescriptor:
-    if d < 0:
-        raise ValueError(f"dimension must be nonnegative, got d={d}")
+    _check_dimension(d)
     return POINT if d == 0 else family(d)
 
 
@@ -204,11 +204,9 @@ def faces_of(p: PolytopeDescriptor) -> FaceCensus:
     coordinates to 1 leaves a smaller hypersimplex, and the section is a
     proper face of dimension >= 1 exactly when 0 < s - |B| < m - |A| - |B|.
     The base vertex is the indicator vector of a fixed s-set S, and a face
-    (A, B) contains it iff A avoids S and B lies inside S.
+    (A, B) contains it iff A avoids S and B lies inside S.  The point has
+    no proper faces, so its census is empty.
     """
-    if isinstance(p, Point):
-        raise ValueError("a point has no proper faces")
-
     counts: dict[PolytopeDescriptor, list[int]] = {}
 
     def add(face: PolytopeDescriptor, total: int, containing: int) -> None:
@@ -250,7 +248,7 @@ def face_closure(*roots: PolytopeDescriptor) -> list[PolytopeDescriptor]:
     repr), the order `faces_of` lists its entries in, so each face comes
     before any polytope it is a face of.
     """
-    faces = {e.face for p in roots if not isinstance(p, Point) for e in faces_of(p).entries}
+    faces = {e.face for p in roots for e in faces_of(p).entries}
     return sorted(faces.union(roots), key=_faces_first)
 
 
@@ -283,8 +281,7 @@ def _filled(p: PolytopeDescriptor, n: int) -> tuple[list[int], list[int]]:
                 q, ([0, 1], [0, 1 if isinstance(q, Point) else 0]))
             # One (faces avoiding the base vertex, total faces, face interiors)
             # row per census entry; the face's interior list is shared, not copied.
-            rows = [] if isinstance(q, Point) else [
-                (e.not_containing, e.total, _tables[e.face][1]) for e in faces_of(q).entries]
+            rows = [(e.not_containing, e.total, _tables[e.face][1]) for e in faces_of(q).entries]
             for k in range(len(values), n + 1):
                 grown = inside_faces = 0
                 for avoiding, total, face_interiors in rows:

@@ -9,7 +9,8 @@ inclusion-exclusion style sum over the stretches (w, a, b) of `_stretches`:
 
 where A is the clamped d-simplex sequence and stretch i = 0..r has
 w = (-1)**(r-i) C(d+1, r-i), a = i+1 and b = r-i: the sequence that
-`shift_decomposition(d, a, b)` rewrites, read by every formula here.  The
+`shift_decomposition(d, a, b)` rewrites, read by every formula here, so
+the list checks the domain d >= 1, r >= 0 for all of them.  The
 sum and its interior companion are written once, as table forms: each is
 one call of the `regular` column kernel, whose terms (w, a, offset) read a
 single simplex column.  Each stretch is a degree-d polynomial in n once
@@ -38,35 +39,34 @@ from __future__ import annotations
 
 from operator import mul, sub
 
-from .exact import _gbinomials, binomial
+from .exact import _check_dimension, _gbinomials, binomial
 from .regular import _column_sum, _reads, recombine_table
 
 
-def _check_dimension(d: int, r: int) -> None:
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got d={d}")
-    if r < 0:
-        raise ValueError(f"rectification level must be nonnegative, got r={r}")
-
-
 def _check_shift(d: int, a: int, b: int) -> None:
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got d={d}")
+    _check_dimension(d, 1)
     if a < 1:
         raise ValueError(f"stretch factor must be positive, got a={a}")
     if b < 0:
         raise ValueError(f"offset must be nonnegative, got b={b}")
 
 
-def _check_true_rectification(d: int, r: int) -> None:
-    _check_dimension(d, r)
-    if r >= d:
-        raise ValueError(f"decomposition requires 0 <= r < d, got d={d} r={r}")
-
-
 def _stretches(d: int, r: int) -> list[tuple[int, int, int]]:
-    """(w, a, b) = ((-1)**(r-i) C(d+1, r-i), i+1, r-i): the stretches i = 0..r."""
+    """(w, a, b) = ((-1)**(r-i) C(d+1, r-i), i+1, r-i): the stretches i = 0..r.
+
+    Every rectified table and decomposition reads it: it checks d >= 1, then r >= 0."""
+    _check_dimension(d, 1)
+    if r < 0:
+        raise ValueError(f"rectification level must be nonnegative, got r={r}")
     return [((-1) ** (r - i) * binomial(d + 1, r - i), i + 1, r - i) for i in range(r + 1)]
+
+
+def _true_stretches(d: int, r: int) -> list[tuple[int, int, int]]:
+    """`_stretches(d, r)` for a decomposition, which also needs r < d: r >= d >= 1
+    passes the other two rules, so this check goes first and builds no list."""
+    if r >= d >= 1:
+        raise ValueError(f"decomposition requires 0 <= r < d, got d={d} r={r}")
+    return _stretches(d, r)
 
 
 def rectified_simplex_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
@@ -76,7 +76,6 @@ def rectified_simplex_table(d: int, r: int, n_from: int, n_to: int) -> list[int]
     alternating formula as a formal sequence.  Rows with n <= 0 come out 0
     with no special case: every argument a*n + 1 - a - b is then below 1.
     """
-    _check_dimension(d, r)
     return _column_sum(d, [(w, a, 1 - a - b) for w, a, b in _stretches(d, r)], n_from, n_to)
 
 
@@ -87,7 +86,6 @@ def rectified_simplex_interior_table(d: int, r: int, n_from: int, n_to: int) -> 
     is the simplex column at a*n + b - a - d.  Rows with n <= 0 come out 0:
     a nonzero weight needs b <= d+1, and then that argument is below 1.
     """
-    _check_dimension(d, r)
     return _column_sum(d, [(w, a, b - a - d) for w, a, b in _stretches(d, r)], n_from, n_to)
 
 
@@ -181,8 +179,8 @@ def rectified_decomposition(d: int, r: int) -> list[int]:
     out to index d+r+1, as a+b = r+1 for every stretch.  Requires
     0 <= r < d; a nonzero coefficient from index d on raises ArithmeticError.
     """
-    _check_true_rectification(d, r)
-    return _difference_route(d, _stretches(d, r), d, f"rectified coefficients for d={d} r={r}")
+    return _difference_route(d, _true_stretches(d, r), d,
+                             f"rectified coefficients for d={d} r={r}")
 
 
 def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
@@ -192,5 +190,5 @@ def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
     reads, as b <= r < d puts every support bound at d.  Must agree with
     rectified_decomposition; a nonzero a_d raises ArithmeticError.
     """
-    _check_true_rectification(d, r)
-    return _gbinomial_route(d, _stretches(d, r), d, f"rectified coefficients for d={d} r={r}")
+    return _gbinomial_route(d, _true_stretches(d, r), d,
+                            f"rectified coefficients for d={d} r={r}")

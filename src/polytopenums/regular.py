@@ -40,7 +40,7 @@ import math
 from itertools import accumulate, islice, repeat
 from operator import add, mul, sub
 
-from .exact import _column, _eulerian_row, binomial
+from .exact import _check_dimension, _column, _eulerian_row, binomial
 
 
 def _reads(d: int, terms: list[tuple[int, int, int]], n_from: int, n_to: int) -> list[int]:
@@ -97,15 +97,13 @@ def recombine_table(coeffs: list[int], d: int, n_from: int, n_to: int) -> list[i
     The sequence with simplex-basis coefficients coeffs: the unit-step
     terms (coeffs[j], 1, -j) of one simplex column.
     """
-    if d < 0:
-        raise ValueError(f"dimension must be nonnegative, got d={d}")
+    _check_dimension(d)
     return _column_sum(d, [(c, 1, -j) for j, c in enumerate(coeffs)], n_from, n_to)
 
 
 def simplex_table(d: int, n_from: int, n_to: int) -> list[int]:
     """Points in the n-th d-simplex array, C(n+d-1, d) (0 for n <= 0), for n_from..n_to."""
-    if d < 0:
-        raise ValueError(f"dimension must be nonnegative, got d={d}")
+    _check_dimension(d)
     zeros = [0] * max(0, min(n_to, 0) - n_from + 1)
     start = max(1, n_from)
     return zeros + (_column(d, start, n_to + 1) if start <= n_to else [])
@@ -128,8 +126,7 @@ def cross_polytope_table(d: int, n_from: int, n_to: int) -> list[int]:
     The C(d-1, j)-weighted sum of d unit shifts of one simplex column.  Shift
     j is 0 at n <= j, so only the first min(d, max(n_to, 1)) are built.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got d={d}")
+    _check_dimension(d, 1)
     weights = [binomial(d - 1, j) for j in range(min(d, max(n_to, 1)))]
     return recombine_table(weights, d, n_from, n_to)
 
@@ -141,8 +138,7 @@ def hypercube_table(d: int, n_from: int, n_to: int) -> list[int]:
     the closed form, not n**d, is what the table evaluates.  Shift j is 0
     at n <= j, so only the first max(n_to, 1) Eulerian numbers are built.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got d={d}")
+    _check_dimension(d, 1)
     return recombine_table(_eulerian_row(d, max(n_to, 1)), d, n_from, n_to)
 
 

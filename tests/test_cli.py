@@ -375,22 +375,27 @@ class TestSeq:
 
 @st.composite
 def seq_argvs(draw):
-    """A `seq` argv that passes every usage rule, as (family, d, r, from, to, route, fmt, interior)."""
+    """A `seq` argv that passes every usage rule, as (family, d, r, from, to, route, fmt, interior).
+
+    The rules come from the family's `checks.FAMILIES` row: its smallest d,
+    its -r rule, its interior table, and no value table for recursion only.
+    """
     family = draw(st.sampled_from(cli.FAMILIES))
-    d = draw(st.integers(0 if family in ("alpha", "oracle") else 1, 12))
+    row = checks.FAMILIES[family]
+    d = draw(st.integers(row.d_min, 12))
     r = None
-    if family == "lambda":
+    if row.r == "required":
         r = draw(st.integers(0, 14))  # r >= d: the formal family, negative interiors
-    elif family == "oracle" and d >= 1:
+    elif row.r == "optional" and d >= 1:
         r = draw(st.none() | st.integers(0, d - 1))
-    if family == "oracle":
+    if row.values is None:
         route = None
     else:
         routes = ["formula", "both", "oracle"] if r is None or r < d else ["formula"]
         route = draw(st.sampled_from(routes))
-    interior = draw(st.booleans()) and (family not in ("beta", "gamma") or route == "oracle")
+    interior = draw(st.booleans()) and (row.interiors is not None or route in (None, "oracle"))
     formats = list(cli.FORMATS)
-    if route == "both" or interior or family == "oracle":
+    if route == "both" or interior or row.values is None:
         formats.remove("bfile")
     fmt = draw(st.sampled_from(formats))
     n_from = draw(st.integers(0, 200))
@@ -400,8 +405,9 @@ def seq_argvs(draw):
 
 def expected_columns(family, d, r, n_from, n_to, route, interior):
     """The columns `seq` prints, as ints and bools, from the closed forms or the recursion."""
-    want_interior = interior or family == "oracle"
-    if family == "oracle" or route == "oracle":
+    recursion_only = checks.FAMILIES[family].values is None
+    want_interior = interior or recursion_only
+    if recursion_only or route == "oracle":
         values, interiors = oracle.oracle_table(checks.family_descriptor(family, d, r),
                                                 n_from, n_to)
     else:

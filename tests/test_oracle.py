@@ -280,8 +280,10 @@ class TestCensus:
             census.entries = ()
 
     def test_point_has_no_census(self):
-        with pytest.raises(ValueError):
-            faces_of(POINT)
+        # A point has no proper faces: its census is empty, not an error.
+        assert faces_of(POINT) == FaceCensus(POINT, ())
+        assert faces_of(POINT).f_vector() == ()
+        assert face_closure(POINT) == [POINT]
 
 
 class TestRecursion:
