@@ -292,7 +292,7 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--n-max must be positive")
     if "grid" in read:
         try:
-            given["grid"] = (identities.load_grid(args.grid) if args.grid
+            given["grid"] = (identities.load_grid(args.grid) if args.grid is not None
                              else identities.default_grid())
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load identity grid: {exc}")

@@ -12,16 +12,14 @@ Negative dimensions then vanish through the negative-lower-index rule, and
 index 1 interiors contribute (-1)**e; both behaviors are what the census
 identities need to hold on their full stated ranges.
 
-Verification grids ship as a plain-text config (see identity_grid.cfg) so
-runs are reproducible; structural constraints between parameters (c >= b,
-k < d, r <= d) are part of the identities and live in the iteration code.
-Each `REGISTRY` entry pairs an identity's grid keys, the ones `parse_grid`
-requires and accepts, with the iterator that reads them.
+Each `REGISTRY` entry pairs an identity's default ranges, keyed by the grid
+keys `parse_grid` requires and accepts, with the iterator that reads them; a
+grid file writes the same ranges inclusive, as `lo..hi`.  Constraints tying
+parameters together (c >= b, k < d, r <= d) are part of the identities and
+live in the iterators: interior-sum's k runs over 0..d-1 for each d.
 """
 from __future__ import annotations
 
-import configparser
-from importlib import resources
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .exact import binomial
@@ -150,28 +148,29 @@ def check_pascal_alternating_row(r: int) -> IdentityCheck:
 
 GridRanges = Mapping[str, Mapping[str, Iterable[int]]]
 
-# Identity name -> (the keys its grid section sets, an iterator over its grid
-# that reads exactly those keys), in suite order.  Each iterator looks its
-# checker up when called, so a replaced module-level checker is honored.
-REGISTRY: dict[str, tuple[tuple[str, ...],
+# Identity name -> (its default ranges, keyed by the keys its grid section
+# sets, and an iterator over its grid that reads exactly those keys), in
+# suite order.  Each iterator looks its checker up when called, so a
+# replaced module-level checker is honored.
+REGISTRY: dict[str, tuple[dict[str, range],
                           Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]]] = {
-    "alt-vandermonde": (("b", "c", "n"), lambda g: (
+    "alt-vandermonde": ({"b": range(1, 13), "c": range(1, 13), "n": range(1, 13)}, lambda g: (
         check_alt_vandermonde(b, c, n) for b in g["b"] for c in g["c"] if c >= b for n in g["n"]
     )),
-    "interior-sum": (("d", "j", "n"), lambda g: (
+    "interior-sum": ({"d": range(1, 9), "j": range(0, 5), "n": range(1, 13)}, lambda g: (
         check_interior_sum(d, k, j, n)
         for d in g["d"] for k in range(d) for j in g["j"] for n in g["n"]
     )),
-    "face-interior-sum": (("r", "d", "n"), lambda g: (
+    "face-interior-sum": ({"r": range(0, 5), "d": range(1, 8), "n": range(1, 11)}, lambda g: (
         check_face_interior_sum(r, d, n) for r in g["r"] for d in g["d"] for n in g["n"]
     )),
-    "vertex-star-sum": (("r", "d", "n"), lambda g: (
+    "vertex-star-sum": ({"r": range(0, 5), "d": range(1, 8), "n": range(2, 11)}, lambda g: (
         check_vertex_star_sum(r, d, n) for r in g["r"] for d in g["d"] for n in g["n"]
     )),
-    "subset-convolution": (("d", "r"), lambda g: (
+    "subset-convolution": ({"d": range(1, 13), "r": range(0, 13)}, lambda g: (
         check_subset_convolution(d, r) for d in g["d"] for r in g["r"] if r <= d
     )),
-    "pascal-alternating-row": (("r",), lambda g: (
+    "pascal-alternating-row": ({"r": range(0, 21)}, lambda g: (
         check_pascal_alternating_row(r) for r in g["r"]
     )),
 }
@@ -195,6 +194,8 @@ def parse_grid(text: str) -> dict[str, dict[str, range]]:
     section, a section that misses a key of its identity or sets one it
     does not read, a range with lo > hi, and a negative bound.
     """
+    import configparser  # deferred: only a grid file needs a parser
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
@@ -226,5 +227,5 @@ def load_grid(path: str) -> dict[str, dict[str, range]]:
 
 
 def default_grid() -> dict[str, dict[str, range]]:
-    text = resources.files("polytopenums").joinpath("identity_grid.cfg").read_text("utf-8")
-    return parse_grid(text)
+    """A fresh copy of every identity's default ranges, in suite order."""
+    return {name: dict(ranges) for name, (ranges, _) in REGISTRY.items()}

@@ -43,12 +43,14 @@ from .exact import _check_dimension, _gbinomials, binomial
 from .regular import _column_sum, _reads, recombine_table
 
 
-def _check_shift(d: int, a: int, b: int) -> None:
+def _shift_mode(d: int, a: int, b: int) -> tuple[list[tuple[int, int, int]], int, str]:
+    """(stretches, kept length, error label) of a shift decomposition: (1, a, b) alone."""
     _check_dimension(d, 1)
     if a < 1:
         raise ValueError(f"stretch factor must be positive, got a={a}")
     if b < 0:
         raise ValueError(f"offset must be nonnegative, got b={b}")
+    return [(1, a, b)], _support_bound(d, a, b) + 1, f"shift coefficients for d={d} a={a} b={b}"
 
 
 def _stretches(d: int, r: int) -> list[tuple[int, int, int]]:
@@ -61,12 +63,12 @@ def _stretches(d: int, r: int) -> list[tuple[int, int, int]]:
     return [((-1) ** (r - i) * binomial(d + 1, r - i), i + 1, r - i) for i in range(r + 1)]
 
 
-def _true_stretches(d: int, r: int) -> list[tuple[int, int, int]]:
-    """`_stretches(d, r)` for a decomposition, which also needs r < d: r >= d >= 1
-    passes the other two rules, so this check goes first and builds no list."""
+def _lambda_mode(d: int, r: int) -> tuple[list[tuple[int, int, int]], int, str]:
+    """(stretches, kept length, error label) of a rectified decomposition, which also
+    needs r < d: r >= d >= 1 passes `_stretches`' rules, so this check goes first."""
     if r >= d >= 1:
         raise ValueError(f"decomposition requires 0 <= r < d, got d={d} r={r}")
-    return _stretches(d, r)
+    return _stretches(d, r), d, f"rectified coefficients for d={d} r={r}"
 
 
 def rectified_simplex_table(d: int, r: int, n_from: int, n_to: int) -> list[int]:
@@ -144,9 +146,7 @@ def shift_decomposition(d: int, a: int, b: int) -> list[int]:
     b <= d, and offsets past d push it out to d + ceil((b-d)/a) + 1; every
     coefficient out to index d+a+b is computed and checked anyway.
     """
-    _check_shift(d, a, b)
-    return _difference_route(d, [(1, a, b)], _support_bound(d, a, b) + 1,
-                             f"shift coefficients for d={d} a={a} b={b}")
+    return _difference_route(d, *_shift_mode(d, a, b))
 
 
 def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
@@ -156,9 +156,7 @@ def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
     (1 + x + ... + x**(a-1))**(d+1): the h-vector of a Veronese subring.
     The gbinomial route of the one stretch (1, a, b), to the support bound.
     """
-    _check_shift(d, a, b)
-    return _gbinomial_route(d, [(1, a, b)], _support_bound(d, a, b) + 1,
-                            f"shift coefficients for d={d} a={a} b={b}")
+    return _gbinomial_route(d, *_shift_mode(d, a, b))
 
 
 def recombine(coeffs: list[int], d: int, n: int) -> int:
@@ -179,8 +177,7 @@ def rectified_decomposition(d: int, r: int) -> list[int]:
     out to index d+r+1, as a+b = r+1 for every stretch.  Requires
     0 <= r < d; a nonzero coefficient from index d on raises ArithmeticError.
     """
-    return _difference_route(d, _true_stretches(d, r), d,
-                             f"rectified coefficients for d={d} r={r}")
+    return _difference_route(d, *_lambda_mode(d, r))
 
 
 def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
@@ -190,5 +187,4 @@ def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
     reads, as b <= r < d puts every support bound at d.  Must agree with
     rectified_decomposition; a nonzero a_d raises ArithmeticError.
     """
-    return _gbinomial_route(d, _true_stretches(d, r), d,
-                            f"rectified coefficients for d={d} r={r}")
+    return _gbinomial_route(d, *_lambda_mode(d, r))

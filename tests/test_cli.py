@@ -973,8 +973,11 @@ class TestVerify:
         assert captured.out == ""
         assert f"polytopenums: error: cannot load identity grid: {message}\n" in captured.err
 
-    def test_missing_or_malformed_grid_is_usage_error(self, tmp_path):
+    def test_missing_or_malformed_grid_is_usage_error(self, capsys, tmp_path):
         expect_usage_error("verify", "--suite", "identities", "--grid", "/no/such/file.cfg")
+        expect_usage_error("verify", "--suite", "identities", "--grid", "")
+        assert capsys.readouterr().err.endswith(
+            "cannot load identity grid: [Errno 2] No such file or directory: ''\n")
         bad = tmp_path / "bad.cfg"
         bad.write_text("[no-such-identity]\nr = 1..2\n", encoding="utf-8")
         expect_usage_error("verify", "--suite", "identities", "--grid", str(bad))

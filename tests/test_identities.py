@@ -1,6 +1,9 @@
 """Tests for the identity verification suite."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polytopenums import cli
 from polytopenums.checks import identity_checks
 from polytopenums.exact import binomial
 from polytopenums.oracle import hypersimplex
@@ -16,6 +19,56 @@ from polytopenums.identities import (
     default_grid,
     parse_grid,
 )
+
+# The grid file the package shipped before its default ranges moved into
+# `REGISTRY`, verbatim: a user's copy of it must still give the default grid.
+SHIPPED_GRID = """\
+# Default verification grid for the identity suite.
+# Ranges are inclusive, written lo..hi.  Constraints tying parameters
+# together (c >= b, k < d, r <= d) are applied by the suite runner.
+
+[meta]
+version = 1
+
+[alt-vandermonde]
+b = 1..12
+c = 1..12
+n = 1..12
+
+[interior-sum]
+# k runs over 0..d-1 for each d.
+d = 1..8
+j = 0..4
+n = 1..12
+
+[face-interior-sum]
+r = 0..4
+d = 1..7
+n = 1..10
+
+[vertex-star-sum]
+r = 0..4
+d = 1..7
+n = 2..10
+
+[subset-convolution]
+d = 1..12
+r = 0..12
+
+[pascal-alternating-row]
+r = 0..20
+"""
+
+# Each identity's top per key, past its default grid: every value from 0 up
+# to the top holds, and the iterators apply the constraints between keys.
+BEYOND_DEFAULT_GRID = {
+    "alt-vandermonde": {"b": 40, "c": 40, "n": 40},
+    "interior-sum": {"d": 16, "j": 8, "n": 40},
+    "face-interior-sum": {"r": 7, "d": 13, "n": 24},
+    "vertex-star-sum": {"r": 7, "d": 13, "n": 24},
+    "subset-convolution": {"d": 40, "r": 40},
+    "pascal-alternating-row": {"r": 200},
+}
 
 
 class TestAltVandermonde:
@@ -203,4 +256,26 @@ class TestSuiteRunner:
         assert grid["pascal-alternating-row"]["r"] == range(0, 21)
         assert "meta" not in grid
         assert {name: tuple(section) for name, section in grid.items()} == {
-            name: keys for name, (keys, _) in REGISTRY.items()}
+            name: tuple(keys) for name, (keys, _) in REGISTRY.items()}
+
+    def test_shipped_grid_file_is_the_default_grid(self, capsys, tmp_path):
+        assert parse_grid(SHIPPED_GRID) == default_grid()
+        grid = tmp_path / "identity_grid.cfg"
+        grid.write_text(SHIPPED_GRID, encoding="utf-8")
+        assert cli.main(["verify", "--suite", "identities"]) == 0
+        default_out = capsys.readouterr().out
+        assert cli.main(["verify", "--suite", "identities", "--grid", str(grid)]) == 0
+        assert capsys.readouterr().out == default_out
+
+    def test_beyond_grid_boxes_set_every_key_of_every_identity(self):
+        assert {name: tuple(tops) for name, tops in BEYOND_DEFAULT_GRID.items()} == {
+            name: tuple(keys) for name, (keys, _) in REGISTRY.items()}
+
+    @settings(max_examples=200)  # about 0.4 s
+    @given(st.data())
+    def test_identities_hold_beyond_the_default_grid(self, data):
+        name = data.draw(st.sampled_from(list(REGISTRY)), label="identity")
+        point = {key: [data.draw(st.integers(0, top), label=key)]
+                 for key, top in BEYOND_DEFAULT_GRID[name].items()}
+        _, points = REGISTRY[name]
+        assert [check.describe() for check in points(point) if not check.ok] == []

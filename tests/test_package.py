@@ -67,6 +67,24 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_only_a_grid_file_loads_a_parser(tmp_path):
+    # The default identity grid lives in code: only `verify --grid FILE`
+    # reads text that needs configparser, and nothing reads package data.
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("[pascal-alternating-row]\nr = 0..5\n", encoding="utf-8")
+    code = ("import polytopenums.cli, sys; "
+            "loaded = lambda: sorted({'configparser', 'importlib.resources'} & set(sys.modules)); "
+            "print(loaded(), file=sys.stderr); polytopenums.cli.main(sys.argv[1:]); "
+            "print(loaded(), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    verify = ["verify", "--suite", "identities"]
+    for argv, after in [(verify, "[]"), (verify + ["--grid", str(grid)], "['configparser']")]:
+        done = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, f"[]\n{after}\n"), argv
+        assert done.stdout.endswith("verify: PASS\n"), argv
+
+
 def test_console_script_calls_main():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
