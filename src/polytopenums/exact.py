@@ -8,7 +8,10 @@ One builder, `_column`, makes every run of the simplex column A(d, k) =
 C(k+d-1, d) that `regular.simplex_table` returns or `_gbinomials` sums
 against: by `math.comb` (CPython's fast path) while the run's top entry is
 below 2**64, above that each entry from the one before, A(d, k) =
-A(d, k-1) * (k+d-1) / (k-1); a remainder raises ArithmeticError.
+A(d, k-1) * (k+d-1) / (k-1); a remainder raises ArithmeticError.  A
+`_gbinomials` batch whose terms are few against that run, as at large
+order s, skips it and takes each term from `math.comb`, so its cost
+follows its terms, not s.
 `_check_dimension` is the one rule d >= 0 (or d >= 1) and its message for
 the tables, decompositions, `eulerian` and the descriptor factories alike.
 """
@@ -66,7 +69,8 @@ def gbinomial(n: int, m: int, s: int) -> int:
     s >= 1; out-of-range m gives 0.  Evaluated as the alternating sum
     sum (-1)**k C(n, k) C(m-sk+n-1, n-1), read off (1-x**s)**n / (1-x)**n,
     at the nearer of m and its mirror n(s-1) - m: the row is palindromic,
-    and the sum has min(n, m//s) + 1 terms: `_gbinomials` of one read.
+    and the sum has min(n, m//s) + 1 terms: `_gbinomials` of one read,
+    which takes each term from `math.comb` once m is large against n.
     """
     return _gbinomials(n, [(m, s)])[0]
 
@@ -75,8 +79,11 @@ def _gbinomials(n: int, reads: list[tuple[int, int]]) -> list[int]:
     """gbinomial(n, m, s) for each (m, s) in reads, m reflected to its row's near end.
 
     Every read sums the signed row (-1)**k C(n, k) against the column
-    C(t+n-1, n-1) = A(n-1, t+1) at t = m, m-s, m-2s, ...: one `_column` run
-    up to t = max(0, largest reflected m), or the lone entry 1 when n = 0.
+    C(t+n-1, n-1) = A(n-1, t+1) at t = m, m-s, m-2s, ...: min(n, m//s) + 1
+    terms.  The batch reads them from one `_column` run up to t = max(0,
+    largest reflected m), or the lone entry 1 when n = 0, unless that run
+    would be long against its terms: then each term is one `math.comb`, and
+    the batch holds no column, whatever s.
     """
     for _, s in reads:
         if s < 1:
@@ -84,8 +91,20 @@ def _gbinomials(n: int, reads: list[tuple[int, int]]) -> list[int]:
     if n < 0:
         raise ValueError(f"upper argument must be nonnegative, got n={n}")
     near = [min(m, n * (s - 1) - m) for m, s in reads]  # negative when m is out of range
-    column = _column(n - 1, 1, max([0, *near]) + 2) if n else [1]
     signed = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+    length = max([0, *near]) + 2
+    # A term by math.comb costs about (n+20)/8 entries of the run (measured,
+    # n <= 141), so the batch reads term by term while its terms cost less.
+    sparse, terms = n > 0, 0
+    for m, (_, s) in zip(near, reads):
+        terms += min(n, m // s) + 1 if m >= 0 else 0
+        if terms * (n + 20) >= 8 * length:
+            sparse = False
+            break
+    if sparse:
+        return [sum(map(mul, signed, map(math.comb, range(m + n - 1, n - 2, -s), repeat(n - 1))))
+                if m >= 0 else 0 for m, (_, s) in zip(near, reads)]
+    column = _column(n - 1, 1, length) if n else [1]
     return [sum(map(mul, signed, column[m::-s])) if m >= 0 else 0
             for m, (_, s) in zip(near, reads)]
 

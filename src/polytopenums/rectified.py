@@ -22,10 +22,14 @@ one-row reads of those tables.  The module also computes the coefficients
 that rewrite such sequences in the basis A(d, n-j) of unit shifts, read
 back by `recombine`.  A decomposition is a stretch list, (1, a, b) alone
 or `_stretches(d, r)`, and each route one body over it: d+1 backward
-difference passes over the summed stretched column read out to
-d + max(a+b), or one `exact._gbinomials` batch of width the largest
-`_support_bound` + 1, weighted by w.  The two expand the same generating
-function differently, so they cross-check the code, not the formula;
+difference passes over the summed stretched column, read to the d+2
+coefficients past the kept length or to d + max(a+b) if that comes
+first, or one `exact._gbinomials` batch of width the largest
+`_support_bound` + 1, weighted by w.  So a shift decomposition's work on
+either route is its support times a polynomial in d, whatever a and b:
+the batch takes each term from `math.comb` when a column out to its
+largest read would be long against its terms.  The two expand the same
+generating function differently, so they cross-check the code, not the formula;
 `verify`'s shift-identity and recombination checks hold the vectors
 against the simplex and rectified columns.
 
@@ -120,8 +124,15 @@ def _trimmed(coeffs: list[int], keep: int, what: str) -> list[int]:
 
 
 def _difference_route(d: int, stretches: list, keep: int, what: str) -> list[int]:
-    """(1-x)**(d+1) times the sum of w * A(d, a*k + 1 - b) over stretches (w, a, b), trimmed."""
-    limit = d + max(a + b for _, a, b in stretches)
+    """(1-x)**(d+1) times the sum of w * A(d, a*k + 1 - b) over stretches (w, a, b), trimmed.
+
+    The column is read to index keep + d + 1, or to d + max(a+b) if that
+    comes first, so up to d+2 coefficients past keep are checked.
+    Coefficient j reads the column only at k <= j, and from index keep on
+    every coefficient is 0 (see `_support_bound`): checking further would
+    test only reads that no kept coefficient uses.
+    """
+    limit = min(d + max(a + b for _, a, b in stretches), keep + d + 1)
     coeffs = _reads(d, [(w, a, 1 - b) for w, a, b in stretches], 0, limit)
     for _ in range(d + 1):
         coeffs = list(map(sub, coeffs, [0] + coeffs[:-1]))
@@ -143,8 +154,9 @@ def shift_decomposition(d: int, a: int, b: int) -> list[int]:
     Returns c with simplex_number(d, a*n - (a-1) - b) equal to the sum of
     c[j] * simplex_number(d, n-j) whenever the left argument is >= 1: the
     difference route of the one stretch (1, a, b).  c has length d+1 when
-    b <= d, and offsets past d push it out to d + ceil((b-d)/a) + 1; every
-    coefficient out to index d+a+b is computed and checked anyway.
+    b <= d, and offsets past d push it out to d + ceil((b-d)/a) + 1; the
+    d+2 coefficients after it, or those out to index d+a+b if fewer, are
+    computed and checked to be 0, so the cost follows the support, not a.
     """
     return _difference_route(d, *_shift_mode(d, a, b))
 
@@ -154,7 +166,8 @@ def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
 
     c[j] is gbinomial(d+1, a*j - b, a), the coefficient of x**(a*j - b) in
     (1 + x + ... + x**(a-1))**(d+1): the h-vector of a Veronese subring.
-    The gbinomial route of the one stretch (1, a, b), to the support bound.
+    The gbinomial route of the one stretch (1, a, b), to the support bound:
+    at large a it takes each term, about d/2 a coefficient, from `math.comb`.
     """
     return _gbinomial_route(d, *_shift_mode(d, a, b))
 

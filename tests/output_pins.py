@@ -10,6 +10,9 @@ committed digests and `tests/test_output_pins.py` recomputes them.
 - decompose-shift: a grid and a seeded sample of `decompose --shift` over
   d <= 8, small and large a and b, every format, plus the usage errors of
   a missing or mixed mode and of missing or stray parameters.
+- decompose-shift-wide: seeded `decompose --shift` shapes past that grid,
+  d <= 20: a up to 10**4, a = 1 with b up to 3000, and b = d and b = d+1,
+  in all three formats.
 - seq-alpha, seq-beta, seq-gamma, seq-lambda, seq-oracle: one group per
   `seq` family, every d and r of a small grid (for lambda and oracle r runs
   to d+1, so the formal family's negative interiors are in) under every
@@ -87,6 +90,16 @@ def _decompose_shift():
               ["decompose", "--lambda", "-d", "3"],
               ["decompose", "-d", "3", "-r", "1"]]
     return argvs
+
+
+def _decompose_shift_wide():
+    rng = random.Random(f"{SEED} shift-wide")
+    shapes = [(rng.randint(1, 16), rng.randint(301, 10 ** 4), rng.randint(0, 300))
+              for _ in range(18)]
+    shapes += [(rng.randint(1, 12), 1, rng.randint(0, 3000)) for _ in range(12)]
+    shapes += [(d, a, b) for d in (1, 4, 12, 20) for a in (2, 97, 10 ** 4) for b in (d, d + 1)]
+    return [["decompose", "--shift", "-d", str(d), "-a", str(a), "-b", str(b),
+             "--format", DECOMPOSE_FORMATS[i % 3]] for i, (d, a, b) in enumerate(shapes)]
 
 
 SEQ_FORMATS = ("table", "csv", "json", "bfile")
@@ -201,6 +214,7 @@ def _workloads():
 
 
 GROUPS = {"decompose-lambda": _decompose_lambda, "decompose-shift": _decompose_shift,
+          "decompose-shift-wide": _decompose_shift_wide,
           **{f"seq-{family}": functools.partial(_seq_family, family) for family in SEQ_POINTS},
           "seq-long": _seq_long, "verify": _verify, "usage": _usage,
           "workloads": _workloads}

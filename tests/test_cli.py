@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import output_pins
-from polytopenums import checks, cli, identities, oracle
+from polytopenums import checks, cli, exact, identities, oracle, rectified
 from polytopenums.identities import IdentityCheck
 from polytopenums.rectified import (
     rectified_simplex_interior,
@@ -729,6 +729,21 @@ class TestDecompose:
         assert code == 0
         assert out.splitlines()[0] == "route,c0,c1,c2"
         assert "double-sum,1,3,0" in out
+
+    def test_wide_shift_work_follows_the_support(self, capsys, monkeypatch):
+        # 61 coefficients at a = 10**5: each route's reads are bounded by a
+        # polynomial in d alone, where a column to the largest reflected read
+        # would have (d+1)(a-1)/2, about 3 million, entries.
+        d, column, reads, asked = 60, exact._column, rectified._reads, []
+        monkeypatch.setattr(exact, "_column", lambda d, start, stop: asked.append(
+            stop - start) or column(d, start, stop))
+        monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to: asked.append(
+            n_to - n_from + 1) or reads(d, terms, n_from, n_to))
+        code, out = run_cli(capsys, "decompose", "--shift", "-d", str(d), "-a", "100000", "-b",
+                            "0", "--format", "json")
+        payload = json.loads(out)
+        assert (code, payload["routes_agree"], len(payload["coefficients"])) == (0, True, d + 1)
+        assert sum(asked) <= (d + 2) ** 2
 
     def test_route_disagreement_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setattr(checks, "rectified_decomposition_gbinom", lambda d, r: [1, 99, 1])

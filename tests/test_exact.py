@@ -130,11 +130,14 @@ class TestGBinomials:
     @example((0, []))
     @example((40, [(40 * 8, 9), (40 * 8 + 1, 9), (-1, 9), (160, 9), (20, 2)]))  # ends, middle
     # decompose --shift's long narrow columns: ends, middle and one read past
-    # the row.  n = 7, s = 300 builds t = 0..1046, all below 2**64, by
-    # math.comb; n = 9, s = 250 builds t = 0..1120, whose top passes 2**64
-    # at t = 960, by the exact step.
+    # the row.  These few reads take each term from math.comb.  With every
+    # third m read as well the batch builds its column: n = 7, s = 300
+    # builds t = 0..1046, all below 2**64, by math.comb; n = 9, s = 250
+    # builds t = 0..1120, whose top passes 2**64 at t = 960, by the exact step.
     @example((7, [(0, 300), (7 * 299, 300), (1046, 300), (7 * 299 + 1, 300)]))
     @example((9, [(0, 250), (9 * 249, 250), (1120, 250), (-1, 250)]))
+    @example((7, [(m, 300) for m in range(0, 1047, 3)] + [(7 * 299 + 1, 300)]))
+    @example((9, [(m, 250) for m in range(0, 1121, 3)] + [(9 * 249, 250), (-1, 250)]))
     def test_batch_matches_the_unreflected_sum_read_by_read(self, batch):
         n, reads = batch
         # The unreflected sum is 0 past the row's end; at n = 0 its C(., -1)
@@ -151,13 +154,14 @@ class TestGBinomials:
 
     def test_column_rejects_an_inexact_step(self, monkeypatch):
         # Past 2**64 the column's steps divide exactly; a remainder injected
-        # at the step into k = 4 must raise rather than be dropped.  The read
-        # m = 400 of order 26 at n = 33 needs the column C(t+32, 32) up to
-        # t = 400, far past 2**64, so it takes the step path.
+        # at the step into k = 4 must raise rather than be dropped.  The reads
+        # m = 0..400 of order 26 at n = 33 need the column C(t+32, 32) up to
+        # t = 400, far past 2**64, and sum more terms than it has entries, so
+        # the batch builds it, by the step path.
         monkeypatch.setattr(exact, "divmod", lambda x, y: (x // y, x % y + (y == 3)),
                             raising=False)
         with pytest.raises(ArithmeticError, match="inexact simplex column step at d=32 k=4"):
-            _gbinomials(33, [(400, 26)])
+            _gbinomials(33, [(m, 26) for m in range(401)])
 
 
 class TestEulerian:

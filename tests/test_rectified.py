@@ -165,6 +165,27 @@ class TestShiftDecomposition:
         with pytest.raises(ArithmeticError):
             shift_decomposition(2, 2, 5)
 
+    @pytest.mark.parametrize("d, a, b", [(2, 2, 5), (3, 300, 0), (6, 7, 30), (12, 10**5, 10**5)])
+    def test_tail_window_is_checked_at_both_ends(self, monkeypatch, d, a, b):
+        # The route reads the column only to the d+2 coefficients past the
+        # support.  One unit at the first of them, or at the last read,
+        # must raise.  Adding C(k - t + d, d) from k = t on puts that unit at
+        # coefficient t alone.
+        keep = len(shift_decomposition(d, a, b))
+        reads = rectified._reads
+        asked = []
+        monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to: asked.append(
+            n_to) or reads(d, terms, n_from, n_to))
+        shift_decomposition(d, a, b)
+        assert asked == [keep + d + 1]
+        for t in (keep, keep + d + 1):
+            monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to, t=t: [
+                v + (math.comb(k - t + d, d) if k >= t else 0)
+                for k, v in enumerate(reads(d, terms, n_from, n_to), n_from)])
+            message = rf"a={a} b={b} extend past index {keep - 1}: \[\({t}, 1\)\]$"
+            with pytest.raises(ArithmeticError, match=message):
+                shift_decomposition(d, a, b)
+
     def test_support_is_d_when_offset_small(self):
         for d in range(1, 7):
             for a in range(1, 6):

@@ -16,7 +16,8 @@ routes of each `decompose` mode to each other and to the rows their
 vectors must recombine to, at d up to 40, where coefficients pass 64 bits;
 the lambda property also holds `rectified_decomposition`, which expands the
 summed stretches once, to each stretch's `shift_decomposition` weighted and
-summed.
+summed.  A third holds both shift routes, with a up to 10**6, to the double
+sum written out, at every index to d+1 past the support.
 """
 import math
 from unittest import mock
@@ -283,6 +284,45 @@ def test_rectified_tables_property(family, d, r, run):
 @example(40, 40, 60)  # coefficients far past 64 bits
 def test_shift_decomposition_property(d, a, b):
     assert_shift_facts(d, a, b)
+
+
+def literal_shift_window(d, a, b, count):
+    """The first count coefficients of the shift double sum, written out.
+
+    c[j] sums (-1)**i C(d+1, i) C(d + a*(j-i) - b, a*(j-i) - b) over i; the
+    terms past i = d+1 are 0 and are left out, so no index costs more
+    than d+2 terms, whatever a and b.
+    """
+    return [sum((-1) ** i * binomial(d + 1, i) * binomial(d + a * (j - i) - b, a * (j - i) - b)
+                for i in range(min(j, d + 1) + 1))
+            for j in range(count)]
+
+
+@st.composite
+def wide_shifts(draw):
+    """(d, a, b) with d <= 12, a <= 10**6 and b <= 2*10**6, the support at most d + 64.
+
+    The support has d + ceil((b-d)/a) + 1 coefficients, and at a = 1 with
+    b ~ 10**6 printing them is the cost; b is held to 64a + d past that.
+    """
+    d, a = draw(st.integers(1, 12)), draw(st.integers(1, 10**6))
+    return d, a, draw(st.integers(0, min(2 * 10**6, 64 * a + d)))
+
+
+@given(wide_shifts())
+@example((6, 17, 0))  # the gbinomial batch reads its shared column
+@example((6, 18, 0))  # and, one step of a later, each term from math.comb
+@example((60, 10**5, 0))
+@example((8, 10**6, 10**6))
+def test_wide_shift_routes_match_the_literal_double_sum(shape):
+    # Both routes, held to each other and to the double sum at every index
+    # out to d+1 past the support, where every coefficient must be 0.
+    d, a, b = shape
+    coeffs = shift_decomposition(d, a, b)
+    assert coeffs == shift_decomposition_gbinom(d, a, b)
+    window = literal_shift_window(d, a, b, len(coeffs) + d + 1)
+    assert coeffs == window[:len(coeffs)]
+    assert not any(window[len(coeffs):])
 
 
 def composed_decomposition(d, r):
