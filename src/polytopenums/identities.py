@@ -12,6 +12,14 @@ Negative dimensions then vanish through the negative-lower-index rule, and
 index 1 interiors contribute (-1)**e; both behaviors are what the census
 identities need to hold on their full stated ranges.
 
+The two census identities, face-interior-sum and vertex-star-sum, share one
+body: the interiors of the face classes (k, m), weighted by their
+multiplicities, against the rectified value.  Each interior, that of the
+k-rectified m-simplex at index n, depends on (k, m, n) alone, so a census
+grid iterator computes it once per run, in a store it makes when called and
+that is freed with it, and builds the weights once per (r, d).  The
+per-point checkers compute both afresh, and the right side reads no store.
+
 Each `REGISTRY` entry pairs an identity's default ranges, keyed by the grid
 keys `parse_grid` requires and accepts, with the iterator that reads them; a
 grid file writes the same ranges inclusive, as `lo..hi`.  Constraints tying
@@ -20,6 +28,7 @@ live in the iterators: interior-sum's k runs over 0..d-1 for each d.
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .exact import binomial
@@ -82,21 +91,51 @@ def _rectified(r: int, d: int, m: int) -> int:
                for i in range(r + 1))
 
 
-def _census_weighted_interiors(weight, r: int, d: int, n: int) -> int:
-    # Shared shape of the two census sums: for each face class (k, m) the
-    # inner alternating sum is the interior value of the k-rectified
-    # m-simplex at index n, and `weight` supplies the face multiplicity.
-    total = 0
-    for k in range(r + 1):
-        for m in range(d - r + k + 1):
-            inner = sum(
-                (-1) ** (k - i)
-                * binomial(m + 1, k - i)
-                * _interior(m, (i + 1) * n + k - 2 * i)
-                for i in range(k + 1)
-            )
-            total += weight(k, m) * inner
-    return total
+def _rectified_interior(k: int, m: int, n: int) -> int:
+    # The interior value of the k-rectified m-simplex at index n, as its
+    # alternating stretched-interior sum: the inner sum of both census
+    # identities, which depends on the face class (k, m) and on n alone.
+    return sum((-1) ** (k - i) * binomial(m + 1, k - i) * _interior(m, (i + 1) * n + k - 2 * i)
+               for i in range(k + 1))
+
+
+# Census identity -> (the multiplicity its left side gives face class
+# (k, m) of the r-rectified d-simplex, and how far before n its right side
+# reads the rectified value).
+_CENSUS: dict[str, tuple[Callable[[int, int, int, int], int], int]] = {
+    "face-interior-sum": (
+        lambda r, d, k, m: binomial(d + 1, r - k) * binomial(d + 1 - r + k, m + 1), 0),
+    "vertex-star-sum": (lambda r, d, k, m: binomial(r + 1, r - k) * binomial(d - r, m - k), 1),
+}
+
+
+def _census_weights(identity: str, r: int, d: int) -> list[tuple[int, int, int]]:
+    # (k, m, multiplicity) of every face class, for one (r, d).
+    multiplicity = _CENSUS[identity][0]
+    return [(k, m, multiplicity(r, d, k, m)) for k in range(r + 1) for m in range(d - r + k + 1)]
+
+
+def _census_check(identity: str, weights: list[tuple[int, int, int]],
+                  interior: Callable[[int, int, int], int],
+                  r: int, d: int, n: int) -> IdentityCheck:
+    # The one body of both census checks: the weighted interiors of the
+    # face classes against the rectified value, which reads no interior.
+    lhs = sum(w * interior(k, m, n) for k, m, w in weights)
+    rhs = _rectified(r, d, n - _CENSUS[identity][1])
+    return IdentityCheck(identity, (("r", r), ("d", d), ("n", n)), lhs, rhs)
+
+
+def _census_points(identity: str) -> _Points:
+    # A census identity's grid iterator.  Each run makes its own store of
+    # interiors, freed with the generator, and each (r, d) its weights.
+    def points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
+        interior = cache(_rectified_interior)
+        for r in g["r"]:
+            for d in g["d"]:
+                weights = _census_weights(identity, r, d)
+                for n in g["n"]:
+                    yield _census_check(identity, weights, interior, r, d, n)
+    return points
 
 
 def check_face_interior_sum(r: int, d: int, n: int) -> IdentityCheck:
@@ -106,11 +145,8 @@ def check_face_interior_sum(r: int, d: int, n: int) -> IdentityCheck:
     of each face class; the result is the rectified value itself, written as
     its alternating stretched-simplex sum.
     """
-    lhs = _census_weighted_interiors(
-        lambda k, m: binomial(d + 1, r - k) * binomial(d + 1 - r + k, m + 1), r, d, n
-    )
-    rhs = _rectified(r, d, n)
-    return IdentityCheck("face-interior-sum", (("r", r), ("d", d), ("n", n)), lhs, rhs)
+    weights = _census_weights("face-interior-sum", r, d)
+    return _census_check("face-interior-sum", weights, _rectified_interior, r, d, n)
 
 
 def check_vertex_star_sum(r: int, d: int, n: int) -> IdentityCheck:
@@ -120,11 +156,8 @@ def check_vertex_star_sum(r: int, d: int, n: int) -> IdentityCheck:
     the closed vertex star; their interiors at index n reproduce the
     rectified value at index n-1.  Valid for n >= 2.
     """
-    lhs = _census_weighted_interiors(
-        lambda k, m: binomial(r + 1, r - k) * binomial(d - r, m - k), r, d, n
-    )
-    rhs = _rectified(r, d, n - 1)
-    return IdentityCheck("vertex-star-sum", (("r", r), ("d", d), ("n", n)), lhs, rhs)
+    weights = _census_weights("vertex-star-sum", r, d)
+    return _census_check("vertex-star-sum", weights, _rectified_interior, r, d, n)
 
 
 def check_subset_convolution(d: int, r: int) -> IdentityCheck:
@@ -148,12 +181,16 @@ def check_pascal_alternating_row(r: int) -> IdentityCheck:
 
 GridRanges = Mapping[str, Mapping[str, Iterable[int]]]
 
+# A grid iterator: every check of one identity over its grid section.
+_Points = Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]
+
 # Identity name -> (its default ranges, keyed by the keys its grid section
 # sets, and an iterator over its grid that reads exactly those keys), in
-# suite order.  Each iterator looks its checker up when called, so a
-# replaced module-level checker is honored.
-REGISTRY: dict[str, tuple[dict[str, range],
-                          Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]]] = {
+# suite order.  Each iterator looks up when called what it evaluates: the
+# checker of its identity, or, for the two census identities,
+# `_rectified_interior` and `_rectified`; so a replaced module-level
+# function is honored.
+REGISTRY: dict[str, tuple[dict[str, range], _Points]] = {
     "alt-vandermonde": ({"b": range(1, 13), "c": range(1, 13), "n": range(1, 13)}, lambda g: (
         check_alt_vandermonde(b, c, n) for b in g["b"] for c in g["c"] if c >= b for n in g["n"]
     )),
@@ -161,12 +198,10 @@ REGISTRY: dict[str, tuple[dict[str, range],
         check_interior_sum(d, k, j, n)
         for d in g["d"] for k in range(d) for j in g["j"] for n in g["n"]
     )),
-    "face-interior-sum": ({"r": range(0, 5), "d": range(1, 8), "n": range(1, 11)}, lambda g: (
-        check_face_interior_sum(r, d, n) for r in g["r"] for d in g["d"] for n in g["n"]
-    )),
-    "vertex-star-sum": ({"r": range(0, 5), "d": range(1, 8), "n": range(2, 11)}, lambda g: (
-        check_vertex_star_sum(r, d, n) for r in g["r"] for d in g["d"] for n in g["n"]
-    )),
+    "face-interior-sum": ({"r": range(0, 5), "d": range(1, 8), "n": range(1, 11)},
+                          _census_points("face-interior-sum")),
+    "vertex-star-sum": ({"r": range(0, 5), "d": range(1, 8), "n": range(2, 11)},
+                        _census_points("vertex-star-sum")),
     "subset-convolution": ({"d": range(1, 13), "r": range(0, 13)}, lambda g: (
         check_subset_convolution(d, r) for d in g["d"] for r in g["r"] if r <= d
     )),

@@ -858,6 +858,23 @@ class TestVerify:
         assert fail_line in out
         assert out.endswith("verify: FAIL\n")
 
+    def test_one_patched_census_interior_reaches_both_census_identities(self, capsys,
+                                                                         monkeypatch):
+        # The census iterators store the interiors they read, but look up
+        # `_rectified_interior` when the suite runs: one wrong interior, at
+        # (k, m, n) = (1, 2, 3), fails both identities at n = 3 and nothing else.
+        real = identities._rectified_interior
+        monkeypatch.setattr(identities, "_rectified_interior",
+                            lambda k, m, n: real(k, m, n) + ((k, m, n) == (1, 2, 3)))
+        code, out = run_cli(capsys, "verify", "--suite", "identities")
+        assert code == 1
+        assert "  FAIL face-interior-sum [r=1 d=2 n=3] lhs=7 rhs=6\n" in out
+        assert "  FAIL vertex-star-sum [r=1 d=2 n=3] lhs=4 rhs=3\n" in out
+        failed = [line.split()[1:5:3] for line in out.splitlines() if "FAIL " in line]
+        assert {name for name, _ in failed} == {"face-interior-sum", "vertex-star-sum"}
+        assert {n for _, n in failed} == {"n=3]"}
+        assert out.endswith("verify: FAIL\n")
+
     def test_oracle_suite_checks_the_tables_seq_prints_from(self, monkeypatch):
         # The closed forms `seq` prints are the globals the FAMILIES rows
         # name, and `cli` binds none of them itself.

@@ -1,9 +1,11 @@
 """Tests for the identity verification suite."""
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytopenums import cli
+from polytopenums import cli, identities
 from polytopenums.checks import identity_checks
 from polytopenums.exact import binomial
 from polytopenums.oracle import hypersimplex
@@ -279,3 +281,44 @@ class TestSuiteRunner:
                  for key, top in BEYOND_DEFAULT_GRID[name].items()}
         _, points = REGISTRY[name]
         assert [check.describe() for check in points(point) if not check.ok] == []
+
+
+class TestCensusStore:
+    POINT_CHECKERS = {"face-interior-sum": check_face_interior_sum,
+                      "vertex-star-sum": check_vertex_star_sum}
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_grid_records_are_the_point_checkers(self, data):
+        # Past the default grid, the iterator's stored interiors and
+        # per-(r, d) weights give the records the per-point checkers give.
+        name = data.draw(st.sampled_from(list(self.POINT_CHECKERS)), label="identity")
+        grid = {key: data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3,
+                                        unique=True), label=key)
+                for key, top in (("r", 8), ("d", 12), ("n", 30))}
+        records = list(REGISTRY[name][1](grid))
+        assert records == [self.POINT_CHECKERS[name](r, d, n)
+                           for r in grid["r"] for d in grid["d"] for n in grid["n"]]
+        assert [check.describe() for check in records if not check.ok] == []
+
+    def test_each_run_computes_each_interior_once(self, monkeypatch):
+        # Each census iterator's run has its own store: two suite runs back
+        # to back each compute every interior once per census identity that
+        # reads it, and no module global keeps a cache between them.
+        real = identities._rectified_interior
+        calls = collections.Counter()
+
+        def counting(k, m, n):
+            calls[k, m, n] += 1
+            return real(k, m, n)
+
+        monkeypatch.setattr(identities, "_rectified_interior", counting)
+        for _ in range(2):
+            calls.clear()
+            assert all(check.ok for check in identity_checks(default_grid()))
+            # Face classes k <= 4, m <= 7 on the default grid, read by
+            # face-interior-sum at n = 1..10 and by vertex-star-sum at 2..10.
+            assert calls == {(k, m, n): 1 + (n >= 2)
+                             for k in range(5) for m in range(8) for n in range(1, 11)}
+        assert [name for name, value in vars(identities).items()
+                if hasattr(value, "cache_info")] == []

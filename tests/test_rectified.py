@@ -22,10 +22,14 @@ from polytopenums.regular import cross_polytope_number, simplex_number
 
 
 def naive_shift_window(d, a, b):
-    """The shift double sum by its definition: one binomial pair per (i, j), i over 0..j."""
+    """The shift double sum by its definition: one binomial pair per (i, j), i over 0..j.
+
+    Every term with i > d+1 has C(d+1, i) = 0 and is left out, so index j
+    costs at most d+2 terms; the window still runs to index d+a+b.
+    """
     return [
         sum((-1) ** i * binomial(d + 1, i) * binomial(d + a * (j - i) - b, a * (j - i) - b)
-            for i in range(j + 1))
+            for i in range(min(j, d + 1) + 1))
         for j in range(d + a + b + 1)
     ]
 
@@ -142,7 +146,7 @@ class TestShiftDecomposition:
                     assert coeffs == window[:len(coeffs)], (d, a, b)
                     assert not any(window[len(coeffs):]), (d, a, b)
 
-    @settings(max_examples=25)  # the literal window takes up to 0.4 s an example
+    @settings(max_examples=25)  # the literal window takes up to 0.08 s an example
     @given(st.integers(1, 32), st.integers(1, 305), st.integers(0, 205))
     @example(32, 305, 205)  # decompose-large's corner: coefficients past 256 bits
     @example(32, 1, 205)  # the support furthest past index d
@@ -282,25 +286,29 @@ class TestRectifiedDecomposition:
                 assert recombine(rectified_decomposition_gbinom(d, r), d, 1) == 1
 
     def test_nonzero_coefficient_at_index_d_is_rejected(self, monkeypatch):
-        # One unit too many at index d of the coefficient vector, from each
-        # route's own reads.  Adding C(k, d), the series of x**d / (1-x)**(d+1),
-        # to the shift-composition route's summed column does that after its
-        # d+1 difference passes.
+        # One unit too many, and one too few, at index d of the coefficient
+        # vector, from each route's own reads: a coefficient past the
+        # support is an error whatever its sign.  Adding C(k, d), the series
+        # of x**d / (1-x)**(d+1), to the shift-composition route's summed
+        # column does that after its d+1 difference passes.
         reads = rectified._reads
-        monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to: [
-            v + math.comb(k, d) for k, v in enumerate(reads(d, terms, n_from, n_to), n_from)])
-        message = r"rectified coefficients for d=3 r=1 extend past index 2: \[\(3, 1\)\]"
-        with pytest.raises(ArithmeticError, match=message):
-            rectified_decomposition(3, 1)
-        monkeypatch.undo()
-        # On the gbinomial route, coefficient d of stretch i = r, whose weight
-        # is 1, is gbinomial(d+1, (r+1)d, r+1): in the route's one batch of
-        # reads, the only read with m == s*d.
         gbinomials = rectified._gbinomials
-        monkeypatch.setattr(rectified, "_gbinomials", lambda n, reads: [
-            v + (m == s * (n - 1)) for v, (m, s) in zip(gbinomials(n, reads), reads)])
-        with pytest.raises(ArithmeticError, match=message):
-            rectified_decomposition_gbinom(3, 1)
+        for unit in (1, -1):
+            monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to: [
+                v + unit * math.comb(k, d)
+                for k, v in enumerate(reads(d, terms, n_from, n_to), n_from)])
+            message = rf"rectified coefficients for d=3 r=1 extend past index 2: \[\(3, {unit}\)\]"
+            with pytest.raises(ArithmeticError, match=message):
+                rectified_decomposition(3, 1)
+            monkeypatch.undo()
+            # On the gbinomial route, coefficient d of stretch i = r, whose
+            # weight is 1, is gbinomial(d+1, (r+1)d, r+1): in the route's one
+            # batch of reads, the only read with m == s*d.
+            monkeypatch.setattr(rectified, "_gbinomials", lambda n, reads: [
+                v + unit * (m == s * (n - 1)) for v, (m, s) in zip(gbinomials(n, reads), reads)])
+            with pytest.raises(ArithmeticError, match=message):
+                rectified_decomposition_gbinom(3, 1)
+            monkeypatch.undo()
 
     def test_tail_is_checked_out_to_index_d_plus_r_plus_1(self, monkeypatch):
         # Each stretch's own shift vector reaches index d+r+1, so the summed
