@@ -6,7 +6,8 @@ or family name.  `seq` renders each format from its columns (n, value,
 interior, match); `checks.formula_columns` and `oracle.oracle_table` each
 give theirs for --from..--to in one call.  Every format fills one row
 template, `%s` for each cell, so the int columns stay ints and are
-converted inside one `%` per row: JSON rows the bytes
+converted inside one `%` per block of rows (the bytes one `%` per row
+would give): JSON rows the bytes
 `json.dumps(indent=2, sort_keys=True)` would give, CSV and b-file rows
 their separators, table rows each column but the last left-justified to
 its width, which for integers is that of its min or its max (or of its
@@ -38,6 +39,9 @@ from . import checks, identities, oracle
 FAMILIES = tuple(checks.FAMILIES)
 ROUTES = ("formula", "oracle", "both")
 FORMATS = ("table", "csv", "json", "bfile")
+# Rows `seq` formats with one `%`: one per row pays a call and a tuple each,
+# one per table a template that grows with --to.
+_BLOCK_ROWS = 256
 
 
 @functools.cache
@@ -189,7 +193,7 @@ def _cmd_seq(args, parser) -> int:
 
 def _emit_rows(args, route: str, columns: dict) -> None:
     names = sorted(columns) if args.format == "json" else list(columns)
-    # Only match becomes strings; `%s` converts the int columns in the one `%` per row.
+    # Only match becomes strings; `%s` converts the int columns in each block's one `%`.
     data = [["true" if ok else "false" for ok in columns[name]] if name == "match"
             else columns[name] for name in names]
     if args.format == "json":
@@ -221,7 +225,15 @@ def _emit_rows(args, route: str, columns: dict) -> None:
                       for name, column in zip(names[:-1], data)]
             template = "".join(f"%-{width}s  " for width in widths) + "%s"
         head, sep, tail = template % tuple(names) + "\n", "\n", "\n"
-    _write(head + sep.join(map(template.__mod__, zip(*data))) + tail)
+    ncols, count = len(data), len(data[0])
+    blocks = []
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, count - start)
+        cells = [None] * (ncols * rows)  # the block's cells, row by row
+        for i, column in enumerate(data):
+            cells[i::ncols] = column[start:start + rows]
+        blocks.append(sep.join([template] * rows) % tuple(cells))
+    _write(head + sep.join(blocks) + tail)
 
 
 # --- decompose ---------------------------------------------------------------

@@ -20,6 +20,10 @@ committed digests and `tests/test_output_pins.py` recomputes them.
   of n within 0..60; the combinations `seq` refuses are its usage errors.
 - seq-long: tables of about 3000 rows with d up to 20, so columns widen
   row by row, in every format.
+- seq-blocks: tables of 1, B-1, B, B+1, 2B and 2B+1 rows, B = `SEQ_BLOCK`,
+  the rows `seq` formats with one `%`: every --route, with and without
+  --interior, in every format, and at each row count the formal family's
+  negative interiors and the oracle family.
 - verify: `verify --suite all`, each suite alone, and bounded runs at the
   edges of each bound: `--d-max 1`, `--n-max 1`, `--n-max 41` (which cuts
   only the octahedral bridge) and `--a-max 1 --b-max 0`.
@@ -150,6 +154,34 @@ def _seq_long():
     return argvs
 
 
+SEQ_BLOCK = 256  # the rows `cli._emit_rows` formats with one `%`
+
+
+def _seq_blocks():
+    rng = random.Random(f"{SEED} seq-blocks")
+    argvs = []
+    for rows in (1, SEQ_BLOCK - 1, SEQ_BLOCK, SEQ_BLOCK + 1, 2 * SEQ_BLOCK, 2 * SEQ_BLOCK + 1):
+        for route in ("formula", "oracle", "both"):
+            for interior in (False, True):
+                # beta and gamma have interiors only by recursion.
+                points = [("alpha", 6, None), ("lambda", 7, 3)]
+                points += [("beta", 5, None), ("gamma", 4, None)] if (
+                    not interior or route == "oracle") else []
+                for fmt in SEQ_FORMATS:
+                    if fmt == "bfile" and (interior or route == "both"):
+                        continue
+                    family, d, r = rng.choice(points)
+                    n_from = rng.choice((0, 1, rng.randint(2, 60)))
+                    argvs.append(seq_argv(family, d, r, n_from, n_from + rows - 1, route, fmt,
+                                          interior))
+        for fmt in SEQ_FORMATS:  # r >= d: negative interiors
+            argvs.append(seq_argv("lambda", 3, 5, 0, rows - 1, fmt=fmt, interior=fmt != "bfile"))
+        for fmt in ("table", "csv", "json"):
+            d, r = rng.choice(((5, None), (6, 2)))
+            argvs.append(seq_argv("oracle", d, r, 1, rows, fmt=fmt))
+    return argvs
+
+
 def _verify():
     edges = [["--d-max", "1"], ["--n-max", "1"], ["--n-max", "41"]]
     argvs = [["verify", "--suite", suite] for suite in ("all", "identities", "oracle",
@@ -216,8 +248,8 @@ def _workloads():
 GROUPS = {"decompose-lambda": _decompose_lambda, "decompose-shift": _decompose_shift,
           "decompose-shift-wide": _decompose_shift_wide,
           **{f"seq-{family}": functools.partial(_seq_family, family) for family in SEQ_POINTS},
-          "seq-long": _seq_long, "verify": _verify, "usage": _usage,
-          "workloads": _workloads}
+          "seq-long": _seq_long, "seq-blocks": _seq_blocks, "verify": _verify,
+          "usage": _usage, "workloads": _workloads}
 
 
 def run(argv):

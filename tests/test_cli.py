@@ -433,6 +433,9 @@ class TestSeqLayouts:
     @example(("alpha", 12, None, 0, 200, "both", "table", True))  # widths grow row by row
     @example(("oracle", 0, None, 0, 0, None, "table", False))  # one row of zeros
     @example(("beta", 1, None, 0, 3, "oracle", "csv", True))  # interiors only by recursion
+    # One block of rows formatted in one `%`, and a second block of one row.
+    @example(("lambda", 9, 12, 1, output_pins.SEQ_BLOCK, "formula", "table", True))
+    @example(("alpha", 12, None, 0, output_pins.SEQ_BLOCK, "both", "json", True))
     def test_every_format_lays_out_the_columns(self, case):
         family, d, r, n_from, n_to, route, fmt, interior = case
         code, out, err = output_pins.run(
@@ -552,15 +555,32 @@ class TestClosedStdout:
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="the interpreter has no str() digit limit")
 class TestDigitLimit:
-    def test_values_past_the_str_digit_limit_print(self, capsys):
-        code, out = run_cli(capsys, "seq", "--family", "alpha", "-d", "8000", "--from", "8000",
-                            "--to", "8000", "--format", "bfile")
+    # (d, --from, --to): one row of 4814 digits, and 257 rows of which only
+    # the last, the first row of the second block, has more than 4300.
+    @pytest.mark.parametrize("d, n_from, n_to", [(8000, 8000, 8000), (1000, 7371573, 7371829)])
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_values_past_the_str_digit_limit_print(self, capsys, fmt, d, n_from, n_to):
+        code, out = run_cli(capsys, "seq", "--family", "alpha", "-d", str(d), "--from",
+                            str(n_from), "--to", str(n_to), "--format", fmt)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            expected = f"8000 {math.comb(15999, 8000)}\n"
+            rows = [(n, str(math.comb(n + d - 1, d))) for n in range(n_from, n_to + 1)]
         finally:
             sys.set_int_max_str_digits(limit)
+        long_rows = [k for k, (_, value) in enumerate(rows) if len(value) > limit]
+        assert long_rows == [len(rows) - 1] and len(rows) in (1, output_pins.SEQ_BLOCK + 1)
+        if fmt == "json":
+            query = {"family": "alpha", "d": d, "r": None, "from": n_from, "to": n_to,
+                     "route": "formula", "interior": False}
+            expected = json.dumps({"query": query,
+                                   "rows": [{"n": n, "value": value} for n, value in rows]},
+                                  indent=2, sort_keys=True) + "\n"
+        else:
+            line = {"bfile": "{} {}\n", "csv": "{},{}\n",
+                    "table": f"{{:<{len(str(n_to))}}}  {{}}\n"}[fmt]
+            header = [] if fmt == "bfile" else [("n", "value")]
+            expected = "".join(line.format(*row) for row in header + rows)
         assert (code, out) == (0, expected)
 
     def test_main_gives_the_caller_back_its_digit_limit(self, monkeypatch):
@@ -786,6 +806,88 @@ class TestDecompose:
             assert message in captured.err, argv
 
 
+def _pad_shift_routes(monkeypatch):
+    """Every shift route's vector at (d, a, b) = (2, 2, 1) with a zero past its support."""
+    real = checks.shift_routes
+
+    def padded(d, a, b):
+        routes = real(d, a, b)
+        return {name: vector + [0] for name, vector in routes.items()} if (
+            (d, a, b) == (2, 2, 1)) else routes
+    monkeypatch.setattr(checks, "shift_routes", padded)
+
+
+def _split_census_entry(monkeypatch):
+    """The hypercube(3) census with its first entry split in two, one out of range.
+
+    The rows still sum to the true census, so every table and f-vector is unchanged.
+    """
+    real, cube = oracle.faces_of, oracle.hypercube(3)
+
+    def split(p):
+        census = real(p)
+        if p != cube:
+            return census
+        first, *rest = census.entries
+        return census._replace(entries=(first._replace(not_containing=first.not_containing + 1),
+                                        oracle.FaceEntry(first.face, 0, -1), *rest))
+    monkeypatch.setattr(oracle, "faces_of", split)
+
+
+def _negate_shift_composition(monkeypatch):
+    """The shift-composition route with its coefficient 1 negated at (d, r) = (3, 1)."""
+    real = checks.rectified_decomposition
+
+    def negated(d, r):
+        coeffs = real(d, r)
+        return [coeffs[0], -coeffs[1], *coeffs[2:]] if (d, r) == (3, 1) else coeffs
+    monkeypatch.setattr(checks, "rectified_decomposition", negated)
+
+
+def _extra_cube_vertex(monkeypatch):
+    """f-vectors with one vertex too many for hypercube(3)."""
+    real, cube = oracle.FaceCensus.f_vector, oracle.hypercube(3)
+
+    def miscounted(census):
+        f_vector = real(census)
+        return (f_vector[0] + 1, *f_vector[1:]) if census.polytope == cube else f_vector
+    monkeypatch.setattr(oracle.FaceCensus, "f_vector", miscounted)
+
+
+def _rectified_row_off(d, r, n):
+    """rectified_simplex_table with 1 added to its row at (d, r, n)."""
+    def fault(monkeypatch):
+        real = checks.rectified_simplex_table
+
+        def off(d_, r_, n_from, n_to):
+            return [v + ((d_, r_, m) == (d, r, n))
+                    for m, v in enumerate(real(d_, r_, n_from, n_to), n_from)]
+        monkeypatch.setattr(checks, "rectified_simplex_table", off)
+    return fault
+
+
+# (verify suite, fault, the FAIL line it must print): each record's own
+# fault, injected through the globals `checks` and `oracle` resolve at call time.
+RECORD_FAULTS = [
+    pytest.param("decompositions", _pad_shift_routes,
+                 "  FAIL shift-support [d=2 a=2 b=1] lhs=4 rhs=3\n", id="shift-support"),
+    pytest.param("oracle", _split_census_entry,
+                 "  FAIL census-counts [polytope=Hypercube(d=3)] "
+                 "lhs=[FaceEntry(face=Point(), total=0, not_containing=-1)] rhs=[]\n",
+                 id="census-counts"),
+    pytest.param("decompositions", _negate_shift_composition,
+                 "  FAIL coefficient-signs [d=3 r=1] lhs=(1, [-2]) rhs=(1, [])\n",
+                 id="coefficient-signs"),
+    pytest.param("oracle", _extra_cube_vertex,
+                 "  FAIL euler-relation [polytope=Hypercube(d=3)] lhs=3 rhs=2\n",
+                 id="euler-relation"),
+    pytest.param("oracle", _rectified_row_off(3, 1, 2),
+                 "  FAIL vertex-count [d=3 r=1] lhs=7 rhs=6\n", id="vertex-count"),
+    pytest.param("oracle", _rectified_row_off(3, 2, 4),
+                 "  FAIL dual-rectification [d=3 n=4] lhs=21 rhs=20\n", id="dual-rectification"),
+]
+
+
 class TestVerify:
     def test_identities_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "identities")
@@ -854,6 +956,20 @@ class TestVerify:
         code, out = run_cli(
             capsys, "verify", "--suite", suite, "--d-max", "2", "--n-max", "3", *shift_bounds,
         )
+        assert code == 1
+        assert fail_line in out
+        assert out.endswith("verify: FAIL\n")
+
+    @pytest.mark.parametrize("suite, fault, fail_line", RECORD_FAULTS)
+    def test_each_record_reports_its_own_fault(self, capsys, monkeypatch, suite, fault,
+                                               fail_line):
+        oracle.clear_tables()  # no table or census filled under a fault outlives the test
+        try:
+            with monkeypatch.context() as patch:
+                fault(patch)
+                code, out = run_cli(capsys, "verify", "--suite", suite)
+        finally:
+            oracle.clear_tables()
         assert code == 1
         assert fail_line in out
         assert out.endswith("verify: FAIL\n")

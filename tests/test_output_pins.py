@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import output_pins
+from polytopenums import cli
 
 ROOT = os.path.dirname(output_pins.HERE)
 
@@ -22,6 +23,10 @@ def test_group_output_matches_its_pinned_digest(group):
 def test_every_pinned_group_is_generated():
     with open(output_pins.PINS) as fh:
         assert sorted(json.load(fh)) == sorted(output_pins.GROUPS)
+
+
+def test_seq_blocks_straddle_the_blocks_seq_formats():
+    assert output_pins.SEQ_BLOCK == cli._BLOCK_ROWS
 
 
 def test_diff_against_head_finds_no_difference():
