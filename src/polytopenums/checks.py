@@ -11,7 +11,10 @@ per route.  `seq`, `decompose` and `verify` all read these, resolved from
 this module's globals at call time, so the suites check the code the
 commands print from.  Each suite yields `IdentityCheck` records (name,
 params, lhs, rhs); a check holds when lhs == rhs exactly, with a
-structural check's computed value on the left.  `verify` and the
+structural check's computed value on the left.  A column comparison's
+records come from `_rows`, one per n of the range it asked for, built
+with no Python frame per row; a column that ends early gives `missing` in
+each row it lacks, so that row fails and the counts stay.  `verify` and the
 acceptance tests iterate these same generators, `verify` as `SUITES`
 declares them: in run order, each suite's generator and the bounds it
 reads, in parameter order.  Every bound follows one rule, `_cap`: unset,
@@ -20,9 +23,10 @@ lowers its axis and never raises it.
 """
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
-from typing import Iterator
+from itertools import chain, islice, repeat
+from operator import mul
+from typing import Iterable, Iterator
 
 from . import identities, oracle
 from .exact import binomial
@@ -95,6 +99,38 @@ def _check(name: str, lhs: object, rhs: object, **params: object) -> IdentityChe
     return IdentityCheck(name, tuple(params.items()), lhs, rhs)
 
 
+class _Missing:
+    """The side of a row its column did not give: equal to nothing, so the row fails."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return "missing"
+
+
+_MISSING = _Missing()
+
+
+def _rows(name: str, fixed: tuple[tuple[str, object], ...], ns: range,
+          lhs: Iterable[object], rhs: Iterable[object]) -> Iterator[IdentityCheck]:
+    # One record per n of ns, params `fixed` then n, reading lhs and rhs in
+    # step: built by C iterators, with no frame or kwargs dict per row.  A
+    # column that ends before ns does gives `_MISSING` in each row it lacks,
+    # so a short column fails those rows instead of dropping them.
+    params = zip(*map(repeat, fixed), zip(repeat("n"), ns))
+    return map(tuple.__new__, repeat(IdentityCheck),
+               zip(repeat(name), params, chain(lhs, repeat(_MISSING)),
+                   chain(rhs, repeat(_MISSING))))
+
+
+def _interleaved(*columns: Iterator[IdentityCheck]) -> Iterator[IdentityCheck]:
+    # Records of equally long columns, row by row: each column's record at n, in turn.
+    return chain.from_iterable(zip(*columns))
+
+
 def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
     """The binomial and face-census identities at every point of the grid."""
     for name, (_, points) in identities.REGISTRY.items():
@@ -110,6 +146,7 @@ def _cap(default: int, bound: int | None) -> int:
 def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterator[IdentityCheck]:
     """Closed-form columns against `oracle_table`, bridges, degenerate families, censuses."""
     n_hi = _cap(40, n_max)
+    ns = range(1, n_hi + 1)
 
     # Each family's closed-form columns against the recursion of its descriptor.
     roots = []  # the census roots below: each family's descriptors at its top d
@@ -121,25 +158,30 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
                   for r in (range(1, d) if row.r == "required" else [None])]
         roots += [family_descriptor(family, d, r) for d, r in points if d == top]
         for d, r in points:
-            params = {"d": d} if r is None else {"d": d, "r": r}
+            fixed = (("d", d),) if r is None else (("d", d), ("r", r))
             values, interiors = formula_columns(family, d, r, 1, n_hi, bool(row.interior_check))
-            columns = zip(*oracle.oracle_table(family_descriptor(family, d, r), 1, n_hi),
-                          values, interiors or itertools.repeat(None))
-            for n, (value, interior, formula, formula_interior) in enumerate(columns, 1):
-                yield _check(row.value_check, value, formula, **params, n=n)
-                if row.interior_check:
-                    yield _check(row.interior_check, interior, formula_interior, **params, n=n)
+            oracle_values, oracle_interiors = oracle.oracle_table(
+                family_descriptor(family, d, r), 1, n_hi)
+            records = _rows(row.value_check, fixed, ns, oracle_values, values)
+            if row.interior_check:
+                records = _interleaved(records, _rows(row.interior_check, fixed, ns,
+                                                      oracle_interiors, interiors))
+            yield from records
 
     # Known-sequence bridges; 3 * octahedral(n) = n (2n^2 + 1).
-    for n, octahedral in enumerate(rectified_simplex_table(3, 1, 1, _cap(200, n_max)), 1):
-        yield _check("octahedral-bridge", 3 * octahedral, n * (2 * n * n + 1), n=n)
+    bridge = _cap(200, n_max)
+    yield from _rows("octahedral-bridge", (), range(1, bridge + 1),
+                     map(mul, repeat(3), rectified_simplex_table(3, 1, 1, bridge)),
+                     [n * (2 * n * n + 1) for n in range(1, bridge + 1)])
     for d in range(1, _cap(8, d_max) + 1):
-        columns = zip(simplex_table(d, 1, n_hi), rectified_simplex_table(d, 0, 1, n_hi),
-                      rectified_simplex_table(d, d - 1, 1, n_hi))
-        for n, (simplex_value, zero, dual) in enumerate(columns, 1):
-            yield _check("zero-rectification", zero, simplex_value, d=d, n=n)
-            if d >= 2:
-                yield _check("dual-rectification", dual, simplex_value, d=d, n=n)
+        simplex_values = simplex_table(d, 1, n_hi)
+        records = _rows("zero-rectification", (("d", d),), ns,
+                        rectified_simplex_table(d, 0, 1, n_hi), simplex_values)
+        if d >= 2:
+            records = _interleaved(records, _rows("dual-rectification", (("d", d),), ns,
+                                                  rectified_simplex_table(d, d - 1, 1, n_hi),
+                                                  simplex_values))
+        yield from records
     for d in range(1, _cap(10, d_max) + 1):
         for r in range(d):
             [vertices] = rectified_simplex_table(d, r, 2, 2)
@@ -147,16 +189,15 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
 
     # Degenerate-family conventions (d <= r), valid from n = 2.
     for r in range(1, _cap(8, d_max) + 1):
-        columns = zip(rectified_simplex_table(r, r, 1, n_hi),
-                      rectified_simplex_interior_table(r, r, 1, n_hi))
-        for n, (value, interior) in enumerate(columns, 1):
-            yield _check("constant-family", value, 1, r=r, n=n)
-            if n >= 2:
-                yield _check("interior-sign", interior, (-1) ** r, r=r, n=n)
+        values = _rows("constant-family", (("r", r),), ns,
+                       rectified_simplex_table(r, r, 1, n_hi), repeat(1))
+        yield from islice(values, 1)  # n = 1, which has no interior-sign record
+        yield from _interleaved(values, _rows("interior-sign", (("r", r),), ns[1:],
+                                              rectified_simplex_interior_table(r, r, 2, n_hi),
+                                              repeat((-1) ** r)))
         for d in range(1, r):
-            for n, interior in enumerate(
-                    rectified_simplex_interior_table(d, r, 2, n_hi), 2):
-                yield _check("vanishing-interior", interior, 0, d=d, r=r, n=n)
+            yield from _rows("vanishing-interior", (("d", d), ("r", r)), ns[1:],
+                             rectified_simplex_interior_table(d, r, 2, n_hi), repeat(0))
 
     # Census structure: Euler relation over every census reachable from the
     # tested polytopes, plus two pinned f-vectors.
@@ -181,6 +222,7 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                          b_max: int | None = None) -> Iterator[IdentityCheck]:
     """Coefficient route agreement, recombination and the shift identity."""
     n_hi = _cap(40, n_max)
+    ns = range(1, n_hi + 1)
     for d in range(1, _cap(8, d_max) + 1):
         for r in range(d):
             routes = rectified_routes(d, r)
@@ -190,10 +232,9 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
             # Leading coefficient 1 and no negative coefficient.
             yield _check("coefficient-signs", (via_shifts[0], [c for c in via_shifts if c < 0]),
                          (1, []), d=d, r=r)
-            columns = zip(recombine_table(routes["gbinomial"], d, 1, n_hi),
-                          rectified_simplex_table(d, r, 1, n_hi))
-            for n, (recombined, formula) in enumerate(columns, 1):
-                yield _check("recombination", recombined, formula, d=d, r=r, n=n)
+            yield from _rows("recombination", (("d", d), ("r", r)), ns,
+                             recombine_table(routes["gbinomial"], d, 1, n_hi),
+                             rectified_simplex_table(d, r, 1, n_hi))
 
     # One coefficient vector per (d, a, b) serves every n of the identity,
     # and one simplex column per (d, a) holds every stretched argument >= 1.
@@ -208,11 +249,11 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                              d=d, a=a, b=b)
                 if b <= d:
                     yield _check("shift-support", len(coeffs), d + 1, d=d, a=a, b=b)
-                for n, recombined in enumerate(recombine_table(coeffs, d, 1, m), 1):
-                    k = a * n - (a - 1) - b
-                    if k >= 1:
-                        yield _check("shift-identity", stretched[k - 1], recombined,
-                                     d=d, a=a, b=b, n=n)
+                # From the first n whose stretched argument a*n - (a-1) - b is >= 1.
+                first = 1 - (-b // a)
+                yield from _rows("shift-identity", (("d", d), ("a", a), ("b", b)),
+                                 range(first, m + 1), stretched[a * (first - 1) - b::a],
+                                 recombine_table(coeffs, d, 1, m)[first - 1:])
 
 
 # Each verify suite, in run order: its generator and the bounds it reads.

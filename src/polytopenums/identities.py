@@ -15,10 +15,15 @@ identities need to hold on their full stated ranges.
 The two census identities, face-interior-sum and vertex-star-sum, share one
 body: the interiors of the face classes (k, m), weighted by their
 multiplicities, against the rectified value.  Each interior, that of the
-k-rectified m-simplex at index n, depends on (k, m, n) alone, so a census
-grid iterator computes it once per run, in a store it makes when called and
-that is freed with it, and builds the weights once per (r, d).  The
-per-point checkers compute both afresh, and the right side reads no store.
+k-rectified m-simplex at index n, depends on (k, m, n) alone.
+
+Four grid iterators read their summands from stores they make when called,
+freed with them: a census iterator each interior (k, m, n) once per run
+and its weights once per (r, d); interior-sum the interiors C(n-2, e) once
+per n, read as a slice, and its weights once per (d, k); alt-vandermonde
+the signed row (-1)**k C(n, k) once per n and C(c-k, b-k) once per (b, c).
+The per-point checkers compute every summand afresh, and no right side
+reads a store.
 
 Each `REGISTRY` entry pairs an identity's default ranges, keyed by the grid
 keys `parse_grid` requires and accepts, with the iterator that reads them; a
@@ -29,6 +34,7 @@ live in the iterators: interior-sum's k runs over 0..d-1 for each d.
 from __future__ import annotations
 
 from functools import cache
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .exact import binomial
@@ -71,6 +77,20 @@ def check_alt_vandermonde(b: int, c: int, n: int) -> IdentityCheck:
     return IdentityCheck("alt-vandermonde", (("b", b), ("c", c), ("n", n)), lhs, rhs)
 
 
+def _alt_vandermonde_points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
+    # alt-vandermonde's grid iterator: a point's left side multiplies its n's
+    # signed row by its (b, c)'s row, C(c-k, b-k) up to the top n, term by term.
+    signed = {n: [(-1) ** k * binomial(n, k) for k in range(n + 1)] for n in g["n"]}
+    top = max(signed, default=0)
+    for b in g["b"]:
+        for c in g["c"]:
+            if c >= b:
+                row = [binomial(c - k, b - k) for k in range(top + 1)]
+                for n in g["n"]:
+                    yield IdentityCheck("alt-vandermonde", (("b", b), ("c", c), ("n", n)),
+                                        sum(map(mul, signed[n], row)), binomial(c - n, b))
+
+
 def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
     """Weighted interiors across dimensions collapse to one simplex value.
 
@@ -82,6 +102,22 @@ def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
     return IdentityCheck(
         "interior-sum", (("d", d), ("k", k), ("j", j), ("n", n)), lhs, rhs
     )
+
+
+def _interior_sum_points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
+    # interior-sum's grid iterator.  With t = d-1-k the left side is the sum
+    # over i <= t of C(t, i) * interior(i-1+j, n): the weights against the
+    # slice from e = j-1 of n's stored interiors, which start at e = -1.
+    top = max(g["d"], default=0) + max(g["j"], default=0)
+    interiors = {n: [_interior(e, n) for e in range(-1, top - 1)] for n in g["n"]}
+    for d in g["d"]:
+        for k in range(d):
+            weights = [binomial(d - 1 - k, i) for i in range(d - k)]
+            for j in g["j"]:
+                for n in g["n"]:
+                    lhs = sum(map(mul, weights, interiors[n][j:j + d - k]))
+                    yield IdentityCheck("interior-sum", (("d", d), ("k", k), ("j", j), ("n", n)),
+                                        lhs, _plain(d - k + j - 2, n - j))
 
 
 def _rectified(r: int, d: int, m: int) -> int:
@@ -187,17 +223,15 @@ _Points = Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]
 # Identity name -> (its default ranges, keyed by the keys its grid section
 # sets, and an iterator over its grid that reads exactly those keys), in
 # suite order.  Each iterator looks up when called what it evaluates: the
-# checker of its identity, or, for the two census identities,
-# `_rectified_interior` and `_rectified`; so a replaced module-level
-# function is honored.
+# checker of its identity, or, for the four store iterators, the functions
+# its sums call (the census pair `_rectified_interior` and `_rectified`,
+# interior-sum `_interior`, `binomial` and `_plain`, alt-vandermonde
+# `binomial`); so a replaced module-level function is honored.
 REGISTRY: dict[str, tuple[dict[str, range], _Points]] = {
-    "alt-vandermonde": ({"b": range(1, 13), "c": range(1, 13), "n": range(1, 13)}, lambda g: (
-        check_alt_vandermonde(b, c, n) for b in g["b"] for c in g["c"] if c >= b for n in g["n"]
-    )),
-    "interior-sum": ({"d": range(1, 9), "j": range(0, 5), "n": range(1, 13)}, lambda g: (
-        check_interior_sum(d, k, j, n)
-        for d in g["d"] for k in range(d) for j in g["j"] for n in g["n"]
-    )),
+    "alt-vandermonde": ({"b": range(1, 13), "c": range(1, 13), "n": range(1, 13)},
+                        _alt_vandermonde_points),
+    "interior-sum": ({"d": range(1, 9), "j": range(0, 5), "n": range(1, 13)},
+                     _interior_sum_points),
     "face-interior-sum": ({"r": range(0, 5), "d": range(1, 8), "n": range(1, 11)},
                           _census_points("face-interior-sum")),
     "vertex-star-sum": ({"r": range(0, 5), "d": range(1, 8), "n": range(2, 11)},

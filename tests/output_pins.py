@@ -27,6 +27,9 @@ committed digests and `tests/test_output_pins.py` recomputes them.
 - verify: `verify --suite all`, each suite alone, and bounded runs at the
   edges of each bound: `--d-max 1`, `--n-max 1`, `--n-max 41` (which cuts
   only the octahedral bridge) and `--a-max 1 --b-max 0`.
+- verify-records: the verify group's argvs, each hashed not by its output,
+  which shows only counts for passing records, but by the `repr` of every
+  record each suite it selects yields, in order: their params, lhs and rhs.
 - usage: one argv for each usage rule of `seq`, `decompose` and `verify`.
 - workloads: every op of seed 1 of the benchmark's `seq-formula`,
   `seq-oracle` and `decompose-large` workloads, generated by
@@ -63,7 +66,7 @@ import subprocess
 import sys
 import tempfile
 
-from polytopenums import cli
+from polytopenums import checks, cli, identities
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PINS = os.path.join(HERE, "output_pins.json")
@@ -192,6 +195,19 @@ def _verify():
     return argvs + [["verify", "--d-max", "1", "--n-max", "1", "--a-max", "1", "--b-max", "0"]]
 
 
+def records(argv):
+    """For each suite a `verify` argv selects, in run order: its name and each record's repr.
+
+    One string per suite, a line each.
+    """
+    args = cli.build_parser().parse_args(argv)
+    bounds = {"grid": identities.default_grid(), "d_max": args.d_max, "n_max": args.n_max,
+              "a_max": args.a_max, "b_max": args.b_max}
+    return ["\n".join([name, *map(repr, generator(*(bounds[option] for option in options)))])
+            for name, (generator, options) in checks.SUITES.items()
+            if args.suite in (name, "all")]
+
+
 def _usage():
     seq = ["seq", "--family"]
     return [
@@ -249,7 +265,7 @@ GROUPS = {"decompose-lambda": _decompose_lambda, "decompose-shift": _decompose_s
           "decompose-shift-wide": _decompose_shift_wide,
           **{f"seq-{family}": functools.partial(_seq_family, family) for family in SEQ_POINTS},
           "seq-long": _seq_long, "seq-blocks": _seq_blocks, "verify": _verify,
-          "usage": _usage, "workloads": _workloads}
+          "verify-records": _verify, "usage": _usage, "workloads": _workloads}
 
 
 def run(argv):
@@ -263,18 +279,23 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# How a group's argvs are run when not by `run`.
+RUNNERS = {"verify-records": records}
+
+
 def digest(group):
-    """sha256 over every argv of the group with its exit code, stdout and stderr."""
-    sha = hashlib.sha256()
+    """sha256 over every argv of the group with what its runner gives for it."""
+    sha, runner = hashlib.sha256(), RUNNERS.get(group, run)
     for argv in GROUPS[group]():
-        sha.update((json.dumps([argv, *run(argv)]) + "\n").encode())
+        sha.update((json.dumps([argv, *runner(argv)]) + "\n").encode())
     return sha.hexdigest()
 
 
 def _outputs(src, group):
-    """run() of each argv of the group, in a fresh interpreter importing the package from src."""
-    code = ("import json, sys, output_pins as pins; "
-            "json.dump([pins.run(argv) for argv in pins.GROUPS[sys.argv[1]]()], sys.stdout)")
+    """The runner's result for each argv of the group, in a fresh interpreter importing src."""
+    code = ("import json, sys, output_pins as pins; group = sys.argv[1]; "
+            "runner = pins.RUNNERS.get(group, pins.run); "
+            "json.dump([runner(argv) for argv in pins.GROUPS[group]()], sys.stdout)")
     done = subprocess.run([sys.executable, "-c", code, group], cwd=HERE, check=True,
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     return json.loads(done.stdout)
@@ -297,8 +318,10 @@ def diff(rev, group):
     for argv, old, new in zip(GROUPS[group](), before, after):
         if old != new:
             print("differs:", " ".join(argv))
-            for part, old_part, new_part in zip(("exit code", "stdout", "stderr"), old, new):
+            for i, (old_part, new_part) in enumerate(zip(old, new)):
                 if old_part != new_part:
+                    part = (("exit code", "stdout", "stderr")[i] if group not in RUNNERS
+                            else "records of " + old_part.partition("\n")[0])
                     lines = difflib.unified_diff(str(old_part).splitlines(),
                                                  str(new_part).splitlines(), f"{part} at {rev}",
                                                  f"{part} in the tree", lineterm="")

@@ -844,30 +844,57 @@ def _negate_shift_composition(monkeypatch):
     monkeypatch.setattr(checks, "rectified_decomposition", negated)
 
 
-def _extra_cube_vertex(monkeypatch):
-    """f-vectors with one vertex too many for hypercube(3)."""
-    real, cube = oracle.FaceCensus.f_vector, oracle.hypercube(3)
-
-    def miscounted(census):
-        f_vector = real(census)
-        return (f_vector[0] + 1, *f_vector[1:]) if census.polytope == cube else f_vector
-    monkeypatch.setattr(oracle.FaceCensus, "f_vector", miscounted)
-
-
-def _rectified_row_off(d, r, n):
-    """rectified_simplex_table with 1 added to its row at (d, r, n)."""
+def _extra_vertex(p):
+    """f-vectors with one vertex too many for the polytope p."""
     def fault(monkeypatch):
-        real = checks.rectified_simplex_table
+        real = oracle.FaceCensus.f_vector
 
-        def off(d_, r_, n_from, n_to):
-            return [v + ((d_, r_, m) == (d, r, n))
-                    for m, v in enumerate(real(d_, r_, n_from, n_to), n_from)]
-        monkeypatch.setattr(checks, "rectified_simplex_table", off)
+        def miscounted(census):
+            f_vector = real(census)
+            return (f_vector[0] + 1, *f_vector[1:]) if census.polytope == p else f_vector
+        monkeypatch.setattr(oracle.FaceCensus, "f_vector", miscounted)
     return fault
 
 
+def _row_off(table, *args_and_n):
+    """checks.<table> with 1 added to its row n when called with the leading args.
+
+    `_row_off("simplex_table", 3, 5)` adds 1 to simplex_table(3, ...)'s row n = 5.
+    """
+    *head, n = args_and_n
+
+    def fault(monkeypatch):
+        real = getattr(checks, table)
+
+        def off(*args):
+            *args_head, n_from, n_to = args
+            return [v + (args_head == head and m == n)
+                    for m, v in enumerate(real(*args), n_from)]
+        monkeypatch.setattr(checks, table, off)
+    return fault
+
+
+def _summand_off(name, args):
+    """identities.<name> with 1 added to its value at args."""
+    def fault(monkeypatch):
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *at: real(*at) + (at == args))
+    return fault
+
+
+def _raise_generating_function_tail(monkeypatch):
+    """The generating-function route with its last coefficient 1 too high at (2, 2, 1)."""
+    real = checks.shift_decomposition_gbinom
+
+    def raised(d, a, b):
+        coeffs = real(d, a, b)
+        return [*coeffs[:-1], coeffs[-1] + 1] if (d, a, b) == (2, 2, 1) else coeffs
+    monkeypatch.setattr(checks, "shift_decomposition_gbinom", raised)
+
+
 # (verify suite, fault, the FAIL line it must print): each record's own
-# fault, injected through the globals `checks` and `oracle` resolve at call time.
+# fault, injected through the globals `checks`, `oracle` and `identities`
+# resolve at call time.  Each row's id is its record's name.
 RECORD_FAULTS = [
     pytest.param("decompositions", _pad_shift_routes,
                  "  FAIL shift-support [d=2 a=2 b=1] lhs=4 rhs=3\n", id="shift-support"),
@@ -878,13 +905,55 @@ RECORD_FAULTS = [
     pytest.param("decompositions", _negate_shift_composition,
                  "  FAIL coefficient-signs [d=3 r=1] lhs=(1, [-2]) rhs=(1, [])\n",
                  id="coefficient-signs"),
-    pytest.param("oracle", _extra_cube_vertex,
+    pytest.param("oracle", _extra_vertex(oracle.hypercube(3)),
                  "  FAIL euler-relation [polytope=Hypercube(d=3)] lhs=3 rhs=2\n",
                  id="euler-relation"),
-    pytest.param("oracle", _rectified_row_off(3, 1, 2),
+    pytest.param("oracle", _row_off("rectified_simplex_table", 3, 1, 2),
                  "  FAIL vertex-count [d=3 r=1] lhs=7 rhs=6\n", id="vertex-count"),
-    pytest.param("oracle", _rectified_row_off(3, 2, 4),
+    pytest.param("oracle", _row_off("rectified_simplex_table", 3, 2, 4),
                  "  FAIL dual-rectification [d=3 n=4] lhs=21 rhs=20\n", id="dual-rectification"),
+    pytest.param("oracle", _row_off("simplex_table", 3, 5),
+                 "  FAIL simplex-value [d=3 n=5] lhs=35 rhs=36\n", id="simplex-value"),
+    pytest.param("oracle", _row_off("simplex_interior_table", 3, 5),
+                 "  FAIL simplex-interior [d=3 n=5] lhs=1 rhs=2\n", id="simplex-interior"),
+    pytest.param("oracle", _row_off("cross_polytope_table", 2, 3),
+                 "  FAIL cross-polytope [d=2 n=3] lhs=9 rhs=10\n", id="cross-polytope"),
+    pytest.param("oracle", _row_off("rectified_simplex_table", 4, 2, 3),
+                 "  FAIL rectified-value [d=4 r=2 n=3] lhs=45 rhs=46\n", id="rectified-value"),
+    pytest.param("oracle", _row_off("rectified_simplex_interior_table", 4, 2, 3),
+                 "  FAIL rectified-interior [d=4 r=2 n=3] lhs=0 rhs=1\n",
+                 id="rectified-interior"),
+    # Only the bridge reads the octahedral column past the other columns' 40 rows.
+    pytest.param("oracle", _row_off("rectified_simplex_table", 3, 1, 100),
+                 "  FAIL octahedral-bridge [n=100] lhs=2000103 rhs=2000100\n",
+                 id="octahedral-bridge"),
+    pytest.param("oracle", _row_off("rectified_simplex_table", 3, 0, 4),
+                 "  FAIL zero-rectification [d=3 n=4] lhs=21 rhs=20\n", id="zero-rectification"),
+    pytest.param("oracle", _row_off("rectified_simplex_table", 2, 2, 5),
+                 "  FAIL constant-family [r=2 n=5] lhs=2 rhs=1\n", id="constant-family"),
+    pytest.param("oracle", _row_off("rectified_simplex_interior_table", 2, 2, 5),
+                 "  FAIL interior-sign [r=2 n=5] lhs=2 rhs=1\n", id="interior-sign"),
+    pytest.param("oracle", _row_off("rectified_simplex_interior_table", 1, 3, 5),
+                 "  FAIL vanishing-interior [d=1 r=3 n=5] lhs=1 rhs=0\n",
+                 id="vanishing-interior"),
+    pytest.param("oracle", _extra_vertex(oracle.hypersimplex(4, 2)),
+                 "  FAIL f-vector [polytope=Hypersimplex(m=4, s=2)] lhs=(7, 12, 8) "
+                 "rhs=(6, 12, 8)\n", id="f-vector"),
+    pytest.param("decompositions", _raise_generating_function_tail,
+                 "  FAIL shift-routes [d=2 a=2 b=1] lhs=[0, 3, 1] rhs=[0, 3, 2]\n",
+                 id="shift-routes"),
+    # The stretched simplex column: row 9 of d = 2 is read at a*n - (a-1) - b = 9.
+    pytest.param("decompositions", _row_off("simplex_table", 2, 9),
+                 "  FAIL shift-identity [d=2 a=1 b=0 n=9] lhs=46 rhs=45\n", id="shift-identity"),
+    # A wrong C(5, 2) = 11 reaches both sides of several identities; at
+    # these points only the left.
+    pytest.param("identities", _summand_off("binomial", (5, 2)),
+                 "  FAIL alt-vandermonde [b=2 c=4 n=5] lhs=2 rhs=1\n", id="alt-vandermonde"),
+    pytest.param("identities", _summand_off("binomial", (5, 2)),
+                 "  FAIL pascal-alternating-row [r=4] lhs=2 rhs=1\n",
+                 id="pascal-alternating-row"),
+    pytest.param("identities", _summand_off("_interior", (2, 6)),
+                 "  FAIL interior-sum [d=2 k=0 j=2 n=6] lhs=11 rhs=10\n", id="interior-sum"),
 ]
 
 
@@ -972,6 +1041,55 @@ class TestVerify:
             oracle.clear_tables()
         assert code == 1
         assert fail_line in out
+        assert out.endswith("verify: FAIL\n")
+
+    def test_every_record_name_has_a_fault_that_fails_it(self):
+        # A record no test sees fail could be disabled unnoticed: each name
+        # the suites yield has a RECORD_FAULTS row, or a test named here fails it.
+        failed_elsewhere = {
+            "hypercube": TestVerify.test_broken_closed_form_is_reported,
+            "recombination": TestVerify.test_broken_closed_form_is_reported,
+            "route-agreement": TestDecompose.test_one_patched_route_reaches_decompose_and_verify,
+            "face-interior-sum":
+                TestVerify.test_one_patched_census_interior_reaches_both_census_identities,
+            "vertex-star-sum":
+                TestVerify.test_one_patched_census_interior_reaches_both_census_identities,
+            "subset-convolution": TestVerify.test_broken_identity_is_reported,
+        }
+        rows = {param.id: param.values[2] for param in RECORD_FAULTS}
+        assert all(line.split()[1] == name for name, line in rows.items())
+        assert not set(rows) & set(failed_elsewhere)
+        given = {"grid": identities.default_grid(), "d_max": None, "n_max": None,
+                 "a_max": None, "b_max": None}
+        names = {check.identity for generator, options in checks.SUITES.values()
+                 for check in generator(*(given[option] for option in options))}
+        assert names == set(rows) | set(failed_elsewhere)
+
+    @pytest.mark.parametrize("module, table, fail_line", [
+        (checks, "recombine_table", "  FAIL recombination [d=1 r=0 n=40] lhs=missing rhs=40\n"),
+        (oracle, "oracle_table", "  FAIL simplex-value [d=0 n=40] lhs=missing rhs=1\n"),
+        (checks, "simplex_table", "  FAIL simplex-value [d=0 n=40] lhs=1 rhs=missing\n"),
+        # The value column's rows, read beside it, stay in.
+        (checks, "simplex_interior_table",
+         "  FAIL simplex-interior [d=0 n=40] lhs=1 rhs=missing\n"),
+        (checks, "cross_polytope_table", "  FAIL cross-polytope [d=1 n=40] lhs=40 rhs=missing\n"),
+        (checks, "rectified_simplex_interior_table",
+         "  FAIL rectified-interior [d=2 r=1 n=40] lhs=703 rhs=missing\n"),
+    ], ids=["recombine_table", "oracle_table", "simplex_table", "simplex_interior_table",
+            "cross_polytope_table", "rectified_simplex_interior_table"])
+    def test_a_column_one_row_short_fails_the_missing_row(self, capsys, monkeypatch, module,
+                                                          table, fail_line):
+        # A column missing its last row fails that row: the counts stay.
+        real = getattr(module, table)
+        short = ((lambda *args: tuple(column[:-1] for column in real(*args)))
+                 if module is oracle else (lambda *args: real(*args)[:-1]))
+        monkeypatch.setattr(module, table, short)
+        code, out = run_cli(capsys, "verify", "--suite", "all")
+        assert code == 1
+        assert fail_line in out
+        assert [line.partition(" checks, ")[0] for line in out.splitlines()
+                if " checks, " in line] == ["identities: 6 identities, 3872", "oracle: 5509",
+                                            "decompositions: 6970"]
         assert out.endswith("verify: FAIL\n")
 
     def test_one_patched_census_interior_reaches_both_census_identities(self, capsys,

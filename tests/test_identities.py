@@ -283,22 +283,68 @@ class TestSuiteRunner:
         assert [check.describe() for check in points(point) if not check.ok] == []
 
 
-class TestCensusStore:
-    POINT_CHECKERS = {"face-interior-sum": check_face_interior_sum,
-                      "vertex-star-sum": check_vertex_star_sum}
+# Each store-backed grid iterator's records, point by point from its
+# per-point checker, in the iterator's order.
+STORE_POINTS = {
+    "alt-vandermonde": lambda g: [check_alt_vandermonde(b, c, n) for b in g["b"] for c in g["c"]
+                                  if c >= b for n in g["n"]],
+    "interior-sum": lambda g: [check_interior_sum(d, k, j, n) for d in g["d"] for k in range(d)
+                               for j in g["j"] for n in g["n"]],
+    "face-interior-sum": lambda g: [check_face_interior_sum(r, d, n) for r in g["r"]
+                                    for d in g["d"] for n in g["n"]],
+    "vertex-star-sum": lambda g: [check_vertex_star_sum(r, d, n) for r in g["r"]
+                                  for d in g["d"] for n in g["n"]],
+}
 
+
+class TestIdentityStores:
+    @pytest.mark.parametrize("name", list(STORE_POINTS))
+    def test_default_grid_records_are_the_point_checkers(self, name):
+        grid = default_grid()[name]
+        assert list(REGISTRY[name][1](grid)) == STORE_POINTS[name](grid)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_drawn_grid_records_are_the_point_checkers(self, data):
+        # Ranges as a grid file writes them, lo..hi with 0 <= lo <= hi, from
+        # single values to runs past the default grid at any offset.
+        name = data.draw(st.sampled_from(list(STORE_POINTS)), label="identity")
+        grid = {}
+        for key, top in BEYOND_DEFAULT_GRID[name].items():
+            lo = data.draw(st.integers(0, min(top, 16)), label=f"{key} lo")
+            hi = data.draw(st.integers(lo, min(top, lo + 8)), label=f"{key} hi")
+            grid[key] = range(lo, hi + 1)
+        assert list(REGISTRY[name][1](grid)) == STORE_POINTS[name](grid)
+
+    def test_one_patched_interior_fails_exactly_the_sums_that_read_it(self, monkeypatch):
+        # The interior-sum iterator stores the interiors it reads, but looks
+        # up `_interior` when called.  interior(2, 6) is term i = 3 - j of the
+        # sum at (d, k, j, 6), whose weight C(d-1-k, i) is nonzero for
+        # 0 <= i <= d-1-k: exactly those points fail.
+        real = identities._interior
+        monkeypatch.setattr(identities, "_interior",
+                            lambda e, n: real(e, n) + ((e, n) == (2, 6)))
+        grid = default_grid()["interior-sum"]
+        records = list(REGISTRY["interior-sum"][1](grid))
+        assert records == STORE_POINTS["interior-sum"](grid)
+        assert {check.params for check in records if not check.ok} == {
+            (("d", d), ("k", k), ("j", j), ("n", 6))
+            for d in grid["d"] for k in range(d) for j in grid["j"] if 0 <= 3 - j <= d - 1 - k}
+
+
+class TestCensusStore:
     @settings(max_examples=40)
     @given(st.data())
     def test_grid_records_are_the_point_checkers(self, data):
         # Past the default grid, the iterator's stored interiors and
         # per-(r, d) weights give the records the per-point checkers give.
-        name = data.draw(st.sampled_from(list(self.POINT_CHECKERS)), label="identity")
+        name = data.draw(st.sampled_from(["face-interior-sum", "vertex-star-sum"]),
+                         label="identity")
         grid = {key: data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3,
                                         unique=True), label=key)
                 for key, top in (("r", 8), ("d", 12), ("n", 30))}
         records = list(REGISTRY[name][1](grid))
-        assert records == [self.POINT_CHECKERS[name](r, d, n)
-                           for r in grid["r"] for d in grid["d"] for n in grid["n"]]
+        assert records == STORE_POINTS[name](grid)
         assert [check.describe() for check in records if not check.ok] == []
 
     def test_each_run_computes_each_interior_once(self, monkeypatch):
