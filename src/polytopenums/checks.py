@@ -184,7 +184,7 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
         yield from records
     for d in range(1, _cap(10, d_max) + 1):
         for r in range(d):
-            [vertices] = rectified_simplex_table(d, r, 2, 2)
+            vertices = next(iter(rectified_simplex_table(d, r, 2, 2)), _MISSING)
             yield _check("vertex-count", vertices, binomial(d + 1, r + 1), d=d, r=r)
 
     # Degenerate-family conventions (d <= r), valid from n = 2.

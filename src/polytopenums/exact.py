@@ -5,13 +5,17 @@ arithmetic is arbitrary precision and exact; no floating point is used
 anywhere.
 
 One builder, `_column`, makes every run of the simplex column A(d, k) =
-C(k+d-1, d) that `regular.simplex_table` returns or `_gbinomials` sums
-against: by `math.comb` (CPython's fast path) while the run's top entry is
+C(k+d-1, d) that `regular.simplex_table` returns or a batch of reads
+slices: by `math.comb` (CPython's fast path) while the run's top entry is
 below 2**64, above that each entry from the one before, A(d, k) =
-A(d, k-1) * (k+d-1) / (k-1); a remainder raises ArithmeticError.  A
-`_gbinomials` batch whose terms are few against that run, as at large
-order s, skips it and takes each term from `math.comb`, so its cost
-follows its terms, not s.
+A(d, k-1) * (k+d-1) / (k-1); a remainder raises ArithmeticError.  One
+rule, `_dense`, says whether a batch of reads of that column comes from
+one run or from one `math.comb` per read.  Both callers ask it:
+`_gbinomials`, and `regular._reads`, which serves every table head and
+the difference route of the decompositions.  A run wins only when its top
+entry is past 2**64 and the reads are many against its length, so a batch
+of few reads, as at large order s, or of entries below 2**64, costs what
+its reads cost.
 `_check_dimension` is the one rule d >= 0 (or d >= 1) and its message for
 the tables, decompositions, `eulerian` and the descriptor factories alike.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import mul
+from typing import Iterable
 
 _FAST = 1 << 64  # column entries below this come from math.comb
 
@@ -61,6 +66,40 @@ def _column(d: int, start: int, stop: int) -> list[int]:
     return column
 
 
+def _dense(d: int, stop: int, reads: Iterable[int]) -> bool:
+    """Whether a batch of reads of A(d, k), k < stop, costs more than `_column(d, 1, stop)`.
+
+    reads yields the batch's read counts, summed only until they decide.  A
+    read by `math.comb` costs about (d+21)/8 entries of a run past 2**64
+    (measured, d <= 140), so the run wins when 8*stop <= reads*(d+21) and
+    its top entry C(n, d), n = stop+d-2, is past 2**64.  Below that the
+    run spends one `math.comb` per entry itself and cannot win.  The test
+    calls no `math.comb`: C(n, d) lies between (n/d)**d and (3n/d)**d, so
+    most runs are decided by one of those bounds, and the rest step
+    C(n-d+i, i) up through i = d until one passes 2**64.
+    """
+    if d < 1:
+        return False
+    total, cost = 0, 8 * stop
+    for count in reads:
+        total += count * (d + 21)
+        if total >= cost:
+            break
+    else:
+        return False
+    n = stop + d - 2
+    if (n // d) ** d >= _FAST:
+        return True
+    if (3 * n) ** d < _FAST * d ** d:
+        return False
+    entry = 1
+    for i in range(1, d + 1):
+        entry = entry * (n - d + i) // i
+        if entry >= _FAST:
+            return True
+    return False
+
+
 def gbinomial(n: int, m: int, s: int) -> int:
     """Generalized binomial coefficient of order s.
 
@@ -70,7 +109,7 @@ def gbinomial(n: int, m: int, s: int) -> int:
     sum (-1)**k C(n, k) C(m-sk+n-1, n-1), read off (1-x**s)**n / (1-x)**n,
     at the nearer of m and its mirror n(s-1) - m: the row is palindromic,
     and the sum has min(n, m//s) + 1 terms: `_gbinomials` of one read,
-    which takes each term from `math.comb` once m is large against n.
+    which takes each term from `math.comb` unless `_dense` finds them dense.
     """
     return _gbinomials(n, [(m, s)])[0]
 
@@ -80,10 +119,10 @@ def _gbinomials(n: int, reads: list[tuple[int, int]]) -> list[int]:
 
     Every read sums the signed row (-1)**k C(n, k) against the column
     C(t+n-1, n-1) = A(n-1, t+1) at t = m, m-s, m-2s, ...: min(n, m//s) + 1
-    terms.  The batch reads them from one `_column` run up to t = max(0,
-    largest reflected m), or the lone entry 1 when n = 0, unless that run
-    would be long against its terms: then each term is one `math.comb`, and
-    the batch holds no column, whatever s.
+    terms.  When `_dense` says so, the batch reads them from one `_column`
+    run up to t = max(0, largest reflected m); otherwise each term is one
+    `math.comb`, and the batch holds no column, whatever s.  At n = 0 the
+    column is the lone entry 1.
     """
     for _, s in reads:
         if s < 1:
@@ -93,15 +132,8 @@ def _gbinomials(n: int, reads: list[tuple[int, int]]) -> list[int]:
     near = [min(m, n * (s - 1) - m) for m, s in reads]  # negative when m is out of range
     signed = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
     length = max([0, *near]) + 2
-    # A term by math.comb costs about (n+20)/8 entries of the run (measured,
-    # n <= 141), so the batch reads term by term while its terms cost less.
-    sparse, terms = n > 0, 0
-    for m, (_, s) in zip(near, reads):
-        terms += min(n, m // s) + 1 if m >= 0 else 0
-        if terms * (n + 20) >= 8 * length:
-            sparse = False
-            break
-    if sparse:
+    terms = (min(n, m // s) + 1 for m, (_, s) in zip(near, reads) if m >= 0)
+    if n and not _dense(n - 1, length, terms):
         return [sum(map(mul, signed, map(math.comb, range(m + n - 1, n - 2, -s), repeat(n - 1))))
                 if m >= 0 else 0 for m, (_, s) in zip(near, reads)]
     column = _column(n - 1, 1, length) if n else [1]

@@ -22,16 +22,18 @@ one-row reads of those tables.  The module also computes the coefficients
 that rewrite such sequences in the basis A(d, n-j) of unit shifts, read
 back by `recombine`.  A decomposition is a stretch list, (1, a, b) alone
 or `_stretches(d, r)`, and each route one body over it: d+1 backward
-difference passes over the summed stretched column, read to the d+2
-coefficients past the kept length or to d + max(a+b) if that comes
-first, or one `exact._gbinomials` batch of width the largest
-`_support_bound` + 1, weighted by w.  So a shift decomposition's work on
-either route is its support times a polynomial in d, whatever a and b:
-the batch takes each term from `math.comb` when a column out to its
-largest read would be long against its terms.  The two expand the same
-generating function differently, so they cross-check the code, not the formula;
-`verify`'s shift-identity and recombination checks hold the vectors
-against the simplex and rectified columns.
+difference passes over the summed stretched column, read by
+`regular._reads` to the d+2 coefficients past the kept length or to
+d + max(a+b) if that comes first, or one `exact._gbinomials` batch of
+width the largest `_support_bound` + 1, weighted by w.  Both routes read
+their simplex column by the one rule `exact._dense`: one `math.comb` per
+read, or, when the reads are dense past 2**64 as at large d, slices of
+one column run.  So a shift decomposition's work on either route is its
+support times a polynomial in d, whatever a and b: a column out to its
+largest read would be long against its reads, and is not built.  The two
+expand the same generating function differently, so they cross-check the
+code, not the formula; `verify`'s shift-identity and recombination checks
+hold the vectors against the simplex and rectified columns.
 
 The degenerate families with d <= r are still defined by the same formulas,
 as formal sequences.  For d == r the value is 1 at every n >= 1 and the

@@ -22,13 +22,17 @@ A read A(d, k) agrees with the polynomial C(k+d-1, d) once k >= 1-d, as
 that polynomial vanishes at k = 0, ..., 1-d, where the clamp gives 0.  So
 from row n_poly on, the largest ceil((1-d-offset)/step) over the terms,
 the kernel's sum is one polynomial of degree d in n.  It computes a
-head entry by entry, one `math.comb` per read with k >= 1: the rows before
-n_poly, then the d+2 rows from max(n_from, n_poly), whose (d+1)-th
-difference must be 0, or ArithmeticError is raised.  Every later row comes
-from d nested `itertools.accumulate` passes seeded with the head's
-backward differences: d integer additions per row, whatever the terms.  A
-run no longer than the head, such as one row past n = 2**64, makes
-O(terms) `math.comb` calls and builds no column.
+head entry by entry: the rows before n_poly, then the d+2 rows from
+max(n_from, n_poly), whose (d+1)-th difference must be 0, or
+ArithmeticError is raised.  Every later row comes from d nested
+`itertools.accumulate` passes seeded with the head's backward
+differences: d integer additions per row, whatever the terms.  The head's
+reads, `_reads`, are one `math.comb` per read with k >= 1, unless
+`exact._dense` finds them dense: then each term's reads are one strided
+slice of a single `exact._column` run up to the largest k read, as at
+large d, where the reads pass 2**64.  A run no longer than the head, such
+as one row past n = 2**64, makes O(terms) `math.comb` calls and builds no
+column.
 
 `simplex_table` calls no kernel: building its rows as one run of the
 column, by `exact._column` as for the generalized binomials, beats d
@@ -40,17 +44,34 @@ import math
 from itertools import accumulate, islice, repeat
 from operator import add, mul, sub
 
-from .exact import _check_dimension, _column, _eulerian_row, binomial
+from .exact import _check_dimension, _column, _dense, _eulerian_row, binomial
 
 
 def _reads(d: int, terms: list[tuple[int, int, int]], n_from: int, n_to: int) -> list[int]:
-    """The kernel's rows n_from..n_to entry by entry: one math.comb per read with k >= 1."""
+    """The kernel's rows n_from..n_to entry by entry, a read with k <= 0 giving 0.
+
+    The reads with k >= 1 come from one `math.comb` each or, when
+    `exact._dense` says so, as strided slices of one `_column` run up to
+    the largest k read.
+    """
     acc = [0] * max(0, n_to - n_from + 1)
+    rows = len(acc)
+    spans, stop, reads = [], 1, 0  # per term reading k >= 1: (weight, first row, its k, end, step)
     for weight, step, offset in terms:
-        first = max(n_from, -((offset - 1) // step)) - n_from  # the first row reading k >= 1
-        ks = range(step * (n_from + first) + offset + d - 1, step * n_to + offset + d, step)
-        entries = map(mul, repeat(weight), map(math.comb, ks, repeat(d)))
-        acc[first:] = map(add, acc[first:], entries)
+        first = max(n_from, -((offset - 1) // step)) - n_from
+        if first < rows:
+            end = step * n_to + offset + 1
+            spans.append((weight, first, step * (n_from + first) + offset, end, step))
+            if end > stop:
+                stop = end
+            reads += rows - first
+    column = _column(d, 1, stop) if reads and _dense(d, stop, [reads]) else None
+    for weight, first, k, end, step in spans:
+        if column is None:
+            entries = map(math.comb, range(k + d - 1, end + d - 1, step), repeat(d))
+        else:
+            entries = column[k - 1:end - 1:step]  # column[k-1] = A(d, k)
+        acc[first:] = map(add, acc[first:], map(mul, repeat(weight), entries))
     return acc
 
 

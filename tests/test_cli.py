@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import output_pins
-from polytopenums import checks, cli, exact, identities, oracle, rectified
+from polytopenums import checks, cli, exact, identities, oracle, rectified, regular
 from polytopenums.identities import IdentityCheck
 from polytopenums.rectified import (
     rectified_simplex_interior,
@@ -771,6 +771,25 @@ class TestDecompose:
         assert code == 1
         assert "routes agree: NO" in out
 
+    def test_a_dense_slice_read_one_index_low_fails_the_route_check(self, capsys, monkeypatch):
+        # At d = 24 the difference route reads its summed column as slices of
+        # one run.  Stretch (a, b) = (2, 7)'s slice read one index low gives
+        # the vector of (2, 8): inside the support, so the trim passes it,
+        # but the gbinomial route sums its own expansion and disagrees.
+        column, sliced = regular._column, []
+
+        class OneIndexLow(list):
+            def __getitem__(self, index):
+                if isinstance(index, slice) and index.step == 2:
+                    sliced.append(index)
+                    index = slice(index.start - 1, index.stop - 1, 2)
+                return list.__getitem__(self, index)
+
+        monkeypatch.setattr(regular, "_column", lambda *args: OneIndexLow(column(*args)))
+        code, out = run_cli(capsys, "decompose", "--lambda", "-d", "24", "-r", "8")
+        assert (code, len(sliced)) == (1, 1)
+        assert "routes agree: NO" in out
+
     def test_one_patched_route_reaches_decompose_and_verify(self, capsys, monkeypatch):
         # `decompose` and the decompositions suite read the same route table;
         # `cli` binds no route of its own.
@@ -1075,8 +1094,11 @@ class TestVerify:
         (checks, "cross_polytope_table", "  FAIL cross-polytope [d=1 n=40] lhs=40 rhs=missing\n"),
         (checks, "rectified_simplex_interior_table",
          "  FAIL rectified-interior [d=2 r=1 n=40] lhs=703 rhs=missing\n"),
+        # Its one-row vertex-count read comes back empty: a failed record, not a raise.
+        (checks, "rectified_simplex_table", "  FAIL vertex-count [d=3 r=1] lhs=missing rhs=6\n"),
     ], ids=["recombine_table", "oracle_table", "simplex_table", "simplex_interior_table",
-            "cross_polytope_table", "rectified_simplex_interior_table"])
+            "cross_polytope_table", "rectified_simplex_interior_table",
+            "rectified_simplex_table"])
     def test_a_column_one_row_short_fails_the_missing_row(self, capsys, monkeypatch, module,
                                                           table, fail_line):
         # A column missing its last row fails that row: the counts stay.
@@ -1091,6 +1113,18 @@ class TestVerify:
                 if " checks, " in line] == ["identities: 6 identities, 3872", "oracle: 5509",
                                             "decompositions: 6970"]
         assert out.endswith("verify: FAIL\n")
+
+    def test_decompositions_pass_with_every_read_forced_dense(self, capsys, monkeypatch):
+        # verify's grid stays below 2**64, where the rule reads by math.comb.
+        # Forced dense, both callers read from column runs, and every
+        # record still holds.
+        column, built = regular._column, []
+        monkeypatch.setattr(regular, "_column", lambda *args: built.append(args) or column(*args))
+        for module in (exact, regular):
+            monkeypatch.setattr(module, "_dense", lambda d, stop, reads: True)
+        code, out = run_cli(capsys, "verify", "--suite", "decompositions", "--d-max", "4")
+        assert (code, out) == (0, "decompositions: 4042 checks, 0 failures\nverify: PASS\n")
+        assert built
 
     def test_one_patched_census_interior_reaches_both_census_identities(self, capsys,
                                                                          monkeypatch):

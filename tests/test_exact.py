@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polytopenums import exact
-from polytopenums.exact import _eulerian_row, _gbinomials, binomial, eulerian, gbinomial
+from polytopenums.exact import _dense, _eulerian_row, _gbinomials, binomial, eulerian, gbinomial
 
 
 def falling_factorial_binomial(r, k):
@@ -126,14 +126,15 @@ def gbinomial_batches(draw):
 class TestGBinomials:
     @given(gbinomial_batches())
     @example((0, [(0, 1), (0, 5), (-1, 3), (1, 3)]))  # n = 0: only m = 0 is in range
-    @example((7, []))  # empty batches build no column past t = 0
+    @example((7, []))  # empty batches build no column
     @example((0, []))
     @example((40, [(40 * 8, 9), (40 * 8 + 1, 9), (-1, 9), (160, 9), (20, 2)]))  # ends, middle
     # decompose --shift's long narrow columns: ends, middle and one read past
     # the row.  These few reads take each term from math.comb.  With every
-    # third m read as well the batch builds its column: n = 7, s = 300
-    # builds t = 0..1046, all below 2**64, by math.comb; n = 9, s = 250
-    # builds t = 0..1120, whose top passes 2**64 at t = 960, by the exact step.
+    # third m read as well the terms outnumber the entries to t = 1044: at
+    # n = 7, s = 300 those stay below 2**64, so each term is still one
+    # math.comb; n = 9, s = 250 builds t = 0..1120, whose top passes 2**64
+    # at t = 960, by the exact step.
     @example((7, [(0, 300), (7 * 299, 300), (1046, 300), (7 * 299 + 1, 300)]))
     @example((9, [(0, 250), (9 * 249, 250), (1120, 250), (-1, 250)]))
     @example((7, [(m, 300) for m in range(0, 1047, 3)] + [(7 * 299 + 1, 300)]))
@@ -162,6 +163,26 @@ class TestGBinomials:
                             raising=False)
         with pytest.raises(ArithmeticError, match="inexact simplex column step at d=32 k=4"):
             _gbinomials(33, [(m, 26) for m in range(401)])
+
+
+class TestDenseRule:
+    def test_a_run_wins_only_past_2_to_the_64(self):
+        # stop reads pass the cost test at every d >= 1, so the rule is the
+        # 2**64 test on the run's top entry, C(stop+d-2, d), alone.
+        for d in range(1, 70):
+            for stop in range(2, 160):
+                past = math.comb(stop + d - 2, d) >= 2**64
+                assert _dense(d, stop, [stop]) == past, (d, stop)
+        assert not _dense(0, 10**6, [10**9])  # the point's column of ones
+
+    def test_reads_win_until_eight_stop_is_reads_times_d_plus_21(self):
+        # d = 40, stop = 400, past 2**64: dense from 8 * 400 / 61 reads on,
+        # with the counts summed across the batch and read only that far.
+        assert (_dense(40, 400, [53]), _dense(40, 400, [52])) == (True, False)
+        counts = iter([20, 20, 13, 1])
+        assert _dense(40, 400, counts)
+        assert list(counts) == [1]
+        assert not _dense(40, 400, [])
 
 
 class TestEulerian:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polytopenums import rectified
+from polytopenums import rectified, regular
 from polytopenums.exact import binomial
 from polytopenums.rectified import (
     recombine,
@@ -169,19 +169,23 @@ class TestShiftDecomposition:
         with pytest.raises(ArithmeticError):
             shift_decomposition(2, 2, 5)
 
-    @pytest.mark.parametrize("d, a, b", [(2, 2, 5), (3, 300, 0), (6, 7, 30), (12, 10**5, 10**5)])
+    @pytest.mark.parametrize("d, a, b", [(2, 2, 5), (3, 300, 0), (6, 7, 30), (12, 10**5, 10**5),
+                                         (24, 5, 30)])
     def test_tail_window_is_checked_at_both_ends(self, monkeypatch, d, a, b):
         # The route reads the column only to the d+2 coefficients past the
         # support.  One unit at the first of them, or at the last read,
         # must raise.  Adding C(k - t + d, d) from k = t on puts that unit at
-        # coefficient t alone.
+        # coefficient t alone.  Only at d = 24 do the reads pass 2**64 and
+        # come dense, as slices of one column run.
+        runs = int(d == 24)
         keep = len(shift_decomposition(d, a, b))
-        reads = rectified._reads
-        asked = []
+        reads, column = rectified._reads, regular._column
+        asked, built = [], []
         monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to: asked.append(
             n_to) or reads(d, terms, n_from, n_to))
+        monkeypatch.setattr(regular, "_column", lambda *args: built.append(args) or column(*args))
         shift_decomposition(d, a, b)
-        assert asked == [keep + d + 1]
+        assert (asked, len(built)) == ([keep + d + 1], runs)
         for t in (keep, keep + d + 1):
             monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to, t=t: [
                 v + (math.comb(k - t + d, d) if k >= t else 0)
@@ -290,16 +294,22 @@ class TestRectifiedDecomposition:
         # vector, from each route's own reads: a coefficient past the
         # support is an error whatever its sign.  Adding C(k, d), the series
         # of x**d / (1-x)**(d+1), to the shift-composition route's summed
-        # column does that after its d+1 difference passes.
-        reads = rectified._reads
+        # column does that after its d+1 difference passes.  At d = 24 that
+        # column's reads pass 2**64 and are slices of one run.
+        reads, column = rectified._reads, regular._column
         gbinomials = rectified._gbinomials
-        for unit in (1, -1):
+        for (d, r, runs), unit in itertools.product([(3, 1, 0), (24, 8, 1)], (1, -1)):
+            built = []
+            monkeypatch.setattr(regular, "_column",
+                                lambda *args: built.append(args) or column(*args))
             monkeypatch.setattr(rectified, "_reads", lambda d, terms, n_from, n_to: [
                 v + unit * math.comb(k, d)
                 for k, v in enumerate(reads(d, terms, n_from, n_to), n_from)])
-            message = rf"rectified coefficients for d=3 r=1 extend past index 2: \[\(3, {unit}\)\]"
+            message = (rf"rectified coefficients for d={d} r={r} extend past index {d - 1}: "
+                       rf"\[\({d}, {unit}\)\]")
             with pytest.raises(ArithmeticError, match=message):
-                rectified_decomposition(3, 1)
+                rectified_decomposition(d, r)
+            assert len(built) == runs
             monkeypatch.undo()
             # On the gbinomial route, coefficient d of stretch i = r, whose
             # weight is 1, is gbinomial(d+1, (r+1)d, r+1): in the route's one
@@ -307,7 +317,7 @@ class TestRectifiedDecomposition:
             monkeypatch.setattr(rectified, "_gbinomials", lambda n, reads: [
                 v + unit * (m == s * (n - 1)) for v, (m, s) in zip(gbinomials(n, reads), reads)])
             with pytest.raises(ArithmeticError, match=message):
-                rectified_decomposition_gbinom(3, 1)
+                rectified_decomposition_gbinom(d, r)
             monkeypatch.undo()
 
     def test_tail_is_checked_out_to_index_d_plus_r_plus_1(self, monkeypatch):

@@ -10,10 +10,13 @@ which have no polytope for the oracle to evaluate.  A property test holds
 every table form and `recombine_table` to a per-entry `math.comb`
 definition, on runs that cross the column kernel's threshold, where its
 entry-by-entry head gives way to a prefix-sum tail, and simplex_table's
-switch from `math.comb` to the recurrence above 64 bits; the long
-b-file tables are pinned at sampled rows.  Two more properties hold the two
-routes of each `decompose` mode to each other and to the rows their
-vectors must recombine to, at d up to 40, where coefficients pass 64 bits;
+switch from `math.comb` to the recurrence above 64 bits.  Another holds
+the head's reader, `regular._reads`, with its column rule forced either
+way, to the same definition past 2**64.  The long b-file tables are pinned
+at sampled rows, with the number of column runs each head builds.  Two
+more properties hold the two routes of each `decompose` mode to each
+other and to the rows their vectors must recombine to, at d up to 40,
+where coefficients pass 64 bits;
 the lambda property also holds `rectified_decomposition`, which expands the
 summed stretches once, to each stretch's `shift_decomposition` weighted and
 summed.  A third holds both shift routes, with a up to 10**6, to the double
@@ -461,6 +464,43 @@ def test_tables_match_their_per_entry_definitions(read_and_coeffs):
         sum(c * simplex_entry(d, n - j) for j, c in enumerate(coeffs)) for n in ns]
 
 
+@st.composite
+def read_batches(draw):
+    """(d, terms, n_from, n_to) for `regular._reads`.
+
+    d <= 48, so the entries pass 2**64; 1-8 terms (weight, step <= 30,
+    offset) whose offsets reach below 1; a run of up to 40 rows from at
+    most row 3, so most cross row 0, and some are empty.
+    """
+    d = draw(st.integers(0, 48))
+    terms = draw(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 30),
+                                    st.integers(-60, 20)), min_size=1, max_size=8))
+    n_from = draw(st.integers(-10, 3))
+    return d, terms, n_from, n_from + draw(st.integers(-1, 40))
+
+
+@given(read_batches(), st.booleans())
+@example((24, [(1, 5, -29)], 0, 52), True)  # one shift decomposition's reads, past 2**64
+@example((24, [(1, 5, -29)], 0, 52), False)
+@example((0, [(3, 2, -5), (-1, 1, 0)], -4, 6), True)  # the point's column of ones
+@example((5, [(1, 1, -9)], -2, 3), True)  # no read reaches k = 1: no run
+def test_reads_on_either_path_equal_the_definition(batch, dense):
+    """`_reads` with the rule forced either way is sum w * C(k+d-1, d), 0 for k <= 0."""
+    d, terms, n_from, n_to = batch
+    runs = []
+    column = regular._column
+    with mock.patch.object(regular, "_dense", lambda d, stop, reads: dense), \
+            mock.patch.object(regular, "_column",
+                              lambda *args: runs.append(args) or column(*args)):
+        rows = regular._reads(d, terms, n_from, n_to)
+    ns = range(n_from, n_to + 1)
+    assert rows == [sum(w * simplex_entry(d, step * n + offset) for w, step, offset in terms)
+                    for n in ns]
+    # One run, to the largest k read, on the dense path; none on the sparse one.
+    top = max((step * n_to + offset for _, step, offset in terms if ns), default=0)
+    assert runs == ([(d, 1, top + 1)] if dense and top >= 1 else [])
+
+
 @pytest.mark.parametrize("d", range(0, 9))
 def test_prefix_sum_tail_continues_a_polynomial_and_rejects_a_higher_degree(d):
     # d+2 rows of a degree-d polynomial with a sign change, then 50 more.
@@ -472,28 +512,38 @@ def test_prefix_sum_tail_continues_a_polynomial_and_rejects_a_higher_degree(d):
 
 
 # The long tables of the seq-formula benchmark's b-files, far past the
-# property test's run lengths: (table, args, d, number of kernel terms).
+# property test's run lengths, and one at d = 64, whose head's reads pass
+# 2**64 and are dense: (table, args, d, number of kernel terms).
 LONG_TABLES = [
     (rectified_simplex_table, (12, 6), 12, 7),
     (rectified_simplex_interior_table, (12, 6), 12, 7),
     (cross_polytope_table, (10,), 10, 10),
     (hypercube_table, (9,), 9, 9),
+    (rectified_simplex_table, (64, 32), 64, 33),
 ]
 
 
 @pytest.mark.parametrize("table, args, d, terms", LONG_TABLES)
 def test_long_tables_match_their_definitions_from_a_short_head(table, args, d, terms):
-    calls = []
-    comb = math.comb
+    runs = int(d == 64)  # one column run serves a dense head
+    calls, built = [], []
+    comb, column = math.comb, regular._column
 
     def counting_comb(*pair):
         calls.append(pair)
         return comb(*pair)
 
-    with mock.patch.object(math, "comb", counting_comb):
+    with mock.patch.object(math, "comb", counting_comb), \
+            mock.patch.object(regular, "_column",
+                              lambda *args: built.append(args) or column(*args)):
         rows = table(*args, 1, 18000)
     # A head of d+2 rows per term at most; every later row is a prefix sum.
     assert len(calls) <= (d + 2) * terms, len(calls)
+    # A run takes its entries by the exact step: a weight per term and the
+    # run's own two reads are all the math.comb calls left.
+    assert len(built) == runs
+    if runs:
+        assert len(calls) <= terms + 2, len(calls)
     entry = next(entry for t, entry, _ in DEFINITIONS if t is table)
     r = args[1] if len(args) == 2 else 0
     for n in [*range(1, 18001, 997), 18000]:
