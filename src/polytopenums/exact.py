@@ -11,18 +11,19 @@ below 2**64, above that each entry from the one before, A(d, k) =
 A(d, k-1) * (k+d-1) / (k-1); a remainder raises ArithmeticError.  One
 rule, `_dense`, says whether a batch of reads of that column comes from
 one run or from one `math.comb` per read.  Both callers ask it:
-`_gbinomials`, and `regular._reads`, which serves every table head and
-the difference route of the decompositions.  A run wins only when its top
-entry is past 2**64 and the reads are many against its length, so a batch
-of few reads, as at large order s, or of entries below 2**64, costs what
-its reads cost.
+`_gbinomial_rows`, which reads one row of generalized binomials per
+stretch as two runs of the column, and `regular._reads`, which serves
+every table head and the difference route of the decompositions.  A run
+wins only when its top entry is past 2**64 and the reads are many against
+its length, so a batch of few reads, as at large order s, or of entries
+below 2**64, costs what its reads cost.
 `_check_dimension` is the one rule d >= 0 (or d >= 1) and its message for
 the tables, decompositions, `eulerian` and the descriptor factories alike.
 """
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul
 from typing import Iterable
 
@@ -108,37 +109,51 @@ def gbinomial(n: int, m: int, s: int) -> int:
     s >= 1; out-of-range m gives 0.  Evaluated as the alternating sum
     sum (-1)**k C(n, k) C(m-sk+n-1, n-1), read off (1-x**s)**n / (1-x)**n,
     at the nearer of m and its mirror n(s-1) - m: the row is palindromic,
-    and the sum has min(n, m//s) + 1 terms: `_gbinomials` of one read,
-    which takes each term from `math.comb` unless `_dense` finds them dense.
+    and the sum has m//s + 1 terms there.  It is the one-stretch, width-1
+    row (s, -m) of `_gbinomial_rows`, which takes each term from
+    `math.comb` unless `_dense` finds them dense.
     """
-    return _gbinomials(n, [(m, s)])[0]
+    return _gbinomial_rows(n, [(s, -m)], 1)[0][0]
 
 
-def _gbinomials(n: int, reads: list[tuple[int, int]]) -> list[int]:
-    """gbinomial(n, m, s) for each (m, s) in reads, m reflected to its row's near end.
+def _gbinomial_rows(n: int, stretches: list[tuple[int, int]], width: int) -> list[list[int]]:
+    """gbinomial(n, s*j - b, s) for j < width: one row per stretch (s, b).
 
-    Every read sums the signed row (-1)**k C(n, k) against the column
-    C(t+n-1, n-1) = A(n-1, t+1) at t = m, m-s, m-2s, ...: min(n, m//s) + 1
-    terms.  When `_dense` says so, the batch reads them from one `_column`
-    run up to t = max(0, largest reflected m); otherwise each term is one
-    `math.comb`, and the batch holds no column, whatever s.  At n = 0 the
-    column is the lone entry 1.
+    A row is 0 where m = s*j - b is below 0 or past n(s-1).  The rest is
+    two runs stepping by s: m itself while m <= n(s-1)/2, then its mirror
+    n(s-1) - m, stepping down.  Each entry at such a near m sums the signed
+    row (-1)**k C(n, k) against the column C(t+n-1, n-1) = A(n-1, t+1) at
+    t = m, m-s, m-2s, ...: m//s + 1 terms, so a run of consecutive m//s
+    has their arithmetic sum.  When `_dense` says so, the batch reads them
+    from one `_column` run up to t = the largest near m; otherwise each
+    term is one `math.comb`, and the batch holds no column, whatever s.
+    At n = 0 the column is the lone entry 1.
     """
-    for _, s in reads:
+    for s, _ in stretches:
         if s < 1:
             raise ValueError(f"order must be a positive integer, got s={s}")
     if n < 0:
         raise ValueError(f"upper argument must be nonnegative, got n={n}")
-    near = [min(m, n * (s - 1) - m) for m, s in reads]  # negative when m is out of range
+    rows = []  # (s, zeros before, run of m, run of mirrors, zeros after)
+    for s, b in stretches:
+        top = n * (s - 1)
+        low = min(width, max(0, -(-b // s)))
+        middle = min(width, max(low, (b + top // 2) // s + 1))
+        high = min(width, max(middle, (b + top) // s + 1))
+        rows.append((s, low, range(s * low - b, s * middle - b, s),
+                     range(top + b - s * middle, top + b - s * high, -s), width - high))
     signed = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    length = max([0, *near]) + 2
-    terms = (min(n, m // s) + 1 for m, (_, s) in zip(near, reads) if m >= 0)
+    length = max([0, *(m for _, _, up, down, _ in rows for m in chain(up[-1:], down[:1]))]) + 2
+    terms = (len(run) * (min(run[0], run[-1]) // s) + len(run) * (len(run) + 1) // 2
+             for s, _, up, down, _ in rows for run in (up, down) if run)
     if n and not _dense(n - 1, length, terms):
-        return [sum(map(mul, signed, map(math.comb, range(m + n - 1, n - 2, -s), repeat(n - 1))))
-                if m >= 0 else 0 for m, (_, s) in zip(near, reads)]
-    column = _column(n - 1, 1, length) if n else [1]
-    return [sum(map(mul, signed, column[m::-s])) if m >= 0 else 0
-            for m, (_, s) in zip(near, reads)]
+        runs = [[sum(map(mul, signed, map(math.comb, range(m + n - 1, n - 2, -s), repeat(n - 1))))
+                 for m in chain(up, down)] for s, _, up, down, _ in rows]
+    else:
+        column = _column(n - 1, 1, length) if n else [1]
+        runs = [[sum(map(mul, signed, column[m::-s])) for m in chain(up, down)]
+                for s, _, up, down, _ in rows]
+    return [[0] * low + run + [0] * tail for (_, low, _, _, tail), run in zip(rows, runs)]
 
 
 def eulerian(d: int, i: int) -> int:

@@ -24,8 +24,9 @@ back by `recombine`.  A decomposition is a stretch list, (1, a, b) alone
 or `_stretches(d, r)`, and each route one body over it: d+1 backward
 difference passes over the summed stretched column, read by
 `regular._reads` to the d+2 coefficients past the kept length or to
-d + max(a+b) if that comes first, or one `exact._gbinomials` batch of
-width the largest `_support_bound` + 1, weighted by w.  Both routes read
+d + max(a+b) if that comes first, or one `exact._gbinomial_rows` batch,
+a row per stretch of width the largest `_support_bound` + 1, weighted by
+w column by column.  Both routes read
 their simplex column by the one rule `exact._dense`: one `math.comb` per
 read, or, when the reads are dense past 2**64 as at large d, slices of
 one column run.  So a shift decomposition's work on either route is its
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from operator import mul, sub
 
-from .exact import _check_dimension, _gbinomials, binomial
+from .exact import _check_dimension, _gbinomial_rows, binomial
 from .regular import _column_sum, _reads, recombine_table
 
 
@@ -142,11 +143,14 @@ def _difference_route(d: int, stretches: list, keep: int, what: str) -> list[int
 
 
 def _gbinomial_route(d: int, stretches: list, keep: int, what: str) -> list[int]:
-    """The sum of w * gbinomial(d+1, a*j - b, a) over stretches (w, a, b), trimmed."""
+    """The sum of w * gbinomial(d+1, a*j - b, a) over stretches (w, a, b), trimmed.
+
+    One `_gbinomial_rows` batch reads a row per stretch (a, b), j up to the
+    largest support bound; coefficient j weights column j of the rows."""
     width = max(_support_bound(d, a, b) for _, a, b in stretches) + 1
-    values = _gbinomials(d + 1, [(a * j - b, a) for _, a, b in stretches for j in range(width)])
+    rows = _gbinomial_rows(d + 1, [(a, b) for _, a, b in stretches], width)
     weights = [w for w, _, _ in stretches]
-    coeffs = [sum(map(mul, weights, values[j::width])) for j in range(width)]
+    coeffs = [sum(map(mul, weights, column)) for column in zip(*rows)]
     return _trimmed(coeffs, keep, what)
 
 
@@ -168,8 +172,9 @@ def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
 
     c[j] is gbinomial(d+1, a*j - b, a), the coefficient of x**(a*j - b) in
     (1 + x + ... + x**(a-1))**(d+1): the h-vector of a Veronese subring.
-    The gbinomial route of the one stretch (1, a, b), to the support bound:
-    at large a it takes each term, about d/2 a coefficient, from `math.comb`.
+    The gbinomial route of the one stretch (1, a, b): one row, to the
+    support bound.  At large a it takes each term, about d/2 a coefficient,
+    from `math.comb`.
     """
     return _gbinomial_route(d, *_shift_mode(d, a, b))
 
@@ -198,8 +203,8 @@ def rectified_decomposition(d: int, r: int) -> list[int]:
 def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
     """Simplex-basis coefficients via generalized binomial coefficients.
 
-    The gbinomial route of `_stretches(d, r)`: one batch of (r+1)(d+1)
-    reads, as b <= r < d puts every support bound at d.  Must agree with
+    The gbinomial route of `_stretches(d, r)`: one batch of r+1 rows of
+    width d+1, as b <= r < d puts every support bound at d.  Must agree with
     rectified_decomposition; a nonzero a_d raises ArithmeticError.
     """
     return _gbinomial_route(d, *_lambda_mode(d, r))

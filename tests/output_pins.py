@@ -7,6 +7,9 @@ committed digests and `tests/test_output_pins.py` recomputes them.
 
 - decompose-lambda: every `decompose --lambda` case with d <= 32 in every
   format, r from 0 to d+1, so the usage errors at d = 0 and r >= d are in.
+- decompose-lambda-wide: `decompose --lambda` at d = 40, 48 and 64, each
+  with r = 0, 1, d//3, d//2, 2d//3 and d-1, in all three formats: past
+  d = 32 the gbinomial route reads every row from one column run.
 - decompose-shift: a grid and a seeded sample of `decompose --shift` over
   d <= 8, small and large a and b, every format, plus the usage errors of
   a missing or mixed mode and of missing or stray parameters.
@@ -77,6 +80,12 @@ DECOMPOSE_FORMATS = ("table", "csv", "json")
 def _decompose_lambda():
     return [["decompose", "--lambda", "-d", str(d), "-r", str(r), "--format", fmt]
             for d in range(33) for r in range(d + 2) for fmt in DECOMPOSE_FORMATS]
+
+
+def _decompose_lambda_wide():
+    return [["decompose", "--lambda", "-d", str(d), "-r", str(r), "--format", fmt]
+            for d in (40, 48, 64) for r in sorted({0, 1, d // 3, d // 2, 2 * d // 3, d - 1})
+            for fmt in DECOMPOSE_FORMATS]
 
 
 def _decompose_shift():
@@ -261,7 +270,8 @@ def _workloads():
     return [op["argv"] for workload in WORKLOADS for op in module.generate(workload, 1)]
 
 
-GROUPS = {"decompose-lambda": _decompose_lambda, "decompose-shift": _decompose_shift,
+GROUPS = {"decompose-lambda": _decompose_lambda,
+          "decompose-lambda-wide": _decompose_lambda_wide, "decompose-shift": _decompose_shift,
           "decompose-shift-wide": _decompose_shift_wide,
           **{f"seq-{family}": functools.partial(_seq_family, family) for family in SEQ_POINTS},
           "seq-long": _seq_long, "seq-blocks": _seq_blocks, "verify": _verify,

@@ -1,13 +1,15 @@
 """Tests for the exact integer combinatorics primitives."""
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polytopenums import exact
-from polytopenums.exact import _dense, _eulerian_row, _gbinomials, binomial, eulerian, gbinomial
+from polytopenums.exact import (_dense, _eulerian_row, _gbinomial_rows, binomial, eulerian,
+                                gbinomial)
 
 
 def falling_factorial_binomial(r, k):
@@ -115,54 +117,106 @@ class TestGBinomial:
 
 
 @st.composite
-def gbinomial_batches(draw):
-    """(n, reads): mixed orders s <= 9, m from below 0 to past n(s-1), n <= 40."""
+def gbinomial_rows(draw):
+    """(n, stretches, width): n <= 40, a few stretches (s, b), width 0..n+3.
+
+    s <= 9, or the long narrow s = 250 and 300 of decompose --shift; b from
+    -3 to past n(s-1)+3, so rows start before m = 0 and end past the row."""
     n = draw(st.integers(0, 40))
-    read = st.integers(1, 9).flatmap(
-        lambda s: st.tuples(st.integers(-3, n * (s - 1) + 3), st.just(s)))
-    return n, draw(st.lists(read, max_size=30))
+    stretch = st.one_of(st.integers(1, 9), st.sampled_from((250, 300))).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(-3, n * (s - 1) + 4)))
+    return n, draw(st.lists(stretch, max_size=5)), draw(st.integers(0, n + 3))
 
 
 class TestGBinomials:
-    @given(gbinomial_batches())
-    @example((0, [(0, 1), (0, 5), (-1, 3), (1, 3)]))  # n = 0: only m = 0 is in range
-    @example((7, []))  # empty batches build no column
-    @example((0, []))
-    @example((40, [(40 * 8, 9), (40 * 8 + 1, 9), (-1, 9), (160, 9), (20, 2)]))  # ends, middle
+    @pytest.mark.parametrize("forced", [None, True, False])
+    @given(batch=gbinomial_rows())
+    @example(batch=(0, [(1, 0), (5, 0), (3, 1)], 3))  # n = 0: only m = 0 is in range
+    @example(batch=(7, [], 4))  # empty batches build no column unless forced
+    @example(batch=(0, [], 0))
+    @example(batch=(7, [(3, 0)], 0))  # width 0: empty rows
+    # s = 9 at n = 40: the row's ends m = 0 and 320, its middle 160, and
+    # m = -1 and 321 just outside; s = 2 runs on past the row's end.
+    @example(batch=(40, [(9, 4), (9, 3), (9, 2), (9, 1), (2, 0)], 43))
+    # A row crossing m = n(s-1)/2: at n(s-1) = 20 onto it (m = 10), at
+    # n(s-1) = 21 across it (m = 10, then 14); the width ends inside the
+    # first run, inside the second, and past the row.
+    @example(batch=(10, [(3, -1), (3, 2)], 2))
+    @example(batch=(10, [(3, -1), (3, 2)], 6))
+    @example(batch=(10, [(3, -1), (3, 2)], 13))
+    @example(batch=(7, [(4, -2), (4, -3)], 2))
+    @example(batch=(7, [(4, -2), (4, -3)], 4))
+    @example(batch=(7, [(4, -2), (4, -3)], 10))
     # decompose --shift's long narrow columns: ends, middle and one read past
-    # the row.  These few reads take each term from math.comb.  With every
+    # the row.  Under the rule itself (forced None) these few reads take each
+    # term from math.comb.  With every
     # third m read as well the terms outnumber the entries to t = 1044: at
     # n = 7, s = 300 those stay below 2**64, so each term is still one
     # math.comb; n = 9, s = 250 builds t = 0..1120, whose top passes 2**64
     # at t = 960, by the exact step.
-    @example((7, [(0, 300), (7 * 299, 300), (1046, 300), (7 * 299 + 1, 300)]))
-    @example((9, [(0, 250), (9 * 249, 250), (1120, 250), (-1, 250)]))
-    @example((7, [(m, 300) for m in range(0, 1047, 3)] + [(7 * 299 + 1, 300)]))
-    @example((9, [(m, 250) for m in range(0, 1121, 3)] + [(9 * 249, 250), (-1, 250)]))
-    def test_batch_matches_the_unreflected_sum_read_by_read(self, batch):
-        n, reads = batch
+    @example(batch=(7, [(300, 0), (300, 7), (300, 154), (300, 6)], 8))
+    @example(batch=(9, [(250, 0), (250, 9), (250, 130), (250, 1)], 10))
+    @example(batch=(7, [(300, -m) for m in range(0, 1047, 3)] + [(300, -7 * 299 - 1)], 1))
+    @example(batch=(9, [(250, -m) for m in range(0, 1121, 3)] + [(250, -9 * 249), (250, 1)], 1))
+    def test_rows_match_the_unreflected_sum_entry_by_entry(self, forced, batch):
+        n, stretches, width = batch
         # The unreflected sum is 0 past the row's end; at n = 0 its C(., -1)
         # is undefined, and the count of empty tuples stands in.
-        want = [unreflected_gbinomial(n, m, s) if n else brute_gbinomial(n, m, s)
-                for m, s in reads]
-        assert _gbinomials(n, reads) == want
+        want = [[unreflected_gbinomial(n, s * j - b, s) if n else brute_gbinomial(n, s * j - b, s)
+                 for j in range(width)] for s, b in stretches]
+        # Each read in its row is taken at the nearer of m and n(s-1) - m,
+        # with min(n, m//s) + 1 terms; the batch's column runs to the largest.
+        near = [(s, min(m, n * (s - 1) - m)) for s, b in stretches
+                for m in range(-b, s * width - b, s) if 0 <= m <= n * (s - 1)]
+        length = max([0, *(m for _, m in near)]) + 2
+        terms = sum(min(n, m // s) + 1 for s, m in near)
+        rule, column, asked, decided, built = exact._dense, exact._column, [], [], []
+
+        def dense(d, stop, counts):
+            asked.append((d, stop, sum(counts)))
+            decided.append(rule(*asked[-1][:2], [asked[-1][2]]) if forced is None else forced)
+            return decided[-1]
+
+        with mock.patch.object(exact, "_dense", dense), mock.patch.object(
+                exact, "_column", lambda *args: built.append(args) or column(*args)):
+            assert _gbinomial_rows(n, stretches, width) == want
+        # One decision per batch of order n >= 1, on all its terms, and one
+        # column run to the largest near read exactly when it says dense.
+        assert asked == ([(n - 1, length, terms)] if n else [])
+        assert built == [(n - 1, 1, length)] * decided.count(True)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="order must be a positive integer, got s=0"):
-            _gbinomials(3, [(1, 2), (1, 0)])
+            _gbinomial_rows(3, [(2, -1), (0, -1)], 1)
         with pytest.raises(ValueError, match="upper argument must be nonnegative, got n=-1"):
-            _gbinomials(-1, [(0, 2)])
+            _gbinomial_rows(-1, [(2, 0)], 1)
 
     def test_column_rejects_an_inexact_step(self, monkeypatch):
         # Past 2**64 the column's steps divide exactly; a remainder injected
-        # at the step into k = 4 must raise rather than be dropped.  The reads
-        # m = 0..400 of order 26 at n = 33 need the column C(t+32, 32) up to
-        # t = 400, far past 2**64, and sum more terms than it has entries, so
+        # at the step into k = 4 must raise rather than be dropped.  The rows
+        # of order 26 at n = 33, m = 0..415, need the column C(t+32, 32) up to
+        # t = 412, far past 2**64, and sum more terms than it has entries, so
         # the batch builds it, by the step path.
         monkeypatch.setattr(exact, "divmod", lambda x, y: (x // y, x % y + (y == 3)),
                             raising=False)
         with pytest.raises(ArithmeticError, match="inexact simplex column step at d=32 k=4"):
-            _gbinomials(33, [(m, 26) for m in range(401)])
+            _gbinomial_rows(33, [(26, -m) for m in range(26)], 16)
+
+
+class TestColumn:
+    @pytest.mark.parametrize("d", [10, 20, 32])
+    def test_math_comb_until_the_top_entry_passes_2_to_the_64(self, d, monkeypatch):
+        # A run whose top entry C(stop+d-2, d) is below 2**64 takes every
+        # entry from math.comb; one entry further, it steps, by divmod.
+        stop = next(k for k in itertools.count(2) if math.comb(k + d - 1, d) >= 2**64)
+        steps = []
+        monkeypatch.setattr(exact, "divmod", lambda x, y: steps.append(y) or (x // y, x % y),
+                            raising=False)
+        want = [math.comb(k + d - 1, d) for k in range(1, stop + 1)]
+        assert exact._column(d, 1, stop) == want[:-1]
+        assert steps == []
+        assert exact._column(d, 1, stop + 1) == want
+        assert steps == list(range(1, stop))
 
 
 class TestDenseRule:
@@ -179,6 +233,10 @@ class TestDenseRule:
         # d = 40, stop = 400, past 2**64: dense from 8 * 400 / 61 reads on,
         # with the counts summed across the batch and read only that far.
         assert (_dense(40, 400, [53]), _dense(40, 400, [52])) == (True, False)
+        # A tie goes to the run, one short of it to the reads:
+        # 8 * 400 = 50 * (43 + 21) and 8 * 449 = 57 * (42 + 21) + 1.
+        assert (_dense(43, 400, [50]), _dense(43, 400, [49])) == (True, False)
+        assert (_dense(42, 449, [58]), _dense(42, 449, [57])) == (True, False)
         counts = iter([20, 20, 13, 1])
         assert _dense(40, 400, counts)
         assert list(counts) == [1]

@@ -297,7 +297,7 @@ class TestRectifiedDecomposition:
         # column does that after its d+1 difference passes.  At d = 24 that
         # column's reads pass 2**64 and are slices of one run.
         reads, column = rectified._reads, regular._column
-        gbinomials = rectified._gbinomials
+        gbinomial_rows = rectified._gbinomial_rows
         for (d, r, runs), unit in itertools.product([(3, 1, 0), (24, 8, 1)], (1, -1)):
             built = []
             monkeypatch.setattr(regular, "_column",
@@ -312,10 +312,11 @@ class TestRectifiedDecomposition:
             assert len(built) == runs
             monkeypatch.undo()
             # On the gbinomial route, coefficient d of stretch i = r, whose
-            # weight is 1, is gbinomial(d+1, (r+1)d, r+1): in the route's one
-            # batch of reads, the only read with m == s*d.
-            monkeypatch.setattr(rectified, "_gbinomials", lambda n, reads: [
-                v + unit * (m == s * (n - 1)) for v, (m, s) in zip(gbinomials(n, reads), reads)])
+            # weight is 1, is gbinomial(d+1, (r+1)d, r+1): row r, column d of
+            # the route's one batch of rows.
+            monkeypatch.setattr(rectified, "_gbinomial_rows", lambda n, stretches, width: [
+                [v + unit * (i == r and j == d) for j, v in enumerate(row)]
+                for i, row in enumerate(gbinomial_rows(n, stretches, width))])
             with pytest.raises(ArithmeticError, match=message):
                 rectified_decomposition_gbinom(d, r)
             monkeypatch.undo()
