@@ -7,37 +7,40 @@ and interior checks with their grid's top d.  A row with no value table
 is recursion only and always prints interiors.  `formula_columns` and
 `family_descriptor` look the rows up; `rectified_routes` and
 `shift_routes` give each `decompose` mode's coefficient vectors, one entry
-per route.  `seq`, `decompose` and `verify` all read these, resolved from
-this module's globals at call time, so the suites check the code the
-commands print from.  Each suite yields `IdentityCheck` records (name,
-params, lhs, rhs); a check holds when lhs == rhs exactly, with a
-structural check's computed value on the left.  A column comparison's
-records come from `_rows`, one per n of the range it asked for, built
-with no Python frame per row; a column that ends early gives `missing` in
-each row it lacks, so that row fails and the counts stay.  `verify` and the
-acceptance tests iterate these same generators, `verify` as `SUITES`
-declares them: in run order, each suite's generator and the bounds it
-reads, in parameter order.  Every bound follows one rule, `_cap`: unset,
-an axis runs its default grid top; set, the smaller of the two.  A bound
-lowers its axis and never raises it.
+per route; `shift_routes` is the one-b case of `_shift_route_runs`, one
+gbinomial batch per (d, a) for a run of b.  `seq`, `decompose` and
+`verify` all read these, resolved from this module's globals at call
+time, so the suites check the code the commands print from.  Each suite
+yields `IdentityCheck` records (name, params, lhs, rhs); a check holds
+when lhs == rhs exactly, with a structural check's computed value on the
+left.  A column comparison's records come from `identities._rows`, the one
+record builder, one per n of the range it asked for; a column that ends
+early gives `missing` in each row it lacks, so that row fails and the
+counts stay.  `identity_checks` makes one census store per run.  `verify`
+and the acceptance tests iterate these same generators, `verify` as
+`SUITES` declares them: in run order, each suite's generator and the
+bounds it reads, in parameter order.  Every bound follows one rule,
+`_cap`: unset, an axis runs its default grid top; set, the smaller of the
+two.  A bound lowers its axis and never raises it.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from itertools import chain, islice, repeat
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import identities, oracle
 from .exact import binomial
-from .identities import GridRanges, IdentityCheck
+from .identities import _MISSING, GridRanges, IdentityCheck, _rows
 from .rectified import (
+    _shift_decompositions_gbinom,
     rectified_decomposition,
     rectified_decomposition_gbinom,
     rectified_simplex_interior_table,
     rectified_simplex_table,
     shift_decomposition,
-    shift_decomposition_gbinom,
 )
 from .regular import (
     cross_polytope_table,
@@ -91,39 +94,18 @@ def rectified_routes(d: int, r: int) -> dict[str, list[int]]:
 
 def shift_routes(d: int, a: int, b: int) -> dict[str, list[int]]:
     """Simplex-basis coefficients of the stretched sequence, by each route."""
-    return {"double-sum": shift_decomposition(d, a, b),
-            "generating-function": shift_decomposition_gbinom(d, a, b)}
+    return _shift_route_runs(d, a, [b])[0]
+
+
+def _shift_route_runs(d: int, a: int, bs: list[int]) -> list[dict[str, list[int]]]:
+    # `shift_routes` at each b of bs: the generating-function route one batch for the run.
+    double_sums = [shift_decomposition(d, a, b) for b in bs]
+    return [{"double-sum": double_sum, "generating-function": gf}
+            for double_sum, gf in zip(double_sums, _shift_decompositions_gbinom(d, a, bs))]
 
 
 def _check(name: str, lhs: object, rhs: object, **params: object) -> IdentityCheck:
     return IdentityCheck(name, tuple(params.items()), lhs, rhs)
-
-
-class _Missing:
-    """The side of a row its column did not give: equal to nothing, so the row fails."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "missing"
-
-
-_MISSING = _Missing()
-
-
-def _rows(name: str, fixed: tuple[tuple[str, object], ...], ns: range,
-          lhs: Iterable[object], rhs: Iterable[object]) -> Iterator[IdentityCheck]:
-    # One record per n of ns, params `fixed` then n, reading lhs and rhs in
-    # step: built by C iterators, with no frame or kwargs dict per row.  A
-    # column that ends before ns does gives `_MISSING` in each row it lacks,
-    # so a short column fails those rows instead of dropping them.
-    params = zip(*map(repeat, fixed), zip(repeat("n"), ns))
-    return map(tuple.__new__, repeat(IdentityCheck),
-               zip(repeat(name), params, chain(lhs, repeat(_MISSING)),
-                   chain(rhs, repeat(_MISSING))))
 
 
 def _interleaved(*columns: Iterator[IdentityCheck]) -> Iterator[IdentityCheck]:
@@ -132,10 +114,12 @@ def _interleaved(*columns: Iterator[IdentityCheck]) -> Iterator[IdentityCheck]:
 
 
 def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
-    """The binomial and face-census identities at every point of the grid."""
+    """The binomial and face-census identities over the grid, with one census store a run."""
+    interior = cache(identities._rectified_interior)
     for name, (_, points) in identities.REGISTRY.items():
         if name in grid:
-            yield from points(grid[name])
+            yield from (points(grid[name], interior) if name in identities._CENSUS
+                        else points(grid[name]))
 
 
 def _cap(default: int, bound: int | None) -> int:
@@ -236,14 +220,16 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                              recombine_table(routes["gbinomial"], d, 1, n_hi),
                              rectified_simplex_table(d, r, 1, n_hi))
 
-    # One coefficient vector per (d, a, b) serves every n of the identity,
-    # and one simplex column per (d, a) holds every stretched argument >= 1.
+    # One coefficient vector per (d, a, b) serves every n of the identity, one
+    # gbinomial batch per (d, a) the run of b, and one simplex column per (d, a)
+    # every stretched argument >= 1.  No route reads that column: it would tie
+    # the two sides of the identity together.
     m = _cap(30, n_max)
     for d in range(1, _cap(6, d_max) + 1):
         for a in range(1, _cap(5, a_max) + 1):
             stretched = simplex_table(d, 1, a * m - (a - 1))
-            for b in range(_cap(5, b_max) + 1):
-                routes = shift_routes(d, a, b)
+            bs = range(_cap(5, b_max) + 1)
+            for b, routes in zip(bs, _shift_route_runs(d, a, bs)):
                 coeffs = routes["double-sum"]
                 yield _check("shift-routes", coeffs, routes["generating-function"],
                              d=d, a=a, b=b)

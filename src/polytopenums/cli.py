@@ -324,7 +324,7 @@ def _cmd_verify(args, parser) -> int:
     for name, header, records in suites:
         failures = []
         for count, check in enumerate(records, 1):  # never empty: refused above
-            if not check.ok:
+            if check[2] != check[3]:  # lhs != rhs: the record fails, as `.ok` says
                 failures.append(f"  FAIL {check.describe()}\n")
         _write(f"{name}: {header}{count} checks, {len(failures)} failures\n" + "".join(failures))
         any_failures = any_failures or bool(failures)

@@ -59,8 +59,8 @@ def _column(d: int, start: int, stop: int) -> list[int]:
     value = math.comb(start + d - 1, d)
     column = [value]
     # A(d, k) = A(d, k-1) * (k+d-1) / (k-1) for k = start+1 .. stop-1.
-    for up, down in zip(range(start + d, stop + d - 1), range(start, stop - 1)):
-        value, remainder = divmod(value * up, down)
+    for down in range(start, stop - 1):
+        value, remainder = divmod(value * (down + d), down)
         if remainder:
             raise ArithmeticError(f"inexact simplex column step at d={d} k={down + 1}")
         column.append(value)

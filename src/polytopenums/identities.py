@@ -12,18 +12,19 @@ Negative dimensions then vanish through the negative-lower-index rule, and
 index 1 interiors contribute (-1)**e; both behaviors are what the census
 identities need to hold on their full stated ranges.
 
-The two census identities, face-interior-sum and vertex-star-sum, share one
-body: the interiors of the face classes (k, m), weighted by their
-multiplicities, against the rectified value.  Each interior, that of the
-k-rectified m-simplex at index n, depends on (k, m, n) alone.
-
-Four grid iterators read their summands from stores they make when called,
-freed with them: a census iterator each interior (k, m, n) once per run
-and its weights once per (r, d); interior-sum the interiors C(n-2, e) once
-per n, read as a slice, and its weights once per (d, k); alt-vandermonde
-the signed row (-1)**k C(n, k) once per n and C(c-k, b-k) once per (b, c).
-The per-point checkers compute every summand afresh, and no right side
-reads a store.
+One builder, `_rows`, which `checks` uses too, makes every record of a
+run over n, for one tuple of the other parameters, by C iterators from two
+sides given as lists over n; a side that ends early gives `_MISSING`,
+equal to nothing, so its rows fail.  Four grid iterators give one run per
+tuple, with summands from stores: interior-sum C(n-2, e) once per n and
+its weights once per (d, k); alt-vandermonde (-1)**k C(n, k) once per n
+and C(c-k, b-k) once per (b, c).  The two census identities share one
+body, the interiors of the face classes (k, m) weighted by multiplicities
+once per (r, d), against the rectified value; each interior depends on
+(k, m, n) alone and comes from one store per suite run, which
+`checks.identity_checks` makes for both.  Stores are freed with their
+run.  The per-point checkers compute every summand afresh, and no right
+side reads a store.
 
 Each `REGISTRY` entry pairs an identity's default ranges, keyed by the grid
 keys `parse_grid` requires and accepts, with the iterator that reads them; a
@@ -34,6 +35,7 @@ live in the iterators: interior-sum's k runs over 0..d-1 for each d.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -62,6 +64,31 @@ class IdentityCheck(NamedTuple):
         return f"{self.identity} [{args}] lhs={self.lhs} rhs={self.rhs}"
 
 
+class _Missing:
+    """The side of a row its column did not give: equal to nothing, so the row fails."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return "missing"
+
+
+_MISSING = _Missing()
+
+
+def _rows(name: str, fixed: tuple[tuple[str, object], ...], ns: Iterable[int],
+          lhs: Iterable[object], rhs: Iterable[object]) -> Iterator[IdentityCheck]:
+    # One record per n of ns, params `fixed` then n, reading lhs and rhs in step, with no
+    # frame per row; a side that ends before ns fails its missing rows, not drops them.
+    params = zip(*map(repeat, fixed), zip(repeat("n"), ns))
+    return map(tuple.__new__, repeat(IdentityCheck),
+               zip(repeat(name), params, chain(lhs, repeat(_MISSING)),
+                   chain(rhs, repeat(_MISSING))))
+
+
 def _plain(e: int, n: int) -> int:
     return binomial(n + e - 1, e)
 
@@ -80,15 +107,15 @@ def check_alt_vandermonde(b: int, c: int, n: int) -> IdentityCheck:
 def _alt_vandermonde_points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
     # alt-vandermonde's grid iterator: a point's left side multiplies its n's
     # signed row by its (b, c)'s row, C(c-k, b-k) up to the top n, term by term.
-    signed = {n: [(-1) ** k * binomial(n, k) for k in range(n + 1)] for n in g["n"]}
-    top = max(signed, default=0)
+    signed = [[(-1) ** k * binomial(n, k) for k in range(n + 1)] for n in g["n"]]
+    top = max(g["n"], default=0)
     for b in g["b"]:
         for c in g["c"]:
             if c >= b:
                 row = [binomial(c - k, b - k) for k in range(top + 1)]
-                for n in g["n"]:
-                    yield IdentityCheck("alt-vandermonde", (("b", b), ("c", c), ("n", n)),
-                                        sum(map(mul, signed[n], row)), binomial(c - n, b))
+                yield from _rows("alt-vandermonde", (("b", b), ("c", c)), g["n"],
+                                 [sum(map(mul, terms, row)) for terms in signed],
+                                 [binomial(c - n, b) for n in g["n"]])
 
 
 def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
@@ -109,15 +136,14 @@ def _interior_sum_points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityChe
     # over i <= t of C(t, i) * interior(i-1+j, n): the weights against the
     # slice from e = j-1 of n's stored interiors, which start at e = -1.
     top = max(g["d"], default=0) + max(g["j"], default=0)
-    interiors = {n: [_interior(e, n) for e in range(-1, top - 1)] for n in g["n"]}
+    interiors = [[_interior(e, n) for e in range(-1, top - 1)] for n in g["n"]]
     for d in g["d"]:
         for k in range(d):
             weights = [binomial(d - 1 - k, i) for i in range(d - k)]
             for j in g["j"]:
-                for n in g["n"]:
-                    lhs = sum(map(mul, weights, interiors[n][j:j + d - k]))
-                    yield IdentityCheck("interior-sum", (("d", d), ("k", k), ("j", j), ("n", n)),
-                                        lhs, _plain(d - k + j - 2, n - j))
+                yield from _rows("interior-sum", (("d", d), ("k", k), ("j", j)), g["n"],
+                                 [sum(map(mul, weights, row[j:j + d - k])) for row in interiors],
+                                 [_plain(d - k + j - 2, n - j) for n in g["n"]])
 
 
 def _rectified(r: int, d: int, m: int) -> int:
@@ -145,32 +171,27 @@ _CENSUS: dict[str, tuple[Callable[[int, int, int, int], int], int]] = {
 }
 
 
-def _census_weights(identity: str, r: int, d: int) -> list[tuple[int, int, int]]:
-    # (k, m, multiplicity) of every face class, for one (r, d).
-    multiplicity = _CENSUS[identity][0]
-    return [(k, m, multiplicity(r, d, k, m)) for k in range(r + 1) for m in range(d - r + k + 1)]
-
-
-def _census_check(identity: str, weights: list[tuple[int, int, int]],
-                  interior: Callable[[int, int, int], int],
-                  r: int, d: int, n: int) -> IdentityCheck:
-    # The one body of both census checks: the weighted interiors of the
-    # face classes against the rectified value, which reads no interior.
-    lhs = sum(w * interior(k, m, n) for k, m, w in weights)
-    rhs = _rectified(r, d, n - _CENSUS[identity][1])
-    return IdentityCheck(identity, (("r", r), ("d", d), ("n", n)), lhs, rhs)
+def _census_rows(identity: str, r: int, d: int, ns: Iterable[int],
+                 interior: Callable[[int, int, int], int]) -> Iterator[IdentityCheck]:
+    # The one body of both census checks, a record per n of ns: the weighted interiors
+    # of the face classes (k, m) against the rectified value, which reads no interior.
+    multiplicity, back = _CENSUS[identity]
+    classes = [(k, m) for k in range(r + 1) for m in range(d - r + k + 1)]
+    ks, ms = [k for k, _ in classes], [m for _, m in classes]
+    weights = [multiplicity(r, d, k, m) for k, m in classes]
+    return _rows(identity, (("r", r), ("d", d)), ns,
+                 [sum(map(mul, weights, map(interior, ks, ms, repeat(n)))) for n in ns],
+                 [_rectified(r, d, n - back) for n in ns])
 
 
 def _census_points(identity: str) -> _Points:
-    # A census identity's grid iterator.  Each run makes its own store of
-    # interiors, freed with the generator, and each (r, d) its weights.
-    def points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
-        interior = cache(_rectified_interior)
+    # A census identity's grid iterator, reading the store it is given or its own.
+    def points(g: Mapping[str, Iterable[int]],
+               interior: Callable[[int, int, int], int] | None = None) -> Iterator[IdentityCheck]:
+        interior = interior or cache(_rectified_interior)
         for r in g["r"]:
             for d in g["d"]:
-                weights = _census_weights(identity, r, d)
-                for n in g["n"]:
-                    yield _census_check(identity, weights, interior, r, d, n)
+                yield from _census_rows(identity, r, d, g["n"], interior)
     return points
 
 
@@ -181,8 +202,7 @@ def check_face_interior_sum(r: int, d: int, n: int) -> IdentityCheck:
     of each face class; the result is the rectified value itself, written as
     its alternating stretched-simplex sum.
     """
-    weights = _census_weights("face-interior-sum", r, d)
-    return _census_check("face-interior-sum", weights, _rectified_interior, r, d, n)
+    return next(_census_rows("face-interior-sum", r, d, (n,), _rectified_interior))
 
 
 def check_vertex_star_sum(r: int, d: int, n: int) -> IdentityCheck:
@@ -192,8 +212,7 @@ def check_vertex_star_sum(r: int, d: int, n: int) -> IdentityCheck:
     the closed vertex star; their interiors at index n reproduce the
     rectified value at index n-1.  Valid for n >= 2.
     """
-    weights = _census_weights("vertex-star-sum", r, d)
-    return _census_check("vertex-star-sum", weights, _rectified_interior, r, d, n)
+    return next(_census_rows("vertex-star-sum", r, d, (n,), _rectified_interior))
 
 
 def check_subset_convolution(d: int, r: int) -> IdentityCheck:
@@ -224,9 +243,10 @@ _Points = Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]
 # sets, and an iterator over its grid that reads exactly those keys), in
 # suite order.  Each iterator looks up when called what it evaluates: the
 # checker of its identity, or, for the four store iterators, the functions
-# its sums call (the census pair `_rectified_interior` and `_rectified`,
-# interior-sum `_interior`, `binomial` and `_plain`, alt-vandermonde
-# `binomial`); so a replaced module-level function is honored.
+# its sums call (the census pair `_rectified_interior`, unless given the
+# run's store, and `_rectified`, interior-sum `_interior`, `binomial` and
+# `_plain`, alt-vandermonde `binomial`); so a replaced module-level
+# function is honored.
 REGISTRY: dict[str, tuple[dict[str, range], _Points]] = {
     "alt-vandermonde": ({"b": range(1, 13), "c": range(1, 13), "n": range(1, 13)},
                         _alt_vandermonde_points),

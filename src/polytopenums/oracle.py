@@ -268,13 +268,13 @@ def _head(p: PolytopeDescriptor) -> int:
 
 
 def _filled(p: PolytopeDescriptor, n: int) -> tuple[list[int], list[int]]:
-    """The table of p, with every table of `face_closure(p)` extended to hold n, faces first.
+    """The table of p, with every table of `face_closure(p)`, p's census then p, extended to n.
 
     Its caller asks for n <= H(p), so no table grows past the largest head
     of the roots asked.
     """
     with _lock:
-        for q in face_closure(p):
+        for q in [e.face for e in faces_of(p).entries] + [p]:
             # A point is its own interior: with no rows both of its lists run
             # 0, 1, 1, ...; any other polytope has no interior at n = 1.
             values, interiors = _tables.setdefault(

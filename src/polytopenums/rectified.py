@@ -26,7 +26,8 @@ difference passes over the summed stretched column, read by
 `regular._reads` to the d+2 coefficients past the kept length or to
 d + max(a+b) if that comes first, or one `exact._gbinomial_rows` batch,
 a row per stretch of width the largest `_support_bound` + 1, weighted by
-w column by column.  Both routes read
+w column by column; the shift decompositions of one (d, a) share one
+batch for a run of b, each trimmed under its own label.  Both routes read
 their simplex column by the one rule `exact._dense`: one `math.comb` per
 read, or, when the reads are dense past 2**64 as at large d, slices of
 one column run.  So a shift decomposition's work on either route is its
@@ -44,6 +45,7 @@ from n = 2 on.
 """
 from __future__ import annotations
 
+from itertools import islice
 from operator import mul, sub
 
 from .exact import _check_dimension, _gbinomial_rows, binomial
@@ -142,16 +144,18 @@ def _difference_route(d: int, stretches: list, keep: int, what: str) -> list[int
     return _trimmed(coeffs, keep, what)
 
 
-def _gbinomial_route(d: int, stretches: list, keep: int, what: str) -> list[int]:
-    """The sum of w * gbinomial(d+1, a*j - b, a) over stretches (w, a, b), trimmed.
-
-    One `_gbinomial_rows` batch reads a row per stretch (a, b), j up to the
-    largest support bound; coefficient j weights column j of the rows."""
+def _gbinomial_route(d: int, modes: list) -> list[list[int]]:
+    """Per mode (stretches, keep, what), the trimmed sum of w * gbinomial(d+1, a*j - b, a)
+    over its stretches (w, a, b), all from one `_gbinomial_rows` batch to the widest support."""
+    stretches = [stretch for mode in modes for stretch in mode[0]]
     width = max(_support_bound(d, a, b) for _, a, b in stretches) + 1
-    rows = _gbinomial_rows(d + 1, [(a, b) for _, a, b in stretches], width)
-    weights = [w for w, _, _ in stretches]
-    coeffs = [sum(map(mul, weights, column)) for column in zip(*rows)]
-    return _trimmed(coeffs, keep, what)
+    rows = iter(_gbinomial_rows(d + 1, [(a, b) for _, a, b in stretches], width))
+    vectors = []
+    for mode_stretches, keep, what in modes:
+        weights = [w for w, _, _ in mode_stretches]
+        coeffs = [sum(map(mul, weights, column)) for column in zip(*islice(rows, len(weights)))]
+        vectors.append(_trimmed(coeffs, keep, what))
+    return vectors
 
 
 def shift_decomposition(d: int, a: int, b: int) -> list[int]:
@@ -172,11 +176,16 @@ def shift_decomposition_gbinom(d: int, a: int, b: int) -> list[int]:
 
     c[j] is gbinomial(d+1, a*j - b, a), the coefficient of x**(a*j - b) in
     (1 + x + ... + x**(a-1))**(d+1): the h-vector of a Veronese subring.
-    The gbinomial route of the one stretch (1, a, b): one row, to the
+    The one-b batch of `_shift_decompositions_gbinom`: one row, to the
     support bound.  At large a it takes each term, about d/2 a coefficient,
     from `math.comb`.
     """
-    return _gbinomial_route(d, *_shift_mode(d, a, b))
+    return _shift_decompositions_gbinom(d, a, [b])[0]
+
+
+def _shift_decompositions_gbinom(d: int, a: int, bs: list[int]) -> list[list[int]]:
+    """shift_decomposition_gbinom(d, a, b) for each b of bs, as one gbinomial batch."""
+    return _gbinomial_route(d, [_shift_mode(d, a, b) for b in bs])
 
 
 def recombine(coeffs: list[int], d: int, n: int) -> int:
@@ -207,4 +216,4 @@ def rectified_decomposition_gbinom(d: int, r: int) -> list[int]:
     width d+1, as b <= r < d puts every support bound at d.  Must agree with
     rectified_decomposition; a nonzero a_d raises ArithmeticError.
     """
-    return _gbinomial_route(d, *_lambda_mode(d, r))
+    return _gbinomial_route(d, [_lambda_mode(d, r)])[0]

@@ -827,13 +827,12 @@ class TestDecompose:
 
 def _pad_shift_routes(monkeypatch):
     """Every shift route's vector at (d, a, b) = (2, 2, 1) with a zero past its support."""
-    real = checks.shift_routes
+    real = checks._shift_route_runs
 
-    def padded(d, a, b):
-        routes = real(d, a, b)
-        return {name: vector + [0] for name, vector in routes.items()} if (
-            (d, a, b) == (2, 2, 1)) else routes
-    monkeypatch.setattr(checks, "shift_routes", padded)
+    def padded(d, a, bs):
+        return [{name: vector + [0] for name, vector in routes.items()} if (
+            (d, a, b) == (2, 2, 1)) else routes for b, routes in zip(bs, real(d, a, bs))]
+    monkeypatch.setattr(checks, "_shift_route_runs", padded)
 
 
 def _split_census_entry(monkeypatch):
@@ -903,12 +902,20 @@ def _summand_off(name, args):
 
 def _raise_generating_function_tail(monkeypatch):
     """The generating-function route with its last coefficient 1 too high at (2, 2, 1)."""
-    real = checks.shift_decomposition_gbinom
+    real = checks._shift_decompositions_gbinom
 
-    def raised(d, a, b):
-        coeffs = real(d, a, b)
-        return [*coeffs[:-1], coeffs[-1] + 1] if (d, a, b) == (2, 2, 1) else coeffs
-    monkeypatch.setattr(checks, "shift_decomposition_gbinom", raised)
+    def raised(d, a, bs):
+        return [[*coeffs[:-1], coeffs[-1] + 1] if (d, a, b) == (2, 2, 1) else coeffs
+                for b, coeffs in zip(bs, real(d, a, bs))]
+    monkeypatch.setattr(checks, "_shift_decompositions_gbinom", raised)
+
+
+def suite_records(suite):
+    """Every record one verify suite yields at its default bounds, in order."""
+    given = {"grid": identities.default_grid(), "d_max": None, "n_max": None,
+             "a_max": None, "b_max": None}
+    generator, options = checks.SUITES[suite]
+    return generator(*(given[option] for option in options))
 
 
 # (verify suite, fault, the FAIL line it must print): each record's own
@@ -1051,16 +1058,34 @@ class TestVerify:
     @pytest.mark.parametrize("suite, fault, fail_line", RECORD_FAULTS)
     def test_each_record_reports_its_own_fault(self, capsys, monkeypatch, suite, fault,
                                                fail_line):
+        # `verify` prints a FAIL line for exactly the records whose `.ok` is
+        # False, under the fault, in the order the suite yields them.
         oracle.clear_tables()  # no table or census filled under a fault outlives the test
         try:
             with monkeypatch.context() as patch:
                 fault(patch)
                 code, out = run_cli(capsys, "verify", "--suite", suite)
+                not_ok = [f"  FAIL {check.describe()}\n" for check in suite_records(suite)
+                          if not check.ok]
         finally:
             oracle.clear_tables()
         assert code == 1
         assert fail_line in out
+        assert [line for line in out.splitlines(keepends=True)
+                if line.startswith("  FAIL ")] == not_ok
         assert out.endswith("verify: FAIL\n")
+
+    def test_a_record_fails_when_its_sides_differ_as_ok_says(self):
+        # `verify` decides each record by lhs != rhs, not through `.ok`; over
+        # every record of `verify --suite all` the two verdicts agree.
+        verdicts = {(check[2] != check[3], not check.ok)
+                    for suite in checks.SUITES for check in suite_records(suite)}
+        assert verdicts == {(False, False)}
+        missing = identities._MISSING  # a side its column did not give fails either way
+        for lhs, rhs in [(missing, 1), (1, missing), ([1], missing), (missing, missing),
+                         ((1, []), (1, [])), ([1], [2])]:
+            check = IdentityCheck("x", (), lhs, rhs)
+            assert (check[2] != check[3]) == (not check.ok), (lhs, rhs)
 
     def test_every_record_name_has_a_fault_that_fails_it(self):
         # A record no test sees fail could be disabled unnoticed: each name
@@ -1078,10 +1103,7 @@ class TestVerify:
         rows = {param.id: param.values[2] for param in RECORD_FAULTS}
         assert all(line.split()[1] == name for name, line in rows.items())
         assert not set(rows) & set(failed_elsewhere)
-        given = {"grid": identities.default_grid(), "d_max": None, "n_max": None,
-                 "a_max": None, "b_max": None}
-        names = {check.identity for generator, options in checks.SUITES.values()
-                 for check in generator(*(given[option] for option in options))}
+        names = {check.identity for suite in checks.SUITES for check in suite_records(suite)}
         assert names == set(rows) | set(failed_elsewhere)
 
     @pytest.mark.parametrize("module, table, fail_line", [

@@ -348,9 +348,9 @@ class TestCensusStore:
         assert [check.describe() for check in records if not check.ok] == []
 
     def test_each_run_computes_each_interior_once(self, monkeypatch):
-        # Each census iterator's run has its own store: two suite runs back
-        # to back each compute every interior once per census identity that
-        # reads it, and no module global keeps a cache between them.
+        # Each suite run has one store, which both census identities read:
+        # two runs back to back each compute every interior once, and no
+        # module global keeps a cache between them.
         real = identities._rectified_interior
         calls = collections.Counter()
 
@@ -364,7 +364,7 @@ class TestCensusStore:
             assert all(check.ok for check in identity_checks(default_grid()))
             # Face classes k <= 4, m <= 7 on the default grid, read by
             # face-interior-sum at n = 1..10 and by vertex-star-sum at 2..10.
-            assert calls == {(k, m, n): 1 + (n >= 2)
+            assert calls == {(k, m, n): 1
                              for k in range(5) for m in range(8) for n in range(1, 11)}
         assert [name for name, value in vars(identities).items()
                 if hasattr(value, "cache_info")] == []

@@ -279,6 +279,17 @@ class TestCensus:
         with pytest.raises(AttributeError):
             census.entries = ()
 
+    def test_a_census_then_its_polytope_is_the_face_closure(self):
+        # A fill walks p's census entries, then p, as `face_closure(p)` with
+        # no sort: the two lists are equal for every descriptor of the four
+        # families up to dimension 10.
+        descriptors = {family(d) for family in (simplex, cross_polytope, hypercube)
+                       for d in range(11)}
+        descriptors |= {hypersimplex(m, s) for m in range(2, 12) for s in range(m + 1)}
+        assert len(descriptors) == 1 + 3 * 10 + sum(m // 2 - 1 for m in range(4, 12))
+        for p in descriptors:
+            assert [e.face for e in faces_of(p).entries] + [p] == face_closure(p), p
+
     def test_point_has_no_census(self):
         # A point has no proper faces: its census is empty, not an error.
         assert faces_of(POINT) == FaceCensus(POINT, ())

@@ -2,12 +2,13 @@
 import collections
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polytopenums import rectified, regular
+from polytopenums import checks, rectified, regular
 from polytopenums.exact import binomial
 from polytopenums.rectified import (
     recombine,
@@ -193,6 +194,38 @@ class TestShiftDecomposition:
             message = rf"a={a} b={b} extend past index {keep - 1}: \[\({t}, 1\)\]$"
             with pytest.raises(ArithmeticError, match=message):
                 shift_decomposition(d, a, b)
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 12), st.integers(1, 8),
+           st.lists(st.integers(0, 10), min_size=2, max_size=2).map(sorted))
+    def test_a_run_of_b_is_one_batch_of_one_b_rows(self, d, a, run):
+        # One `_gbinomial_rows` batch for the whole run of b, a row per b,
+        # each the one-b vector of either route at that b.
+        bs = range(run[0], run[1] + 1)
+        rows, batches = rectified._gbinomial_rows, []
+        with mock.patch.object(rectified, "_gbinomial_rows",
+                               lambda *args: batches.append(args[1]) or rows(*args)):
+            vectors = rectified._shift_decompositions_gbinom(d, a, bs)
+        assert batches == [[(a, b) for b in bs]]
+        assert vectors == [shift_decomposition_gbinom(d, a, b) for b in bs]
+        assert vectors == [shift_decomposition(d, a, b) for b in bs]
+        assert checks._shift_route_runs(d, a, bs) == [checks.shift_routes(d, a, b) for b in bs]
+
+    @pytest.mark.parametrize("b, keep", [(0, 3), (3, 4), (4, 5)])
+    def test_a_nonzero_tail_in_one_row_of_a_batch_names_its_b(self, monkeypatch, b, keep):
+        # The batch for d = 2, a = 1, b = 0..5 reads every row to index 5,
+        # b = 5's support bound, so row b keeps its first keep entries and
+        # the rest must be 0.  One unit at the row's last entry raises under
+        # that b's label, worded as a one-b call's message.
+        rows = rectified._gbinomial_rows
+        monkeypatch.setattr(rectified, "_gbinomial_rows", lambda n, stretches, width: [
+            [v + (stretch == (1, b) and j == width - 1) for j, v in enumerate(row)]
+            for stretch, row in zip(stretches, rows(n, stretches, width))])
+        with pytest.raises(ArithmeticError) as raised:
+            rectified._shift_decompositions_gbinom(2, 1, range(6))
+        assert str(raised.value) == (
+            f"shift coefficients for d=2 a=1 b={b} extend past index {keep - 1}: [(5, 1)]")
+        assert len(rectified._shift_decompositions_gbinom(2, 1, [b])[0]) == keep
 
     def test_support_is_d_when_offset_small(self):
         for d in range(1, 7):
