@@ -11,29 +11,28 @@ per route; `shift_routes` is the one-b case of `_shift_route_runs`, one
 gbinomial batch per (d, a) for a run of b.  `seq`, `decompose` and
 `verify` all read these, resolved from this module's globals at call
 time, so the suites check the code the commands print from.  Each suite
-yields `IdentityCheck` records (name, params, lhs, rhs); a check holds
-when lhs == rhs exactly, with a structural check's computed value on the
-left.  A column comparison's records come from `identities._rows`, the one
-record builder, one per n of the range it asked for; a column that ends
-early gives `missing` in each row it lacks, so that row fails and the
-counts stay.  `identity_checks` makes one census store per run.  `verify`
-and the acceptance tests iterate these same generators, `verify` as
-`SUITES` declares them: in run order, each suite's generator and the
-bounds it reads, in parameter order.  Every bound follows one rule,
+yields `IdentityCheck` records (name, params, lhs, rhs); a check holds when
+lhs == rhs exactly, with a structural check's computed value on the left.  A
+column comparison's records come from `identities._rows`, the one record
+builder, one per n of the range it asked for; a column that ends early gives
+`missing` in each row it lacks, so that row fails and the counts stay.
+`identity_checks`, which lives in `identities`, makes one census store per
+run.  `verify` and the acceptance tests iterate these same generators,
+`verify` as `SUITES` declares them: in run order, each suite's generator and
+the bounds it reads, in parameter order.  Every bound follows one rule,
 `_cap`: unset, an axis runs its default grid top; set, the smaller of the
 two.  A bound lowers its axis and never raises it.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
 from itertools import chain, islice, repeat
 from operator import mul
 from typing import Iterator
 
-from . import identities, oracle
+from . import oracle
 from .exact import binomial
-from .identities import _MISSING, GridRanges, IdentityCheck, _rows
+from .identities import _MISSING, IdentityCheck, _rows, identity_checks
 from .rectified import (
     _shift_decompositions_gbinom,
     rectified_decomposition,
@@ -111,15 +110,6 @@ def _check(name: str, lhs: object, rhs: object, **params: object) -> IdentityChe
 def _interleaved(*columns: Iterator[IdentityCheck]) -> Iterator[IdentityCheck]:
     # Records of equally long columns, row by row: each column's record at n, in turn.
     return chain.from_iterable(zip(*columns))
-
-
-def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
-    """The binomial and face-census identities over the grid, with one census store a run."""
-    interior = cache(identities._rectified_interior)
-    for name, (_, points) in identities.REGISTRY.items():
-        if name in grid:
-            yield from (points(grid[name], interior) if name in identities._CENSUS
-                        else points(grid[name]))
 
 
 def _cap(default: int, bound: int | None) -> int:

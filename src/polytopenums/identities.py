@@ -15,16 +15,16 @@ identities need to hold on their full stated ranges.
 One builder, `_rows`, which `checks` uses too, makes every record of a
 run over n, for one tuple of the other parameters, by C iterators from two
 sides given as lists over n; a side that ends early gives `_MISSING`,
-equal to nothing, so its rows fail.  Four grid iterators give one run per
-tuple, with summands from stores: interior-sum C(n-2, e) once per n and
-its weights once per (d, k); alt-vandermonde (-1)**k C(n, k) once per n
-and C(c-k, b-k) once per (b, c).  The two census identities share one
-body, the interiors of the face classes (k, m) weighted by multiplicities
-once per (r, d), against the rectified value; each interior depends on
-(k, m, n) alone and comes from one store per suite run, which
-`checks.identity_checks` makes for both.  Stores are freed with their
-run.  The per-point checkers compute every summand afresh, and no right
-side reads a store.
+equal to nothing, so its rows fail.  Each identity has one body, and each
+per-point checker is its body's one-point run.  The four store bodies give
+one run per tuple, with summands from stores: interior-sum C(n-2, e) once
+per n and its weights once per (d, k); alt-vandermonde (-1)**k C(n, k)
+once per n and C(c-k, b-k) once per (b, c).  The two census identities
+share one body, the interiors of the face classes (k, m) weighted by
+multiplicities once per (r, d), against the rectified value; each interior
+depends on (k, m, n) alone and comes from one store per suite run, which
+`identity_checks` makes for both.  A grid iterator builds its stores once
+per run and frees them with it; no right side reads a store.
 
 Each `REGISTRY` entry pairs an identity's default ranges, keyed by the grid
 keys `parse_grid` requires and accepts, with the iterator that reads them; a
@@ -97,25 +97,48 @@ def _interior(e: int, n: int) -> int:
     return binomial(n - 2, e)
 
 
+def _signed(ns: Iterable[int]) -> list[list[int]]:
+    # alt-vandermonde's store: each n's signed row (-1)**k C(n, k) for k <= n.
+    return [[(-1) ** k * binomial(n, k) for k in range(n + 1)] for n in ns]
+
+
+def _alt_vandermonde_rows(b: int, c: int, ns: Iterable[int], signed: list[list[int]],
+                          top: int) -> Iterator[IdentityCheck]:
+    # alt-vandermonde's one body, a record per n of ns <= top: n's signed row times C(c-k, b-k).
+    row = [binomial(c - k, b - k) for k in range(top + 1)]
+    return _rows("alt-vandermonde", (("b", b), ("c", c)), ns,
+                 [sum(map(mul, terms, row)) for terms in signed],
+                 [binomial(c - n, b) for n in ns])
+
+
 def check_alt_vandermonde(b: int, c: int, n: int) -> IdentityCheck:
     """Alternating Vandermonde: sum (-1)**k C(c-k, b-k) C(n, k) = C(c-n, b)."""
-    lhs = sum((-1) ** k * binomial(c - k, b - k) * binomial(n, k) for k in range(n + 1))
-    rhs = binomial(c - n, b)
-    return IdentityCheck("alt-vandermonde", (("b", b), ("c", c), ("n", n)), lhs, rhs)
+    return next(_alt_vandermonde_rows(b, c, (n,), _signed((n,)), n))
 
 
 def _alt_vandermonde_points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
-    # alt-vandermonde's grid iterator: a point's left side multiplies its n's
-    # signed row by its (b, c)'s row, C(c-k, b-k) up to the top n, term by term.
-    signed = [[(-1) ** k * binomial(n, k) for k in range(n + 1)] for n in g["n"]]
-    top = max(g["n"], default=0)
+    # alt-vandermonde's grid iterator: its body for each (b, c) with c >= b.
+    signed, top = _signed(g["n"]), max(g["n"], default=0)
     for b in g["b"]:
         for c in g["c"]:
             if c >= b:
-                row = [binomial(c - k, b - k) for k in range(top + 1)]
-                yield from _rows("alt-vandermonde", (("b", b), ("c", c)), g["n"],
-                                 [sum(map(mul, terms, row)) for terms in signed],
-                                 [binomial(c - n, b) for n in g["n"]])
+                yield from _alt_vandermonde_rows(b, c, g["n"], signed, top)
+
+
+def _interiors(top: int, ns: Iterable[int]) -> list[list[int]]:
+    # interior-sum's store: each n's interiors C(n-2, e) for -1 <= e < top-1.
+    return [[_interior(e, n) for e in range(-1, top - 1)] for n in ns]
+
+
+def _interior_sum_rows(d: int, k: int, js: Iterable[int], ns: Iterable[int],
+                       interiors: list[list[int]]) -> Iterator[IdentityCheck]:
+    # interior-sum's one body, a run over n per j of js: with t = d-1-k, the sum over i <= t
+    # of C(t, i) * interior(i-1+j, n), the weights against n's stored interiors from e = j-1.
+    weights = [binomial(d - 1 - k, i) for i in range(d - k)]
+    return chain.from_iterable(
+        _rows("interior-sum", (("d", d), ("k", k), ("j", j)), ns,
+              [sum(map(mul, weights, row[j:j + d - k])) for row in interiors],
+              [_plain(d - k + j - 2, n - j) for n in ns]) for j in js)
 
 
 def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
@@ -124,26 +147,15 @@ def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
     sum over m < d of C(d-1-k, m-k) * interior(m-k-1+j, n)
         = plain(d-k+j-2, n-j),  for d > k >= 0 and j >= 0.
     """
-    lhs = sum(binomial(d - 1 - k, m - k) * _interior(m - k - 1 + j, n) for m in range(d))
-    rhs = _plain(d - k + j - 2, n - j)
-    return IdentityCheck(
-        "interior-sum", (("d", d), ("k", k), ("j", j), ("n", n)), lhs, rhs
-    )
+    return next(_interior_sum_rows(d, k, (j,), (n,), _interiors(d + j, (n,))))
 
 
 def _interior_sum_points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
-    # interior-sum's grid iterator.  With t = d-1-k the left side is the sum
-    # over i <= t of C(t, i) * interior(i-1+j, n): the weights against the
-    # slice from e = j-1 of n's stored interiors, which start at e = -1.
-    top = max(g["d"], default=0) + max(g["j"], default=0)
-    interiors = [[_interior(e, n) for e in range(-1, top - 1)] for n in g["n"]]
+    # interior-sum's grid iterator: its body for each (d, k) with k < d.
+    interiors = _interiors(max(g["d"], default=0) + max(g["j"], default=0), g["n"])
     for d in g["d"]:
         for k in range(d):
-            weights = [binomial(d - 1 - k, i) for i in range(d - k)]
-            for j in g["j"]:
-                yield from _rows("interior-sum", (("d", d), ("k", k), ("j", j)), g["n"],
-                                 [sum(map(mul, weights, row[j:j + d - k])) for row in interiors],
-                                 [_plain(d - k + j - 2, n - j) for n in g["n"]])
+            yield from _interior_sum_rows(d, k, g["j"], g["n"], interiors)
 
 
 def _rectified(r: int, d: int, m: int) -> int:
@@ -242,11 +254,11 @@ _Points = Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]
 # Identity name -> (its default ranges, keyed by the keys its grid section
 # sets, and an iterator over its grid that reads exactly those keys), in
 # suite order.  Each iterator looks up when called what it evaluates: the
-# checker of its identity, or, for the four store iterators, the functions
-# its sums call (the census pair `_rectified_interior`, unless given the
-# run's store, and `_rectified`, interior-sum `_interior`, `binomial` and
-# `_plain`, alt-vandermonde `binomial`); so a replaced module-level
-# function is honored.
+# checker of its identity, or, for the four store identities, the body each
+# checker runs at one point and what its stores and sums call (the census
+# pair `_rectified_interior`, unless `identity_checks` gives the run's store,
+# and `_rectified`, interior-sum `_interior`, `binomial` and `_plain`,
+# alt-vandermonde `binomial`); so a replaced module-level function is honored.
 REGISTRY: dict[str, tuple[dict[str, range], _Points]] = {
     "alt-vandermonde": ({"b": range(1, 13), "c": range(1, 13), "n": range(1, 13)},
                         _alt_vandermonde_points),
@@ -263,6 +275,14 @@ REGISTRY: dict[str, tuple[dict[str, range], _Points]] = {
         check_pascal_alternating_row(r) for r in g["r"]
     )),
 }
+
+
+def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
+    """The binomial and face-census identities over the grid, with one census store a run."""
+    interior = cache(_rectified_interior)
+    for name, (_, points) in REGISTRY.items():
+        if name in grid:
+            yield from points(grid[name], interior) if name in _CENSUS else points(grid[name])
 
 
 def _parse_range(text: str) -> range:

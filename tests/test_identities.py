@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytopenums import cli, identities
-from polytopenums.checks import identity_checks
 from polytopenums.exact import binomial
 from polytopenums.oracle import hypersimplex
 from polytopenums.identities import (
@@ -19,6 +18,7 @@ from polytopenums.identities import (
     check_subset_convolution,
     check_vertex_star_sum,
     default_grid,
+    identity_checks,
     parse_grid,
 )
 
@@ -73,6 +73,59 @@ BEYOND_DEFAULT_GRID = {
 }
 
 
+# The literal per-point sums of the four store identities, as the checkers'
+# docstrings state them: references independent of the one body each identity
+# has in `identities` and of its stores.
+def plain(e, n):
+    return binomial(n + e - 1, e)
+
+
+def naive_alt_vandermonde(b, c, n):
+    lhs = sum((-1) ** k * binomial(c - k, b - k) * binomial(n, k) for k in range(n + 1))
+    return IdentityCheck("alt-vandermonde", (("b", b), ("c", c), ("n", n)), lhs,
+                         binomial(c - n, b))
+
+
+def naive_interior_sum(d, k, j, n):
+    # Reads `identities._interior` at each call, so a patched interior reaches
+    # this sum as it reaches the iterator's store.
+    lhs = sum(binomial(d - 1 - k, m - k) * identities._interior(m - k - 1 + j, n)
+              for m in range(d))
+    return IdentityCheck("interior-sum", (("d", d), ("k", k), ("j", j), ("n", n)), lhs,
+                         plain(d - k + j - 2, n - j))
+
+
+def rectified(r, d, n):
+    # The r-rectified d-simplex value: its alternating stretched-simplex sum.
+    return sum((-1) ** (r - i) * binomial(d + 1, r - i) * plain(d, (i + 1) * n - r)
+               for i in range(r + 1))
+
+
+def rectified_interior(k, m, n):
+    # The k-rectified m-simplex interior: its alternating stretched-interior sum.
+    return sum((-1) ** (k - i) * binomial(m + 1, k - i) * binomial((i + 1) * n + k - 2 * i - 2, m)
+               for i in range(k + 1))
+
+
+def naive_census(identity, multiplicity, back):
+    # Interiors of the face classes of the r-rectified d-simplex, the k-rectified
+    # m-simplices with k <= r and m - k <= d - r, weighted by multiplicity,
+    # against the rectified value `back` before n.
+    def check(r, d, n):
+        lhs = sum(multiplicity(r, d, k, m) * rectified_interior(k, m, n)
+                  for k in range(r + 1) for m in range(k, d - r + k + 1))
+        return IdentityCheck(identity, (("r", r), ("d", d), ("n", n)), lhs,
+                             rectified(r, d, n - back))
+    return check
+
+
+naive_face_interior_sum = naive_census(
+    "face-interior-sum",
+    lambda r, d, k, m: binomial(d + 1, r - k) * binomial(d + 1 - r + k, m + 1), 0)
+naive_vertex_star_sum = naive_census(
+    "vertex-star-sum", lambda r, d, k, m: binomial(r + 1, r - k) * binomial(d - r, m - k), 1)
+
+
 class TestAltVandermonde:
     def test_examples(self):
         assert (check_alt_vandermonde(2, 5, 2).lhs, check_alt_vandermonde(2, 5, 2).rhs) == (3, 3)
@@ -85,6 +138,15 @@ class TestAltVandermonde:
             for c in range(b, 13):
                 for n in range(1, 13):
                     assert check_alt_vandermonde(b, c, n).ok, (b, c, n)
+
+    def test_one_point_answers_below_c_equal_b(self):
+        # The grid iterator keeps c >= b; a one-point call still answers for c < b.
+        check = check_alt_vandermonde(3, 1, 2)
+        assert check.lhs == check.rhs == -1
+        for b in range(9):
+            for c in range(b):
+                for n in range(9):
+                    assert check_alt_vandermonde(b, c, n) == naive_alt_vandermonde(b, c, n)
 
 
 class TestInteriorSum:
@@ -103,6 +165,19 @@ class TestInteriorSum:
                 for j in range(5):
                     for n in range(1, 13):
                         assert check_interior_sum(d, k, j, n).ok, (d, k, j, n)
+
+    def test_one_point_answers_at_the_top_k_and_the_lowest_n(self):
+        # k = d-1 weighs one interior; at n = 0 and 1 the interiors and the
+        # right side read negative upper indices.
+        check = check_interior_sum(4, 3, 2, 1)
+        assert check.lhs == check.rhs == -1
+        check = check_interior_sum(4, 3, 2, 0)
+        assert check.lhs == check.rhs == -2
+        for d in range(1, 9):
+            points = [(d - 1, n) for n in range(13)] + [(k, n) for k in range(d) for n in (0, 1)]
+            for k, n in points:
+                for j in range(5):
+                    assert check_interior_sum(d, k, j, n) == naive_interior_sum(d, k, j, n)
 
 
 class TestCensusSums:
@@ -283,16 +358,16 @@ class TestSuiteRunner:
         assert [check.describe() for check in points(point) if not check.ok] == []
 
 
-# Each store-backed grid iterator's records, point by point from its
-# per-point checker, in the iterator's order.
+# Each store-backed grid iterator's records, point by point from the literal
+# sums above, in the iterator's order.
 STORE_POINTS = {
-    "alt-vandermonde": lambda g: [check_alt_vandermonde(b, c, n) for b in g["b"] for c in g["c"]
+    "alt-vandermonde": lambda g: [naive_alt_vandermonde(b, c, n) for b in g["b"] for c in g["c"]
                                   if c >= b for n in g["n"]],
-    "interior-sum": lambda g: [check_interior_sum(d, k, j, n) for d in g["d"] for k in range(d)
+    "interior-sum": lambda g: [naive_interior_sum(d, k, j, n) for d in g["d"] for k in range(d)
                                for j in g["j"] for n in g["n"]],
-    "face-interior-sum": lambda g: [check_face_interior_sum(r, d, n) for r in g["r"]
+    "face-interior-sum": lambda g: [naive_face_interior_sum(r, d, n) for r in g["r"]
                                     for d in g["d"] for n in g["n"]],
-    "vertex-star-sum": lambda g: [check_vertex_star_sum(r, d, n) for r in g["r"]
+    "vertex-star-sum": lambda g: [naive_vertex_star_sum(r, d, n) for r in g["r"]
                                   for d in g["d"] for n in g["n"]],
 }
 
@@ -337,7 +412,7 @@ class TestCensusStore:
     @given(st.data())
     def test_grid_records_are_the_point_checkers(self, data):
         # Past the default grid, the iterator's stored interiors and
-        # per-(r, d) weights give the records the per-point checkers give.
+        # per-(r, d) weights give the records the literal sums give.
         name = data.draw(st.sampled_from(["face-interior-sum", "vertex-star-sum"]),
                          label="identity")
         grid = {key: data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3,
