@@ -119,7 +119,7 @@ def _cap(default: int, bound: int | None) -> int:
 
 def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterator[IdentityCheck]:
     """Closed-form columns against `oracle_table`, bridges, degenerate families, censuses."""
-    n_hi = _cap(40, n_max)
+    n_hi = _cap(oracle._MIN_HEAD, n_max)
     ns = range(1, n_hi + 1)
 
     # Each family's closed-form columns against the recursion of its descriptor.

@@ -9,14 +9,12 @@ C(k+d-1, d) that `regular.simplex_table` returns or a batch of reads
 slices: by `math.comb` (CPython's fast path) while the run's top entry is
 below 2**64, above that each entry from the one before, A(d, k) =
 A(d, k-1) * (k+d-1) / (k-1); a remainder raises ArithmeticError.  One
-rule, `_dense`, says whether a batch of reads of that column comes from
-one run or from one `math.comb` per read.  Both callers ask it:
-`_gbinomial_rows`, which reads one row of generalized binomials per
-stretch as two runs of the column, and `regular._reads`, which serves
-every table head and the difference route of the decompositions.  A run
-wins only when its top entry is past 2**64 and the reads are many against
-its length, so a batch of few reads, as at large order s, or of entries
-below 2**64, costs what its reads cost.
+rule, `_dense`, says from a batch's read count whether its reads of that
+column come from one run or from one `math.comb` each; `_gbinomial_rows`
+and `regular._reads`, which serves every table head and the difference
+route of the decompositions, ask it.  A run wins only when its top entry
+is past 2**64 and the reads are many against its length.  That 2**64
+test is `_past_fast`, written once for both, with no `math.comb`.
 `_check_dimension` is the one rule d >= 0 (or d >= 1) and its message for
 the tables, decompositions, `eulerian` and the descriptor factories alike.
 """
@@ -25,7 +23,6 @@ from __future__ import annotations
 import math
 from itertools import chain, repeat
 from operator import mul
-from typing import Iterable
 
 _FAST = 1 << 64  # column entries below this come from math.comb
 
@@ -52,9 +49,23 @@ def _check_dimension(d: int, least: int = 0) -> None:
         raise ValueError(f"dimension must be {('nonnegative', 'positive')[least]}, got d={d}")
 
 
+def _past_fast(d: int, stop: int) -> bool:
+    """Whether `_column(d, 1, stop)`'s top entry C(n, d), n = stop+d-2, is at least 2**64.
+
+    No `math.comb`: it steps C(n-k+i, i) up through i = k, the shorter side
+    k = min(d, stop-2) of C(n, d) = C(n, stop-2), to the first past 2**64.
+    Each step at least doubles, so it takes at most 64 steps at any d."""
+    n, k, entry = stop + d - 2, min(d, stop - 2), 1
+    for i in range(1, k + 1):
+        entry = entry * (n - k + i) // i
+        if entry >= _FAST:
+            return True
+    return False
+
+
 def _column(d: int, start: int, stop: int) -> list[int]:
     """A(d, k) = C(k+d-1, d) for start <= k < stop, where 1 <= start < stop."""
-    if math.comb(stop + d - 2, d) < _FAST:
+    if not _past_fast(d, stop):
         return list(map(math.comb, range(start + d - 1, stop + d - 1), repeat(d)))
     value = math.comb(start + d - 1, d)
     column = [value]
@@ -67,38 +78,14 @@ def _column(d: int, start: int, stop: int) -> list[int]:
     return column
 
 
-def _dense(d: int, stop: int, reads: Iterable[int]) -> bool:
+def _dense(d: int, stop: int, reads: int) -> bool:
     """Whether a batch of reads of A(d, k), k < stop, costs more than `_column(d, 1, stop)`.
 
-    reads yields the batch's read counts, summed only until they decide.  A
-    read by `math.comb` costs about (d+21)/8 entries of a run past 2**64
-    (measured, d <= 140), so the run wins when 8*stop <= reads*(d+21) and
-    its top entry C(n, d), n = stop+d-2, is past 2**64.  Below that the
-    run spends one `math.comb` per entry itself and cannot win.  The test
-    calls no `math.comb`: C(n, d) lies between (n/d)**d and (3n/d)**d, so
-    most runs are decided by one of those bounds, and the rest step
-    C(n-d+i, i) up through i = d until one passes 2**64.
+    A read by `math.comb` costs about (d+21)/8 entries of a run past 2**64
+    (measured, d <= 140); below 2**64 the run spends one `math.comb` per
+    entry itself and cannot win.
     """
-    if d < 1:
-        return False
-    total, cost = 0, 8 * stop
-    for count in reads:
-        total += count * (d + 21)
-        if total >= cost:
-            break
-    else:
-        return False
-    n = stop + d - 2
-    if (n // d) ** d >= _FAST:
-        return True
-    if (3 * n) ** d < _FAST * d ** d:
-        return False
-    entry = 1
-    for i in range(1, d + 1):
-        entry = entry * (n - d + i) // i
-        if entry >= _FAST:
-            return True
-    return False
+    return 8 * stop <= reads * (d + 21) and _past_fast(d, stop)
 
 
 def gbinomial(n: int, m: int, s: int) -> int:
@@ -144,8 +131,8 @@ def _gbinomial_rows(n: int, stretches: list[tuple[int, int]], width: int) -> lis
                      range(top + b - s * middle, top + b - s * high, -s), width - high))
     signed = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
     length = max([0, *(m for _, _, up, down, _ in rows for m in chain(up[-1:], down[:1]))]) + 2
-    terms = (len(run) * (min(run[0], run[-1]) // s) + len(run) * (len(run) + 1) // 2
-             for s, _, up, down, _ in rows for run in (up, down) if run)
+    terms = sum(len(run) * (min(run[0], run[-1]) // s) + len(run) * (len(run) + 1) // 2
+                for s, _, up, down, _ in rows for run in (up, down) if run)
     if n and not _dense(n - 1, length, terms):
         runs = [[sum(map(mul, signed, map(math.comb, range(m + n - 1, n - 2, -s), repeat(n - 1))))
                  for m in chain(up, down)] for s, _, up, down, _ in rows]

@@ -145,8 +145,10 @@ def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
     """Weighted interiors across dimensions collapse to one simplex value.
 
     sum over m < d of C(d-1-k, m-k) * interior(m-k-1+j, n)
-        = plain(d-k+j-2, n-j),  for d > k >= 0 and j >= 0.
+        = plain(d-k+j-2, n-j),  for d > k >= 0 and j >= 0; k < 0 or j < 0 raises ValueError.
     """
+    if k < 0 or j < 0:
+        raise ValueError(f"k and j must be nonnegative, got k={k} j={j}")
     return next(_interior_sum_rows(d, k, (j,), (n,), _interiors(d + j, (n,))))
 
 

@@ -255,16 +255,17 @@ def face_closure(*roots: PolytopeDescriptor) -> list[PolytopeDescriptor]:
 _lock = threading.Lock()  # held by every fill and every change to the tables
 # Each descriptor's (values, interiors) lists, indexed by n and grown in place.
 _tables: dict[PolytopeDescriptor, tuple[list[int], list[int]]] = {}
+_MIN_HEAD = 40  # every head fills rows 0 .. 40, the rows the verify oracle suite reads
 
 
 def _head(p: PolytopeDescriptor) -> int:
-    """H(p) = max(40, dim + 3), the last row the recursion fills for p.
+    """H(p) = max(_MIN_HEAD, dim + 3), the last row the recursion fills for p.
 
-    The verify oracle suite reads n <= 40, so it compares raw recursion
-    rows; dim + 3 puts the head's last dim + 2 rows at row 2 or later,
-    where every column is a polynomial in n of degree at most dim.
+    The verify oracle suite reads n <= _MIN_HEAD, so it compares raw
+    recursion rows; dim + 3 puts the head's last dim + 2 rows at row 2 or
+    later, where every column is a polynomial in n of degree at most dim.
     """
-    return max(40, p.dimension + 3)
+    return max(_MIN_HEAD, p.dimension + 3)
 
 
 def _filled(p: PolytopeDescriptor, n: int) -> tuple[list[int], list[int]]:

@@ -51,8 +51,8 @@ def _reads(d: int, terms: list[tuple[int, int, int]], n_from: int, n_to: int) ->
     """The kernel's rows n_from..n_to entry by entry, a read with k <= 0 giving 0.
 
     The reads with k >= 1 come from one `math.comb` each or, when
-    `exact._dense` says so, as strided slices of one `_column` run up to
-    the largest k read.
+    `exact._dense` says so of their count, as strided slices of one
+    `_column` run up to the largest k read.
     """
     acc = [0] * max(0, n_to - n_from + 1)
     rows = len(acc)
@@ -65,7 +65,7 @@ def _reads(d: int, terms: list[tuple[int, int, int]], n_from: int, n_to: int) ->
             if end > stop:
                 stop = end
             reads += rows - first
-    column = _column(d, 1, stop) if reads and _dense(d, stop, [reads]) else None
+    column = _column(d, 1, stop) if reads and _dense(d, stop, reads) else None
     for weight, first, k, end, step in spans:
         if column is None:
             entries = map(math.comb, range(k + d - 1, end + d - 1, step), repeat(d))

@@ -6,7 +6,7 @@ d first, then r >= 0 (or a, then b), then r < d.
 """
 import pytest
 
-from polytopenums import exact, oracle, rectified, regular
+from polytopenums import exact, identities, oracle, rectified, regular
 
 NONNEGATIVE = "dimension must be nonnegative, got d=-1"
 POSITIVE = "dimension must be positive, got d=0"
@@ -55,6 +55,9 @@ CASES = [
     (oracle.simplex, (-1,), NONNEGATIVE),
     (oracle.cross_polytope, (-1,), NONNEGATIVE),
     (oracle.hypercube, (-1,), NONNEGATIVE),
+    (identities.check_interior_sum, (3, -1, 0, 2), "k and j must be nonnegative, got k=-1 j=0"),
+    (identities.check_interior_sum, (3, 0, -1, 2), "k and j must be nonnegative, got k=0 j=-1"),
+    (identities.check_interior_sum, (1, -3, -2, 2), "k and j must be nonnegative, got k=-3 j=-2"),
 ]
 
 

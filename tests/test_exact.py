@@ -172,9 +172,9 @@ class TestGBinomials:
         terms = sum(min(n, m // s) + 1 for s, m in near)
         rule, column, asked, decided, built = exact._dense, exact._column, [], [], []
 
-        def dense(d, stop, counts):
-            asked.append((d, stop, sum(counts)))
-            decided.append(rule(*asked[-1][:2], [asked[-1][2]]) if forced is None else forced)
+        def dense(d, stop, reads):
+            asked.append((d, stop, reads))
+            decided.append(rule(d, stop, reads) if forced is None else forced)
             return decided[-1]
 
         with mock.patch.object(exact, "_dense", dense), mock.patch.object(
@@ -226,21 +226,24 @@ class TestDenseRule:
         for d in range(1, 70):
             for stop in range(2, 160):
                 past = math.comb(stop + d - 2, d) >= 2**64
-                assert _dense(d, stop, [stop]) == past, (d, stop)
-        assert not _dense(0, 10**6, [10**9])  # the point's column of ones
+                assert _dense(d, stop, stop) == past, (d, stop)
+        assert not _dense(0, 10**6, 10**9)  # the point's column of ones
+
+    def test_the_2_to_the_64_test_steps_the_shorter_side(self):
+        # C(n, d) = C(n, stop-2) is stepped over its shorter side, so at
+        # stop = 3 any d takes one step: C(d+1, d) = d+1 reaches 2**64 at
+        # d = 2**64 - 1, where the run steps and its top entry is 2**64.
+        assert (_dense(2**64 - 1, 3, 3), _dense(2**64 - 2, 3, 3)) == (True, False)
+        assert not _dense(10**9, 2, 2)  # C(d, d) = 1
+        assert exact._column(2**64 - 1, 1, 3) == [1, 2**64]
 
     def test_reads_win_until_eight_stop_is_reads_times_d_plus_21(self):
-        # d = 40, stop = 400, past 2**64: dense from 8 * 400 / 61 reads on,
-        # with the counts summed across the batch and read only that far.
-        assert (_dense(40, 400, [53]), _dense(40, 400, [52])) == (True, False)
+        # d = 40, stop = 400, past 2**64: dense from 8 * 400 / 61 reads on.
+        assert (_dense(40, 400, 53), _dense(40, 400, 52)) == (True, False)
         # A tie goes to the run, one short of it to the reads:
         # 8 * 400 = 50 * (43 + 21) and 8 * 449 = 57 * (42 + 21) + 1.
-        assert (_dense(43, 400, [50]), _dense(43, 400, [49])) == (True, False)
-        assert (_dense(42, 449, [58]), _dense(42, 449, [57])) == (True, False)
-        counts = iter([20, 20, 13, 1])
-        assert _dense(40, 400, counts)
-        assert list(counts) == [1]
-        assert not _dense(40, 400, [])
+        assert (_dense(43, 400, 50), _dense(43, 400, 49)) == (True, False)
+        assert (_dense(42, 449, 58), _dense(42, 449, 57)) == (True, False)
 
 
 class TestEulerian:

@@ -555,6 +555,14 @@ class TestHead:
             p = checks.family_descriptor(families[check.identity], params["d"], params.get("r"))
             assert params["n"] <= oracle._head(p), check.describe()
 
+    def test_default_oracle_suite_never_extends_a_head(self, monkeypatch):
+        # The suite's columns end at the least head, so every row it reads is
+        # a raw recursion row and none comes from the extension past a head.
+        extended = []
+        monkeypatch.setattr(oracle, "_extended", lambda *args: extended.append(args) or [])
+        assert all(check.ok for check in checks.oracle_checks())
+        assert extended == []
+
     @pytest.mark.parametrize("d_max", [None, *range(11)])
     def test_census_roots_derived_from_the_family_rows(self, monkeypatch, d_max):
         # The oracle suite's census roots are the family rows' descriptors at

@@ -22,17 +22,16 @@ from polytopenums.rectified import (
 from polytopenums.regular import cross_polytope_number, simplex_number
 
 
-def naive_shift_window(d, a, b):
-    """The shift double sum by its definition: one binomial pair per (i, j), i over 0..j.
+def naive_shift_window(d, a, b, count):
+    """The first count coefficients of the shift double sum, by its definition.
 
-    Every term with i > d+1 has C(d+1, i) = 0 and is left out, so index j
-    costs at most d+2 terms; the window still runs to index d+a+b.
+    c[j] sums (-1)**i C(d+1, i) C(d + a*(j-i) - b, a*(j-i) - b) over i; the
+    terms past i = d+1 have C(d+1, i) = 0 and are left out, so no index
+    costs more than d+2 terms, whatever a and b.
     """
-    return [
-        sum((-1) ** i * binomial(d + 1, i) * binomial(d + a * (j - i) - b, a * (j - i) - b)
-            for i in range(min(j, d + 1) + 1))
-        for j in range(d + a + b + 1)
-    ]
+    return [sum((-1) ** i * binomial(d + 1, i) * binomial(d + a * (j - i) - b, a * (j - i) - b)
+                for i in range(min(j, d + 1) + 1))
+            for j in range(count)]
 
 
 class TestRectifiedValues:
@@ -142,7 +141,7 @@ class TestShiftDecomposition:
         for d in range(1, 7):
             for a in range(1, 7):
                 for b in range(13):
-                    window = naive_shift_window(d, a, b)
+                    window = naive_shift_window(d, a, b, d + a + b + 1)
                     coeffs = shift_decomposition(d, a, b)
                     assert coeffs == window[:len(coeffs)], (d, a, b)
                     assert not any(window[len(coeffs):]), (d, a, b)
@@ -155,7 +154,7 @@ class TestShiftDecomposition:
         # decompose-large's range, held to the double sum written out rather
         # than to the gbinomial route, so a fault here shows even when that
         # route carries the same fault.
-        window = naive_shift_window(d, a, b)
+        window = naive_shift_window(d, a, b, d + a + b + 1)
         coeffs = shift_decomposition(d, a, b)
         assert coeffs == window[:len(coeffs)]
         assert not any(window[len(coeffs):])

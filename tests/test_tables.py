@@ -52,6 +52,7 @@ from polytopenums.regular import (
     simplex_number,
     simplex_table,
 )
+from test_rectified import naive_shift_window
 
 # (table, its one-row scalar form, least d) for the families indexed by d alone.
 REGULAR = [
@@ -289,18 +290,6 @@ def test_shift_decomposition_property(d, a, b):
     assert_shift_facts(d, a, b)
 
 
-def literal_shift_window(d, a, b, count):
-    """The first count coefficients of the shift double sum, written out.
-
-    c[j] sums (-1)**i C(d+1, i) C(d + a*(j-i) - b, a*(j-i) - b) over i; the
-    terms past i = d+1 are 0 and are left out, so no index costs more
-    than d+2 terms, whatever a and b.
-    """
-    return [sum((-1) ** i * binomial(d + 1, i) * binomial(d + a * (j - i) - b, a * (j - i) - b)
-                for i in range(min(j, d + 1) + 1))
-            for j in range(count)]
-
-
 @st.composite
 def wide_shifts(draw):
     """(d, a, b) with d <= 12, a <= 10**6 and b <= 2*10**6, the support at most d + 64.
@@ -323,7 +312,7 @@ def test_wide_shift_routes_match_the_literal_double_sum(shape):
     d, a, b = shape
     coeffs = shift_decomposition(d, a, b)
     assert coeffs == shift_decomposition_gbinom(d, a, b)
-    window = literal_shift_window(d, a, b, len(coeffs) + d + 1)
+    window = naive_shift_window(d, a, b, len(coeffs) + d + 1)
     assert coeffs == window[:len(coeffs)]
     assert not any(window[len(coeffs):])
 
@@ -540,10 +529,10 @@ def test_long_tables_match_their_definitions_from_a_short_head(table, args, d, t
     # A head of d+2 rows per term at most; every later row is a prefix sum.
     assert len(calls) <= (d + 2) * terms, len(calls)
     # A run takes its entries by the exact step: a weight per term and the
-    # run's own two reads are all the math.comb calls left.
+    # run's first entry are all the math.comb calls left.
     assert len(built) == runs
     if runs:
-        assert len(calls) <= terms + 2, len(calls)
+        assert len(calls) <= terms + 1, len(calls)
     entry = next(entry for t, entry, _ in DEFINITIONS if t is table)
     r = args[1] if len(args) == 2 else 0
     for n in [*range(1, 18001, 997), 18000]:
