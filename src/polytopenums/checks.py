@@ -11,28 +11,29 @@ per route; `shift_routes` is the one-b case of `_shift_route_runs`, one
 gbinomial batch per (d, a) for a run of b.  `seq`, `decompose` and
 `verify` all read these, resolved from this module's globals at call
 time, so the suites check the code the commands print from.  Each suite
-yields `IdentityCheck` records (name, params, lhs, rhs); a check holds when
-lhs == rhs exactly, with a structural check's computed value on the left.  A
-column comparison's records come from `identities._rows`, the one record
-builder, one per n of the range it asked for; a column that ends early gives
-`missing` in each row it lacks, so that row fails and the counts stay.
-`identity_checks`, which lives in `identities`, makes one census store per
-run.  `verify` and the acceptance tests iterate these same generators,
-`verify` as `SUITES` declares them: in run order, each suite's generator and
-the bounds it reads, in parameter order.  Every bound follows one rule,
-`_cap`: unset, an axis runs its default grid top; set, the smaller of the
-two.  A bound lowers its axis and never raises it.
+has one body, which yields single `IdentityCheck` records (name, params,
+lhs, rhs) and runs of them over n; a check holds when lhs == rhs exactly,
+with a structural check's computed value on the left.  A column comparison
+is one `identities._Run`, a row per n of the range it asked for; a column
+that ends early gives `missing` in each row it lacks, so that row fails and
+the counts stay.  `verify` reads the bodies as `SUITES` declares them: in
+run order, each suite's body and the bounds it reads, in parameter order.
+`oracle_checks`, `decomposition_checks` and `identity_checks` (which lives
+in `identities`) give every record of the same bodies through
+`identities._records`, as the acceptance tests read them.  Every bound
+follows one rule, `_cap`: unset, an axis runs its default grid top; set,
+the smaller of the two.  A bound lowers its axis and never raises it.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import mul
 from typing import Iterator
 
 from . import oracle
 from .exact import binomial
-from .identities import _MISSING, IdentityCheck, _rows, identity_checks
+from .identities import _MISSING, IdentityCheck, _identity_runs, _records, _Run, identity_checks
 from .rectified import (
     _shift_decompositions_gbinom,
     rectified_decomposition,
@@ -107,9 +108,22 @@ def _check(name: str, lhs: object, rhs: object, **params: object) -> IdentityChe
     return IdentityCheck(name, tuple(params.items()), lhs, rhs)
 
 
-def _interleaved(*columns: Iterator[IdentityCheck]) -> Iterator[IdentityCheck]:
-    # Records of equally long columns, row by row: each column's record at n, in turn.
-    return chain.from_iterable(zip(*columns))
+class _Interleaved(_Run):
+    """Runs of one row count, read row by row: each run's record at a row, in turn."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, *runs: _Run) -> None:
+        self.runs = runs
+
+    def __len__(self) -> int:
+        return sum(map(len, self.runs))
+
+    def __iter__(self) -> Iterator[IdentityCheck]:
+        return chain.from_iterable(zip(*self.runs))
+
+    def fails(self) -> bool:
+        return any(run.fails() for run in self.runs)
 
 
 def _cap(default: int, bound: int | None) -> int:
@@ -119,6 +133,11 @@ def _cap(default: int, bound: int | None) -> int:
 
 def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterator[IdentityCheck]:
     """Closed-form columns against `oracle_table`, bridges, degenerate families, censuses."""
+    return _records(_oracle_runs(d_max, n_max))
+
+
+def _oracle_runs(d_max: int | None, n_max: int | None) -> Iterator[_Run | IdentityCheck]:
+    # The oracle suite's one body: its runs over n and single records, in suite order.
     n_hi = _cap(oracle._MIN_HEAD, n_max)
     ns = range(1, n_hi + 1)
 
@@ -136,26 +155,26 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
             values, interiors = formula_columns(family, d, r, 1, n_hi, bool(row.interior_check))
             oracle_values, oracle_interiors = oracle.oracle_table(
                 family_descriptor(family, d, r), 1, n_hi)
-            records = _rows(row.value_check, fixed, ns, oracle_values, values)
+            run = _Run(row.value_check, fixed, ns, oracle_values, values)
             if row.interior_check:
-                records = _interleaved(records, _rows(row.interior_check, fixed, ns,
-                                                      oracle_interiors, interiors))
-            yield from records
+                run = _Interleaved(run, _Run(row.interior_check, fixed, ns,
+                                             oracle_interiors, interiors))
+            yield run
 
     # Known-sequence bridges; 3 * octahedral(n) = n (2n^2 + 1).
     bridge = _cap(200, n_max)
-    yield from _rows("octahedral-bridge", (), range(1, bridge + 1),
-                     map(mul, repeat(3), rectified_simplex_table(3, 1, 1, bridge)),
-                     [n * (2 * n * n + 1) for n in range(1, bridge + 1)])
+    yield _Run("octahedral-bridge", (), range(1, bridge + 1),
+               map(mul, repeat(3), rectified_simplex_table(3, 1, 1, bridge)),
+               [n * (2 * n * n + 1) for n in range(1, bridge + 1)])
     for d in range(1, _cap(8, d_max) + 1):
         simplex_values = simplex_table(d, 1, n_hi)
-        records = _rows("zero-rectification", (("d", d),), ns,
-                        rectified_simplex_table(d, 0, 1, n_hi), simplex_values)
+        run = _Run("zero-rectification", (("d", d),), ns,
+                   rectified_simplex_table(d, 0, 1, n_hi), simplex_values)
         if d >= 2:
-            records = _interleaved(records, _rows("dual-rectification", (("d", d),), ns,
-                                                  rectified_simplex_table(d, d - 1, 1, n_hi),
-                                                  simplex_values))
-        yield from records
+            run = _Interleaved(run, _Run("dual-rectification", (("d", d),), ns,
+                                         rectified_simplex_table(d, d - 1, 1, n_hi),
+                                         simplex_values))
+        yield run
     for d in range(1, _cap(10, d_max) + 1):
         for r in range(d):
             vertices = next(iter(rectified_simplex_table(d, r, 2, 2)), _MISSING)
@@ -163,15 +182,16 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
 
     # Degenerate-family conventions (d <= r), valid from n = 2.
     for r in range(1, _cap(8, d_max) + 1):
-        values = _rows("constant-family", (("r", r),), ns,
-                       rectified_simplex_table(r, r, 1, n_hi), repeat(1))
-        yield from islice(values, 1)  # n = 1, which has no interior-sign record
-        yield from _interleaved(values, _rows("interior-sign", (("r", r),), ns[1:],
-                                              rectified_simplex_interior_table(r, r, 2, n_hi),
-                                              repeat((-1) ** r)))
+        values = rectified_simplex_table(r, r, 1, n_hi)
+        # n = 1 alone, which has no interior-sign record, then the two in step.
+        yield _Run("constant-family", (("r", r),), ns[:1], values[:1], repeat(1))
+        yield _Interleaved(_Run("constant-family", (("r", r),), ns[1:], values[1:], repeat(1)),
+                           _Run("interior-sign", (("r", r),), ns[1:],
+                                rectified_simplex_interior_table(r, r, 2, n_hi),
+                                repeat((-1) ** r)))
         for d in range(1, r):
-            yield from _rows("vanishing-interior", (("d", d), ("r", r)), ns[1:],
-                             rectified_simplex_interior_table(d, r, 2, n_hi), repeat(0))
+            yield _Run("vanishing-interior", (("d", d), ("r", r)), ns[1:],
+                       rectified_simplex_interior_table(d, r, 2, n_hi), repeat(0))
 
     # Census structure: Euler relation over every census reachable from the
     # tested polytopes, plus two pinned f-vectors.
@@ -195,6 +215,12 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                          a_max: int | None = None,
                          b_max: int | None = None) -> Iterator[IdentityCheck]:
     """Coefficient route agreement, recombination and the shift identity."""
+    return _records(_decomposition_runs(d_max, n_max, a_max, b_max))
+
+
+def _decomposition_runs(d_max: int | None, n_max: int | None, a_max: int | None,
+                        b_max: int | None) -> Iterator[_Run | IdentityCheck]:
+    # The decompositions suite's one body: its runs over n and single records, in suite order.
     n_hi = _cap(40, n_max)
     ns = range(1, n_hi + 1)
     for d in range(1, _cap(8, d_max) + 1):
@@ -206,9 +232,9 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
             # Leading coefficient 1 and no negative coefficient.
             yield _check("coefficient-signs", (via_shifts[0], [c for c in via_shifts if c < 0]),
                          (1, []), d=d, r=r)
-            yield from _rows("recombination", (("d", d), ("r", r)), ns,
-                             recombine_table(routes["gbinomial"], d, 1, n_hi),
-                             rectified_simplex_table(d, r, 1, n_hi))
+            yield _Run("recombination", (("d", d), ("r", r)), ns,
+                       recombine_table(routes["gbinomial"], d, 1, n_hi),
+                       rectified_simplex_table(d, r, 1, n_hi))
 
     # One coefficient vector per (d, a, b) serves every n of the identity, one
     # gbinomial batch per (d, a) the run of b, and one simplex column per (d, a)
@@ -227,14 +253,15 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
                     yield _check("shift-support", len(coeffs), d + 1, d=d, a=a, b=b)
                 # From the first n whose stretched argument a*n - (a-1) - b is >= 1.
                 first = 1 - (-b // a)
-                yield from _rows("shift-identity", (("d", d), ("a", a), ("b", b)),
-                                 range(first, m + 1), stretched[a * (first - 1) - b::a],
-                                 recombine_table(coeffs, d, 1, m)[first - 1:])
+                yield _Run("shift-identity", (("d", d), ("a", a), ("b", b)),
+                           range(first, m + 1), stretched[a * (first - 1) - b::a],
+                           recombine_table(coeffs, d, 1, m)[first - 1:])
 
 
-# Each verify suite, in run order: its generator and the bounds it reads.
+# Each verify suite, in run order: its body, which yields runs and single
+# records, and the bounds it reads.
 SUITES = {
-    "identities": (identity_checks, ("grid",)),
-    "oracle": (oracle_checks, ("d_max", "n_max")),
-    "decompositions": (decomposition_checks, ("d_max", "n_max", "a_max", "b_max")),
+    "identities": (_identity_runs, ("grid",)),
+    "oracle": (_oracle_runs, ("d_max", "n_max")),
+    "decompositions": (_decomposition_runs, ("d_max", "n_max", "a_max", "b_max")),
 }

@@ -52,10 +52,13 @@ def _check_dimension(d: int, least: int = 0) -> None:
 def _past_fast(d: int, stop: int) -> bool:
     """Whether `_column(d, 1, stop)`'s top entry C(n, d), n = stop+d-2, is at least 2**64.
 
-    No `math.comb`: it steps C(n-k+i, i) up through i = k, the shorter side
-    k = min(d, stop-2) of C(n, d) = C(n, stop-2), to the first past 2**64.
+    No `math.comb`: below n = 68 it is False at once, since C(67, 33) < 2**64
+    <= C(68, 34); past that it steps C(n-k+i, i) up through i = k, the shorter
+    side k = min(d, stop-2) of C(n, d) = C(n, stop-2), to the first past 2**64.
     Each step at least doubles, so it takes at most 64 steps at any d."""
     n, k, entry = stop + d - 2, min(d, stop - 2), 1
+    if n < 68:
+        return False
     for i in range(1, k + 1):
         entry = entry * (n - k + i) // i
         if entry >= _FAST:

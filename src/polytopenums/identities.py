@@ -12,19 +12,23 @@ Negative dimensions then vanish through the negative-lower-index rule, and
 index 1 interiors contribute (-1)**e; both behaviors are what the census
 identities need to hold on their full stated ranges.
 
-One builder, `_rows`, which `checks` uses too, makes every record of a
-run over n, for one tuple of the other parameters, by C iterators from two
-sides given as lists over n; a side that ends early gives `_MISSING`,
-equal to nothing, so its rows fail.  Each identity has one body, and each
-per-point checker is its body's one-point run.  The four store bodies give
-one run per tuple, with summands from stores: interior-sum C(n-2, e) once
-per n and its weights once per (d, k); alt-vandermonde (-1)**k C(n, k)
-once per n and C(c-k, b-k) once per (b, c).  The two census identities
-share one body, the interiors of the face classes (k, m) weighted by
-multiplicities once per (r, d), against the rectified value; each interior
-depends on (k, m, n) alone and comes from one store per suite run, which
-`identity_checks` makes for both.  A grid iterator builds its stores once
-per run and frees them with it; no right side reads a store.
+One builder, `_Run`, which `checks` uses too, holds each run over n, for
+one tuple of the other parameters, as its two sides; `verify` decides a
+run in one C-level pass and builds its records only when a row fails.  A
+suite body yields runs and single records; `_records`, the one flattener,
+gives every record to the public suites (`identity_checks` here,
+`checks.oracle_checks` and `checks.decomposition_checks`).  Each
+identity has one body, and each per-point checker is its body's one-point
+run.  The four store bodies give one run per tuple, with summands from
+stores: interior-sum C(n-2, e) once per n and its weights once per (d, k);
+alt-vandermonde (-1)**k C(n, k) once per n and C(c-k, b-k) once per
+(b, c).  The two census identities share one body, the interiors of the
+face classes (k, m) weighted by multiplicities once per (r, d), against
+the rectified value; each interior depends on (k, m, n) alone and each
+rectified value on (r, d, m), and each comes from its own store per suite
+run, which the suite's body makes for both.  A grid iterator builds its
+stores once per run and frees them with it; no right side reads a store a
+left side reads.
 
 Each `REGISTRY` entry pairs an identity's default ranges, keyed by the grid
 keys `parse_grid` requires and accepts, with the iterator that reads them; a
@@ -35,9 +39,9 @@ live in the iterators: interior-sum's k runs over 0..d-1 for each d.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, repeat
-from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from itertools import chain, islice, repeat
+from operator import mul, ne
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import binomial
 
@@ -79,14 +83,47 @@ class _Missing:
 _MISSING = _Missing()
 
 
-def _rows(name: str, fixed: tuple[tuple[str, object], ...], ns: Iterable[int],
-          lhs: Iterable[object], rhs: Iterable[object]) -> Iterator[IdentityCheck]:
-    # One record per n of ns, params `fixed` then n, reading lhs and rhs in step, with no
-    # frame per row; a side that ends before ns fails its missing rows, not drops them.
-    params = zip(*map(repeat, fixed), zip(repeat("n"), ns))
-    return map(tuple.__new__, repeat(IdentityCheck),
-               zip(repeat(name), params, chain(lhs, repeat(_MISSING)),
-                   chain(rhs, repeat(_MISSING))))
+class _Run:
+    """The records of one run over n, params `fixed` then n, kept as their two sides.
+
+    `len` is the row count, len(ns).  Each side is held as a list of one
+    value per row, cut past ns and padded with `_MISSING`, so a side that
+    ends early fails its missing rows, not drops them.  Iterating builds one
+    record per n, with no frame per row.  `failures` decides every row by
+    `!=` in one C-level pass (never list `==`, whose identity shortcut
+    would pass a row missing on both sides) and builds records only when
+    some row fails.
+    """
+
+    __slots__ = ("name", "fixed", "ns", "lhs", "rhs")
+
+    def __init__(self, name: str, fixed: tuple[tuple[str, object], ...], ns: Sequence[int],
+                 lhs: Iterable[object], rhs: Iterable[object]) -> None:
+        self.name, self.fixed, self.ns, rows = name, fixed, ns, len(ns)
+        self.lhs, self.rhs = (side if type(side) is list and len(side) == rows
+                              else list(islice(chain(side, repeat(_MISSING)), rows))
+                              for side in (lhs, rhs))
+
+    def __len__(self) -> int:
+        return len(self.ns)
+
+    def __iter__(self) -> Iterator[IdentityCheck]:
+        params = zip(*map(repeat, self.fixed), zip(repeat("n"), self.ns))
+        return map(tuple.__new__, repeat(IdentityCheck),
+                   zip(repeat(self.name), params, self.lhs, self.rhs))
+
+    def fails(self) -> bool:
+        return any(map(ne, self.lhs, self.rhs))
+
+    def failures(self) -> list[IdentityCheck]:
+        """The records of the rows whose sides differ, in order."""
+        return [check for check in self if check[2] != check[3]] if self.fails() else []
+
+
+def _records(items: Iterable[IdentityCheck | _Run]) -> Iterator[IdentityCheck]:
+    # The one flattener: a suite body's runs and single records as records, in order.
+    return chain.from_iterable((item,) if isinstance(item, IdentityCheck) else item
+                               for item in items)
 
 
 def _plain(e: int, n: int) -> int:
@@ -102,27 +139,27 @@ def _signed(ns: Iterable[int]) -> list[list[int]]:
     return [[(-1) ** k * binomial(n, k) for k in range(n + 1)] for n in ns]
 
 
-def _alt_vandermonde_rows(b: int, c: int, ns: Iterable[int], signed: list[list[int]],
-                          top: int) -> Iterator[IdentityCheck]:
-    # alt-vandermonde's one body, a record per n of ns <= top: n's signed row times C(c-k, b-k).
+def _alt_vandermonde_rows(b: int, c: int, ns: Sequence[int], signed: list[list[int]],
+                          top: int) -> _Run:
+    # alt-vandermonde's one body, a run over n of ns <= top: n's signed row times C(c-k, b-k).
     row = [binomial(c - k, b - k) for k in range(top + 1)]
-    return _rows("alt-vandermonde", (("b", b), ("c", c)), ns,
-                 [sum(map(mul, terms, row)) for terms in signed],
-                 [binomial(c - n, b) for n in ns])
+    return _Run("alt-vandermonde", (("b", b), ("c", c)), ns,
+                [sum(map(mul, terms, row)) for terms in signed],
+                [binomial(c - n, b) for n in ns])
 
 
 def check_alt_vandermonde(b: int, c: int, n: int) -> IdentityCheck:
     """Alternating Vandermonde: sum (-1)**k C(c-k, b-k) C(n, k) = C(c-n, b)."""
-    return next(_alt_vandermonde_rows(b, c, (n,), _signed((n,)), n))
+    return next(iter(_alt_vandermonde_rows(b, c, (n,), _signed((n,)), n)))
 
 
-def _alt_vandermonde_points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
+def _alt_vandermonde_points(g: Mapping[str, Sequence[int]]) -> Iterator[_Run]:
     # alt-vandermonde's grid iterator: its body for each (b, c) with c >= b.
     signed, top = _signed(g["n"]), max(g["n"], default=0)
     for b in g["b"]:
         for c in g["c"]:
             if c >= b:
-                yield from _alt_vandermonde_rows(b, c, g["n"], signed, top)
+                yield _alt_vandermonde_rows(b, c, g["n"], signed, top)
 
 
 def _interiors(top: int, ns: Iterable[int]) -> list[list[int]]:
@@ -130,15 +167,14 @@ def _interiors(top: int, ns: Iterable[int]) -> list[list[int]]:
     return [[_interior(e, n) for e in range(-1, top - 1)] for n in ns]
 
 
-def _interior_sum_rows(d: int, k: int, js: Iterable[int], ns: Iterable[int],
-                       interiors: list[list[int]]) -> Iterator[IdentityCheck]:
+def _interior_sum_rows(d: int, k: int, js: Iterable[int], ns: Sequence[int],
+                       interiors: list[list[int]]) -> Iterator[_Run]:
     # interior-sum's one body, a run over n per j of js: with t = d-1-k, the sum over i <= t
     # of C(t, i) * interior(i-1+j, n), the weights against n's stored interiors from e = j-1.
     weights = [binomial(d - 1 - k, i) for i in range(d - k)]
-    return chain.from_iterable(
-        _rows("interior-sum", (("d", d), ("k", k), ("j", j)), ns,
-              [sum(map(mul, weights, row[j:j + d - k])) for row in interiors],
-              [_plain(d - k + j - 2, n - j) for n in ns]) for j in js)
+    return (_Run("interior-sum", (("d", d), ("k", k), ("j", j)), ns,
+                 [sum(map(mul, weights, row[j:j + d - k])) for row in interiors],
+                 [_plain(d - k + j - 2, n - j) for n in ns]) for j in js)
 
 
 def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
@@ -149,10 +185,10 @@ def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
     """
     if k < 0 or j < 0:
         raise ValueError(f"k and j must be nonnegative, got k={k} j={j}")
-    return next(_interior_sum_rows(d, k, (j,), (n,), _interiors(d + j, (n,))))
+    return next(_records(_interior_sum_rows(d, k, (j,), (n,), _interiors(d + j, (n,)))))
 
 
-def _interior_sum_points(g: Mapping[str, Iterable[int]]) -> Iterator[IdentityCheck]:
+def _interior_sum_points(g: Mapping[str, Sequence[int]]) -> Iterator[_Run]:
     # interior-sum's grid iterator: its body for each (d, k) with k < d.
     interiors = _interiors(max(g["d"], default=0) + max(g["j"], default=0), g["n"])
     for d in g["d"]:
@@ -185,27 +221,30 @@ _CENSUS: dict[str, tuple[Callable[[int, int, int, int], int], int]] = {
 }
 
 
-def _census_rows(identity: str, r: int, d: int, ns: Iterable[int],
-                 interior: Callable[[int, int, int], int]) -> Iterator[IdentityCheck]:
-    # The one body of both census checks, a record per n of ns: the weighted interiors
+def _census_rows(identity: str, r: int, d: int, ns: Sequence[int],
+                 interior: Callable[[int, int, int], int],
+                 rectified: Callable[[int, int, int], int]) -> _Run:
+    # The one body of both census checks, a run over n of ns: the weighted interiors
     # of the face classes (k, m) against the rectified value, which reads no interior.
     multiplicity, back = _CENSUS[identity]
     classes = [(k, m) for k in range(r + 1) for m in range(d - r + k + 1)]
     ks, ms = [k for k, _ in classes], [m for _, m in classes]
     weights = [multiplicity(r, d, k, m) for k, m in classes]
-    return _rows(identity, (("r", r), ("d", d)), ns,
-                 [sum(map(mul, weights, map(interior, ks, ms, repeat(n)))) for n in ns],
-                 [_rectified(r, d, n - back) for n in ns])
+    return _Run(identity, (("r", r), ("d", d)), ns,
+                [sum(map(mul, weights, map(interior, ks, ms, repeat(n)))) for n in ns],
+                [rectified(r, d, n - back) for n in ns])
 
 
 def _census_points(identity: str) -> _Points:
-    # A census identity's grid iterator, reading the store it is given or its own.
-    def points(g: Mapping[str, Iterable[int]],
-               interior: Callable[[int, int, int], int] | None = None) -> Iterator[IdentityCheck]:
+    # A census identity's grid iterator, reading the stores it is given or its own.
+    def points(g: Mapping[str, Sequence[int]],
+               interior: Callable[[int, int, int], int] | None = None,
+               rectified: Callable[[int, int, int], int] | None = None) -> Iterator[_Run]:
         interior = interior or cache(_rectified_interior)
+        rectified = rectified or cache(_rectified)
         for r in g["r"]:
             for d in g["d"]:
-                yield from _census_rows(identity, r, d, g["n"], interior)
+                yield _census_rows(identity, r, d, g["n"], interior, rectified)
     return points
 
 
@@ -216,7 +255,8 @@ def check_face_interior_sum(r: int, d: int, n: int) -> IdentityCheck:
     of each face class; the result is the rectified value itself, written as
     its alternating stretched-simplex sum.
     """
-    return next(_census_rows("face-interior-sum", r, d, (n,), _rectified_interior))
+    return next(iter(_census_rows("face-interior-sum", r, d, (n,), _rectified_interior,
+                                  _rectified)))
 
 
 def check_vertex_star_sum(r: int, d: int, n: int) -> IdentityCheck:
@@ -226,7 +266,8 @@ def check_vertex_star_sum(r: int, d: int, n: int) -> IdentityCheck:
     the closed vertex star; their interiors at index n reproduce the
     rectified value at index n-1.  Valid for n >= 2.
     """
-    return next(_census_rows("vertex-star-sum", r, d, (n,), _rectified_interior))
+    return next(iter(_census_rows("vertex-star-sum", r, d, (n,), _rectified_interior,
+                                  _rectified)))
 
 
 def check_subset_convolution(d: int, r: int) -> IdentityCheck:
@@ -248,19 +289,20 @@ def check_pascal_alternating_row(r: int) -> IdentityCheck:
     return IdentityCheck("pascal-alternating-row", (("r", r),), lhs, 1)
 
 
-GridRanges = Mapping[str, Mapping[str, Iterable[int]]]
+GridRanges = Mapping[str, Mapping[str, Sequence[int]]]
 
-# A grid iterator: every check of one identity over its grid section.
-_Points = Callable[[Mapping[str, Iterable[int]]], Iterator[IdentityCheck]]
+# A grid iterator: every run or check of one identity over its grid section.
+_Points = Callable[[Mapping[str, Sequence[int]]], Iterator[_Run | IdentityCheck]]
 
 # Identity name -> (its default ranges, keyed by the keys its grid section
 # sets, and an iterator over its grid that reads exactly those keys), in
 # suite order.  Each iterator looks up when called what it evaluates: the
 # checker of its identity, or, for the four store identities, the body each
 # checker runs at one point and what its stores and sums call (the census
-# pair `_rectified_interior`, unless `identity_checks` gives the run's store,
-# and `_rectified`, interior-sum `_interior`, `binomial` and `_plain`,
-# alt-vandermonde `binomial`); so a replaced module-level function is honored.
+# pair `_rectified_interior` and `_rectified`, through the run's stores when
+# `identity_checks` gives them, interior-sum `_interior`, `binomial` and
+# `_plain`, alt-vandermonde `binomial`); so a replaced module-level function
+# is honored.
 REGISTRY: dict[str, tuple[dict[str, range], _Points]] = {
     "alt-vandermonde": ({"b": range(1, 13), "c": range(1, 13), "n": range(1, 13)},
                         _alt_vandermonde_points),
@@ -281,10 +323,16 @@ REGISTRY: dict[str, tuple[dict[str, range], _Points]] = {
 
 def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
     """The binomial and face-census identities over the grid, with one census store a run."""
-    interior = cache(_rectified_interior)
+    return _records(_identity_runs(grid))
+
+
+def _identity_runs(grid: GridRanges) -> Iterator[_Run | IdentityCheck]:
+    # The identities suite's one body: each identity's runs and records, in suite order;
+    # both census identities read one store of interiors and one of rectified values.
+    stores = cache(_rectified_interior), cache(_rectified)
     for name, (_, points) in REGISTRY.items():
         if name in grid:
-            yield from points(grid[name], interior) if name in _CENSUS else points(grid[name])
+            yield from points(grid[name], *stores) if name in _CENSUS else points(grid[name])
 
 
 def _parse_range(text: str) -> range:

@@ -212,8 +212,9 @@ def records(argv):
     args = cli.build_parser().parse_args(argv)
     bounds = {"grid": identities.default_grid(), "d_max": args.d_max, "n_max": args.n_max,
               "a_max": args.a_max, "b_max": args.b_max}
-    return ["\n".join([name, *map(repr, generator(*(bounds[option] for option in options)))])
-            for name, (generator, options) in checks.SUITES.items()
+    return ["\n".join([name, *map(repr, identities._records(
+                body(*(bounds[option] for option in options))))])
+            for name, (body, options) in checks.SUITES.items()
             if args.suite in (name, "all")]
 
 

@@ -914,8 +914,8 @@ def suite_records(suite):
     """Every record one verify suite yields at its default bounds, in order."""
     given = {"grid": identities.default_grid(), "d_max": None, "n_max": None,
              "a_max": None, "b_max": None}
-    generator, options = checks.SUITES[suite]
-    return generator(*(given[option] for option in options))
+    body, options = checks.SUITES[suite]
+    return identities._records(body(*(given[option] for option in options)))
 
 
 # (verify suite, fault, the FAIL line it must print): each record's own
@@ -1087,6 +1087,20 @@ class TestVerify:
             check = IdentityCheck("x", (), lhs, rhs)
             assert (check[2] != check[3]) == (not check.ok), (lhs, rhs)
 
+    def test_column_comparisons_reach_verify_as_runs(self):
+        # Of the 16,351 records of `verify --suite all`, 15,753 come from runs,
+        # which `verify` counts and decides without building them; the rest
+        # are single records.
+        given = {"grid": identities.default_grid(), "d_max": None, "n_max": None,
+                 "a_max": None, "b_max": None}
+        shapes = {}
+        for suite, (body, options) in checks.SUITES.items():
+            items = list(body(*(given[option] for option in options)))
+            runs = [item for item in items if not isinstance(item, IdentityCheck)]
+            shapes[suite] = (len(items) - len(runs), sum(map(len, runs)))
+        assert shapes == {"identities": (111, 3761), "oracle": (105, 5404),
+                          "decompositions": (382, 6588)}
+
     def test_every_record_name_has_a_fault_that_fails_it(self):
         # A record no test sees fail could be disabled unnoticed: each name
         # the suites yield has a RECORD_FAULTS row, or a test named here fails it.
@@ -1225,6 +1239,27 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--a-max must be positive" in captured.err
+
+    def test_one_row_bound_keeps_every_first_row(self, capsys):
+        # --n-max 1 leaves the columns from n = 2 (interior-sign and
+        # vanishing-interior) as runs of no rows: they add no check.
+        code, out = run_cli(capsys, "verify", "--suite", "oracle", "--n-max", "1")
+        assert (code, out) == (0, "oracle: 201 checks, 0 failures\nverify: PASS\n")
+
+    def test_a_suite_of_runs_with_no_rows_is_refused(self, capsys, monkeypatch):
+        # The refusal counts rows, not items: runs with no rows leave a suite empty.
+        empty = identities._Run("x", (), range(0), [], [])
+        monkeypatch.setitem(checks.SUITES, "oracle",
+                            (lambda d_max, n_max: iter([empty, empty]), ("d_max", "n_max")))
+        expect_usage_error("verify", "--suite", "oracle")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "suite oracle has no checks within the given bounds" in captured.err
+        one = identities._Run("x", (), range(1, 2), [1], [1])
+        monkeypatch.setitem(checks.SUITES, "oracle",
+                            (lambda d_max, n_max: iter([empty, one, empty]), ("d_max", "n_max")))
+        assert run_cli(capsys, "verify", "--suite", "oracle") == (
+            0, "oracle: 1 checks, 0 failures\nverify: PASS\n")
 
     def test_bounds_leaving_a_suite_without_checks_are_usage_error(self, capsys):
         for suite in ("decompositions", "all"):

@@ -237,6 +237,14 @@ class TestDenseRule:
         assert not _dense(10**9, 2, 2)  # C(d, d) = 1
         assert exact._column(2**64 - 1, 1, 3) == [1, 2**64]
 
+    def test_no_top_entry_below_n_68_reaches_2_to_the_64(self):
+        # C(67, 33) < 2**64 <= C(68, 34): the top entry C(stop+d-2, d) first
+        # reaches 2**64 at n = 68, so every run with n < 68 reads by math.comb.
+        assert (_dense(34, 36, 36), _dense(34, 35, 35), _dense(33, 36, 36)) == (
+            True, False, False)
+        assert not any(exact._past_fast(d, 68 - d + 1) for d in range(1, 66))
+        assert exact._past_fast(34, 36)
+
     def test_reads_win_until_eight_stop_is_reads_times_d_plus_21(self):
         # d = 40, stop = 400, past 2**64: dense from 8 * 400 / 61 reads on.
         assert (_dense(40, 400, 53), _dense(40, 400, 52)) == (True, False)

@@ -1,11 +1,13 @@
 """Tests for the identity verification suite."""
 import collections
+import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytopenums import cli, identities
+from polytopenums import checks, cli, identities
 from polytopenums.exact import binomial
 from polytopenums.oracle import hypersimplex
 from polytopenums.identities import (
@@ -355,7 +357,8 @@ class TestSuiteRunner:
         point = {key: [data.draw(st.integers(0, top), label=key)]
                  for key, top in BEYOND_DEFAULT_GRID[name].items()}
         _, points = REGISTRY[name]
-        assert [check.describe() for check in points(point) if not check.ok] == []
+        assert [check.describe() for check in identities._records(points(point))
+                if not check.ok] == []
 
 
 # Each store-backed grid iterator's records, point by point from the literal
@@ -376,7 +379,7 @@ class TestIdentityStores:
     @pytest.mark.parametrize("name", list(STORE_POINTS))
     def test_default_grid_records_are_the_point_checkers(self, name):
         grid = default_grid()[name]
-        assert list(REGISTRY[name][1](grid)) == STORE_POINTS[name](grid)
+        assert list(identities._records(REGISTRY[name][1](grid))) == STORE_POINTS[name](grid)
 
     @settings(max_examples=60)
     @given(st.data())
@@ -389,7 +392,7 @@ class TestIdentityStores:
             lo = data.draw(st.integers(0, min(top, 16)), label=f"{key} lo")
             hi = data.draw(st.integers(lo, min(top, lo + 8)), label=f"{key} hi")
             grid[key] = range(lo, hi + 1)
-        assert list(REGISTRY[name][1](grid)) == STORE_POINTS[name](grid)
+        assert list(identities._records(REGISTRY[name][1](grid))) == STORE_POINTS[name](grid)
 
     def test_one_patched_interior_fails_exactly_the_sums_that_read_it(self, monkeypatch):
         # The interior-sum iterator stores the interiors it reads, but looks
@@ -400,7 +403,7 @@ class TestIdentityStores:
         monkeypatch.setattr(identities, "_interior",
                             lambda e, n: real(e, n) + ((e, n) == (2, 6)))
         grid = default_grid()["interior-sum"]
-        records = list(REGISTRY["interior-sum"][1](grid))
+        records = list(identities._records(REGISTRY["interior-sum"][1](grid)))
         assert records == STORE_POINTS["interior-sum"](grid)
         assert {check.params for check in records if not check.ok} == {
             (("d", d), ("k", k), ("j", j), ("n", 6))
@@ -418,7 +421,7 @@ class TestCensusStore:
         grid = {key: data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3,
                                         unique=True), label=key)
                 for key, top in (("r", 8), ("d", 12), ("n", 30))}
-        records = list(REGISTRY[name][1](grid))
+        records = list(identities._records(REGISTRY[name][1](grid)))
         assert records == STORE_POINTS[name](grid)
         assert [check.describe() for check in records if not check.ok] == []
 
@@ -443,3 +446,97 @@ class TestCensusStore:
                              for k in range(5) for m in range(8) for n in range(1, 11)}
         assert [name for name, value in vars(identities).items()
                 if hasattr(value, "cache_info")] == []
+
+    def test_each_run_computes_each_rectified_value_once(self, monkeypatch):
+        # Both census right sides read one store of rectified values a run:
+        # vertex-star-sum's at (r, d, n) is face-interior-sum's at (r, d, n-1).
+        real = identities._rectified
+        calls = collections.Counter()
+
+        def counting(r, d, m):
+            calls[r, d, m] += 1
+            return real(r, d, m)
+
+        monkeypatch.setattr(identities, "_rectified", counting)
+        for _ in range(2):
+            calls.clear()
+            assert all(check.ok for check in identity_checks(default_grid()))
+            # face-interior-sum reads m = n = 1..10, vertex-star-sum m = n-1 = 1..9.
+            assert calls == {(r, d, m): 1
+                             for r in range(5) for d in range(1, 8) for m in range(1, 11)}
+        assert [name for name, value in vars(identities).items()
+                if hasattr(value, "cache_info")] == []
+
+    def test_one_patched_rectified_value_fails_both_census_identities(self, capsys,
+                                                                      monkeypatch):
+        # The rectified value at (r, d, m) = (1, 2, 3) is face-interior-sum's
+        # right side at n = 3 and vertex-star-sum's at n = 4; read from the
+        # shared store, one wrong value still fails both, and nothing else.
+        real = identities._rectified
+        monkeypatch.setattr(identities, "_rectified",
+                            lambda r, d, m: real(r, d, m) + ((r, d, m) == (1, 2, 3)))
+        assert cli.main(["verify", "--suite", "identities"]) == 1
+        assert [line for line in capsys.readouterr().out.splitlines() if "FAIL " in line] == [
+            "  FAIL face-interior-sum [r=1 d=2 n=3] lhs=6 rhs=7",
+            "  FAIL vertex-star-sum [r=1 d=2 n=4] lhs=6 rhs=7",
+        ]
+        assert check_face_interior_sum(1, 2, 3).rhs == check_vertex_star_sum(1, 2, 4).rhs == 7
+
+
+# A side of a run as the property below draws it: a list, a lazy map over one, or an
+# endless repeat of one value; each kind with the rows it gives for a given row count.
+MISSING = identities._MISSING
+VALUES = st.one_of(st.integers(-2, 2), st.just(MISSING))
+SIDES = st.one_of(
+    st.tuples(st.just("list"), st.lists(VALUES, max_size=8)),
+    st.tuples(st.just("map"), st.lists(VALUES, max_size=8)),
+    st.tuples(st.just("repeat"), VALUES),
+)
+
+
+def side(spec):
+    kind, values = spec
+    if kind == "repeat":
+        return itertools.repeat(values)
+    return list(values) if kind == "list" else map(operator.itemgetter(0), zip(values))
+
+
+def side_rows(spec, rows):
+    # The values a side gives its rows: cut at the rows, `missing` past its end.
+    kind, values = spec
+    return [values] * rows if kind == "repeat" else (values + [MISSING] * rows)[:rows]
+
+
+def expected_records(name, fixed, ns, lhs, rhs):
+    return [IdentityCheck(name, (*fixed, ("n", n)), left, right)
+            for n, left, right in zip(ns, side_rows(lhs, len(ns)), side_rows(rhs, len(ns)))]
+
+
+class TestRuns:
+    @settings(max_examples=300)
+    @given(ns=st.lists(st.integers(0, 40), max_size=6), fixed=st.sampled_from([(), (("d", 2),)]),
+           sides=st.lists(st.tuples(SIDES, SIDES), min_size=2, max_size=2))
+    def test_a_run_is_its_records_and_fails_exactly_their_failing_rows(self, ns, fixed, sides):
+        # Each row is decided by `!=`, as `verify` decides a record, so a row
+        # missing on both sides fails: list `==` would pass it by identity.
+        runs, records = [], []
+        for name, (lhs, rhs) in zip(("x", "y"), sides):
+            runs.append(identities._Run(name, fixed, ns, side(lhs), side(rhs)))
+            records.append(expected_records(name, fixed, ns, lhs, rhs))
+        for run, want in zip(runs, records):
+            assert len(run) == len(ns) and list(run) == list(run) == want
+            assert run.failures() == [check for check in run if check[2] != check[3]] == [
+                check for check in want if check[2] is MISSING or check[3] is MISSING
+                or check[2] != check[3]]
+        pair = checks._Interleaved(*runs)
+        want = [check for row in zip(*records) for check in row]
+        assert len(pair) == 2 * len(ns) and list(pair) == want
+        assert pair.failures() == [check for check in pair if check[2] != check[3]] == [
+            check for check in want if check[2] != check[3]]
+        assert bool(pair) == bool(ns) == bool(runs[0])
+
+    def test_a_row_missing_on_both_sides_fails(self):
+        run = identities._Run("x", (), [1, 2], [MISSING, 1], itertools.repeat(MISSING))
+        assert [check.params for check in run.failures()] == [(("n", 1),), (("n", 2),)]
+        assert identities._Run("x", (), [1], [1, 2], [1]).failures() == []
+
