@@ -10,24 +10,28 @@ is recursion only and always prints interiors.  `formula_columns` and
 per route; `shift_routes` is the one-b case of `_shift_route_runs`, one
 gbinomial batch per (d, a) for a run of b.  `seq`, `decompose` and
 `verify` all read these, resolved from this module's globals at call
-time, so the suites check the code the commands print from.  Each suite
-has one body, which yields single `IdentityCheck` records (name, params,
-lhs, rhs) and runs of them over n; a check holds when lhs == rhs exactly,
-with a structural check's computed value on the left.  A column comparison
-is one `identities._Run`, a row per n of the range it asked for; a column
-that ends early gives `missing` in each row it lacks, so that row fails and
-the counts stay.  `verify` reads the bodies as `SUITES` declares them: in
-run order, each suite's body and the bounds it reads, in parameter order.
-`oracle_checks`, `decomposition_checks` and `identity_checks` (which lives
-in `identities`) give every record of the same bodies through
-`identities._records`, as the acceptance tests read them.  Every bound
-follows one rule, `_cap`: unset, an axis runs its default grid top; set,
-the smaller of the two.  A bound lowers its axis and never raises it.
+time, so the suites check the code the commands print from.  Each suite has
+one body, which yields only `identities._Run`s, whose records are
+`IdentityCheck`s (name, params, lhs, rhs); a check holds when lhs == rhs
+exactly, with a structural check's computed value on the left.  A column
+comparison is one run, a row per n of the range it asked for; a column that
+ends early gives `missing` in each row it lacks, so that row fails and the
+counts stay.  Checks read at the same rows share a run, one after the other
+in each row.  The vertex counts are a run over r per d; the census checks
+and the pinned f-vectors are each a run over polytopes; every other single
+check is a one-row run, `_check`.  `verify` reads the bodies as `SUITES`
+declares them: in run order, each suite's body and the bounds it reads, in
+parameter order.  `oracle_checks`, `decomposition_checks` and
+`identity_checks` (which lives in `identities`) give every record of the
+same bodies through `identities._records`, as the acceptance tests read
+them.  Every bound follows one rule, `_cap`: unset, an axis runs its
+default grid top; set, the smaller of the two.  A bound lowers its axis and
+never raises it.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mul
 from typing import Iterator
 
@@ -104,26 +108,10 @@ def _shift_route_runs(d: int, a: int, bs: list[int]) -> list[dict[str, list[int]
             for double_sum, gf in zip(double_sums, _shift_decompositions_gbinom(d, a, bs))]
 
 
-def _check(name: str, lhs: object, rhs: object, **params: object) -> IdentityCheck:
-    return IdentityCheck(name, tuple(params.items()), lhs, rhs)
-
-
-class _Interleaved(_Run):
-    """Runs of one row count, read row by row: each run's record at a row, in turn."""
-
-    __slots__ = ("runs",)
-
-    def __init__(self, *runs: _Run) -> None:
-        self.runs = runs
-
-    def __len__(self) -> int:
-        return sum(map(len, self.runs))
-
-    def __iter__(self) -> Iterator[IdentityCheck]:
-        return chain.from_iterable(zip(*self.runs))
-
-    def fails(self) -> bool:
-        return any(run.fails() for run in self.runs)
+def _check(name: str, lhs: object, rhs: object, **params: object) -> _Run:
+    # One record as a one-row run, keyed by its last param.
+    *fixed, (key, value) = params.items()
+    return _Run(tuple(fixed), [value], (name, [lhs], [rhs]), key=key)
 
 
 def _cap(default: int, bound: int | None) -> int:
@@ -136,8 +124,8 @@ def oracle_checks(d_max: int | None = None, n_max: int | None = None) -> Iterato
     return _records(_oracle_runs(d_max, n_max))
 
 
-def _oracle_runs(d_max: int | None, n_max: int | None) -> Iterator[_Run | IdentityCheck]:
-    # The oracle suite's one body: its runs over n and single records, in suite order.
+def _oracle_runs(d_max: int | None, n_max: int | None) -> Iterator[_Run]:
+    # The oracle suite's one body: its runs, in suite order.
     n_hi = _cap(oracle._MIN_HEAD, n_max)
     ns = range(1, n_hi + 1)
 
@@ -155,60 +143,56 @@ def _oracle_runs(d_max: int | None, n_max: int | None) -> Iterator[_Run | Identi
             values, interiors = formula_columns(family, d, r, 1, n_hi, bool(row.interior_check))
             oracle_values, oracle_interiors = oracle.oracle_table(
                 family_descriptor(family, d, r), 1, n_hi)
-            run = _Run(row.value_check, fixed, ns, oracle_values, values)
-            if row.interior_check:
-                run = _Interleaved(run, _Run(row.interior_check, fixed, ns,
-                                             oracle_interiors, interiors))
-            yield run
+            yield _Run(fixed, ns, (row.value_check, oracle_values, values),
+                       *[(row.interior_check, oracle_interiors, interiors)]
+                       if row.interior_check else ())
 
     # Known-sequence bridges; 3 * octahedral(n) = n (2n^2 + 1).
     bridge = _cap(200, n_max)
-    yield _Run("octahedral-bridge", (), range(1, bridge + 1),
-               map(mul, repeat(3), rectified_simplex_table(3, 1, 1, bridge)),
-               [n * (2 * n * n + 1) for n in range(1, bridge + 1)])
+    yield _Run((), range(1, bridge + 1),
+               ("octahedral-bridge", map(mul, repeat(3), rectified_simplex_table(3, 1, 1, bridge)),
+                [n * (2 * n * n + 1) for n in range(1, bridge + 1)]))
     for d in range(1, _cap(8, d_max) + 1):
         simplex_values = simplex_table(d, 1, n_hi)
-        run = _Run("zero-rectification", (("d", d),), ns,
-                   rectified_simplex_table(d, 0, 1, n_hi), simplex_values)
-        if d >= 2:
-            run = _Interleaved(run, _Run("dual-rectification", (("d", d),), ns,
-                                         rectified_simplex_table(d, d - 1, 1, n_hi),
-                                         simplex_values))
-        yield run
+        yield _Run((("d", d),), ns,
+                   ("zero-rectification", rectified_simplex_table(d, 0, 1, n_hi), simplex_values),
+                   *[("dual-rectification", rectified_simplex_table(d, d - 1, 1, n_hi),
+                      simplex_values)] if d >= 2 else ())
     for d in range(1, _cap(10, d_max) + 1):
-        for r in range(d):
-            vertices = next(iter(rectified_simplex_table(d, r, 2, 2)), _MISSING)
-            yield _check("vertex-count", vertices, binomial(d + 1, r + 1), d=d, r=r)
+        yield _Run((("d", d),), range(d),
+                   ("vertex-count", [next(iter(rectified_simplex_table(d, r, 2, 2)), _MISSING)
+                                     for r in range(d)],
+                    [binomial(d + 1, r + 1) for r in range(d)]), key="r")
 
     # Degenerate-family conventions (d <= r), valid from n = 2.
     for r in range(1, _cap(8, d_max) + 1):
         values = rectified_simplex_table(r, r, 1, n_hi)
         # n = 1 alone, which has no interior-sign record, then the two in step.
-        yield _Run("constant-family", (("r", r),), ns[:1], values[:1], repeat(1))
-        yield _Interleaved(_Run("constant-family", (("r", r),), ns[1:], values[1:], repeat(1)),
-                           _Run("interior-sign", (("r", r),), ns[1:],
-                                rectified_simplex_interior_table(r, r, 2, n_hi),
-                                repeat((-1) ** r)))
+        yield _Run((("r", r),), ns[:1], ("constant-family", values[:1], repeat(1)))
+        yield _Run((("r", r),), ns[1:], ("constant-family", values[1:], repeat(1)),
+                   ("interior-sign", rectified_simplex_interior_table(r, r, 2, n_hi),
+                    repeat((-1) ** r)))
         for d in range(1, r):
-            yield _Run("vanishing-interior", (("d", d), ("r", r)), ns[1:],
-                       rectified_simplex_interior_table(d, r, 2, n_hi), repeat(0))
+            yield _Run((("d", d), ("r", r)), ns[1:],
+                       ("vanishing-interior", rectified_simplex_interior_table(d, r, 2, n_hi),
+                        repeat(0)))
 
     # Census structure: Euler relation over every census reachable from the
-    # tested polytopes, plus two pinned f-vectors.
-    for p in oracle.face_closure(*roots):
-        if isinstance(p, oracle.Point):  # an empty census: its records would move the count
-            continue
-        census = oracle.faces_of(p)
-        yield _check("euler-relation",
-                     sum((-1) ** k * f for k, f in enumerate(census.f_vector())),
-                     1 + (-1) ** (p.dimension - 1), polytope=p)
-        yield _check("census-counts",
-                     [e for e in census.entries if not 0 <= e.not_containing <= e.total], [],
-                     polytope=p)
-    for p, f_vector in ((oracle.hypersimplex(4, 2), (6, 12, 8)),
-                        (oracle.hypersimplex(5, 2), (10, 30, 30, 10))):
-        if d_max is None or d_max >= p.dimension:
-            yield _check("f-vector", oracle.faces_of(p).f_vector(), f_vector, polytope=p)
+    # tested polytopes but a point (whose empty census would move the count),
+    # plus two pinned f-vectors.
+    closure = [p for p in oracle.face_closure(*roots) if not isinstance(p, oracle.Point)]
+    censuses = list(map(oracle.faces_of, closure))
+    yield _Run((), closure,
+               ("euler-relation",
+                [sum((-1) ** k * f for k, f in enumerate(census.f_vector()))
+                 for census in censuses], [1 + (-1) ** (p.dimension - 1) for p in closure]),
+               ("census-counts",
+                [[e for e in census.entries if not 0 <= e.not_containing <= e.total]
+                 for census in censuses], repeat([])), key="polytope")
+    pinned = {oracle.hypersimplex(4, 2): (6, 12, 8), oracle.hypersimplex(5, 2): (10, 30, 30, 10)}
+    polytopes = [p for p in pinned if d_max is None or d_max >= p.dimension]
+    yield _Run((), polytopes, ("f-vector", [oracle.faces_of(p).f_vector() for p in polytopes],
+                               [pinned[p] for p in polytopes]), key="polytope")
 
 
 def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
@@ -219,8 +203,8 @@ def decomposition_checks(d_max: int | None = None, n_max: int | None = None,
 
 
 def _decomposition_runs(d_max: int | None, n_max: int | None, a_max: int | None,
-                        b_max: int | None) -> Iterator[_Run | IdentityCheck]:
-    # The decompositions suite's one body: its runs over n and single records, in suite order.
+                        b_max: int | None) -> Iterator[_Run]:
+    # The decompositions suite's one body: its runs, in suite order.
     n_hi = _cap(40, n_max)
     ns = range(1, n_hi + 1)
     for d in range(1, _cap(8, d_max) + 1):
@@ -232,9 +216,9 @@ def _decomposition_runs(d_max: int | None, n_max: int | None, a_max: int | None,
             # Leading coefficient 1 and no negative coefficient.
             yield _check("coefficient-signs", (via_shifts[0], [c for c in via_shifts if c < 0]),
                          (1, []), d=d, r=r)
-            yield _Run("recombination", (("d", d), ("r", r)), ns,
-                       recombine_table(routes["gbinomial"], d, 1, n_hi),
-                       rectified_simplex_table(d, r, 1, n_hi))
+            yield _Run((("d", d), ("r", r)), ns,
+                       ("recombination", recombine_table(routes["gbinomial"], d, 1, n_hi),
+                        rectified_simplex_table(d, r, 1, n_hi)))
 
     # One coefficient vector per (d, a, b) serves every n of the identity, one
     # gbinomial batch per (d, a) the run of b, and one simplex column per (d, a)
@@ -253,13 +237,13 @@ def _decomposition_runs(d_max: int | None, n_max: int | None, a_max: int | None,
                     yield _check("shift-support", len(coeffs), d + 1, d=d, a=a, b=b)
                 # From the first n whose stretched argument a*n - (a-1) - b is >= 1.
                 first = 1 - (-b // a)
-                yield _Run("shift-identity", (("d", d), ("a", a), ("b", b)),
-                           range(first, m + 1), stretched[a * (first - 1) - b::a],
-                           recombine_table(coeffs, d, 1, m)[first - 1:])
+                yield _Run((("d", d), ("a", a), ("b", b)), range(first, m + 1),
+                           ("shift-identity", stretched[a * (first - 1) - b::a],
+                            recombine_table(coeffs, d, 1, m)[first - 1:]))
 
 
-# Each verify suite, in run order: its body, which yields runs and single
-# records, and the bounds it reads.
+# Each verify suite, in run order: its body, which yields runs, and the
+# bounds it reads.
 SUITES = {
     "identities": (_identity_runs, ("grid",)),
     "oracle": (_oracle_runs, ("d_max", "n_max")),

@@ -13,9 +13,10 @@ their separators, table rows each column but the last left-justified to
 its width, which for integers is that of its min or its max (or of its
 name).  All output goes through `_write`: each `seq` table and `decompose`
 result is built in memory and written in one call, `verify` writes one
-suite at a time.  `verify` counts a run over n as its rows and decides it
-in one C-level pass over its two sides; it builds records only for a run
-with a failing row, and prints their FAIL lines in the suite's order.
+suite at a time.  Every suite yields runs; `verify` counts a run's rows
+times its checks and decides each check in one C-level pass over its two
+sides; it builds records only for a run with a failing row, and prints
+their FAIL lines in the suite's order.
 Output has no digit limit: `main` lifts the interpreter's limit on
 `str(int)` while a command runs.
 
@@ -313,28 +314,23 @@ def _cmd_verify(args, parser) -> int:
             parser.error(f"cannot load identity grid: {exc}")
 
     # Refuse bounds that leave a suite empty, a vacuous pass, before any suite runs.  A run
-    # is false when it has no rows, a record never, so the first true item is the first check.
+    # is false when it has no rows, so the first true run holds the first check.
     suites = []
     for name in names:
         body, options = checks.SUITES[name]
-        items = body(*(given[option] for option in options))
-        first = next(filter(None, items), None)
+        runs = body(*(given[option] for option in options))
+        first = next(filter(None, runs), None)
         if first is None:
             parser.error(f"suite {name} has no checks within the given bounds")
         header = f"{len(given['grid'])} identities, " if name == "identities" else ""
-        suites.append((name, header, itertools.chain([first], items)))
+        suites.append((name, header, itertools.chain([first], runs)))
 
     any_failures = False
-    for name, header, items in suites:
+    for name, header, runs in suites:
         count, failures = 0, []
-        for item in items:
-            if isinstance(item, identities.IdentityCheck):
-                count += 1
-                if item[2] != item[3]:  # lhs != rhs: the record fails, as `.ok` says
-                    failures.append(item)
-            else:  # a run: len(ns) rows, records built only for a run with a failing row
-                count += len(item)
-                failures += item.failures()
+        for run in runs:  # records built only for a run with a failing row
+            count += len(run)
+            failures += run.failures()
         _write(f"{name}: {header}{count} checks, {len(failures)} failures\n"
                + "".join(f"  FAIL {check.describe()}\n" for check in failures))
         any_failures = any_failures or bool(failures)

@@ -12,23 +12,24 @@ Negative dimensions then vanish through the negative-lower-index rule, and
 index 1 interiors contribute (-1)**e; both behaviors are what the census
 identities need to hold on their full stated ranges.
 
-One builder, `_Run`, which `checks` uses too, holds each run over n, for
-one tuple of the other parameters, as its two sides; `verify` decides a
-run in one C-level pass and builds its records only when a row fails.  A
-suite body yields runs and single records; `_records`, the one flattener,
-gives every record to the public suites (`identity_checks` here,
-`checks.oracle_checks` and `checks.decomposition_checks`).  Each
-identity has one body, and each per-point checker is its body's one-point
-run.  The four store bodies give one run per tuple, with summands from
-stores: interior-sum C(n-2, e) once per n and its weights once per (d, k);
-alt-vandermonde (-1)**k C(n, k) once per n and C(c-k, b-k) once per
-(b, c).  The two census identities share one body, the interiors of the
-face classes (k, m) weighted by multiplicities once per (r, d), against
-the rectified value; each interior depends on (k, m, n) alone and each
-rectified value on (r, d, m), and each comes from its own store per suite
-run, which the suite's body makes for both.  A grid iterator builds its
-stores once per run and frees them with it; no right side reads a store a
-left side reads.
+Every suite item is a `_Run`, which `checks` uses too: rows over one
+parameter (n for a column comparison, r for subset-convolution and
+pascal-alternating-row), for one tuple of the other parameters, with one or
+more checks, each as its two sides.  `verify` decides a run in one C-level
+pass per check and builds its records only when a row fails; `_records`,
+the one flattener, gives every record to the public suites
+(`identity_checks` here, `checks.oracle_checks` and
+`checks.decomposition_checks`).  Each identity has one body, and each
+per-point checker is its body's one-point run.  The four store bodies give
+one run over n per tuple, with summands from stores: interior-sum C(n-2, e)
+once per n and its weights once per (d, k); alt-vandermonde (-1)**k C(n, k)
+once per n and C(c-k, b-k) once per (b, c).  The two census identities
+share one body, the interiors of the face classes (k, m) weighted by
+multiplicities once per (r, d), against the rectified value; each interior
+depends on (k, m, n) alone and each rectified value on (r, d, m), and each
+comes from its own store per suite run, which the suite's body makes for
+both.  A grid iterator builds its stores once per run and frees them with
+it; no right side reads a store a left side reads.
 
 Each `REGISTRY` entry pairs an identity's default ranges, keyed by the grid
 keys `parse_grid` requires and accepts, with the iterator that reads them; a
@@ -84,46 +85,53 @@ _MISSING = _Missing()
 
 
 class _Run:
-    """The records of one run over n, params `fixed` then n, kept as their two sides.
+    """Rows over one parameter, each with the same checks: a suite's one kind of item.
 
-    `len` is the row count, len(ns).  Each side is held as a list of one
-    value per row, cut past ns and padded with `_MISSING`, so a side that
-    ends early fails its missing rows, not drops them.  Iterating builds one
-    record per n, with no frame per row.  `failures` decides every row by
-    `!=` in one C-level pass (never list `==`, whose identity shortcut
-    would pass a row missing on both sides) and builds records only when
-    some row fails.
+    A row's params are `fixed`, then `(key, value)` for its value of
+    `values`; the key is n for every column comparison.  Each check is
+    (name, lhs, rhs), its sides held as lists of one value per row, cut
+    past the rows and padded with `_MISSING`, so a side that ends early
+    fails its missing rows, not drops them.  `len` counts rows times
+    checks.  Iterating gives each row's records, one per check in turn,
+    with no frame per row.  `failures` decides each check's rows by `!=` in
+    one C-level pass (never list `==`, whose identity shortcut would pass a
+    row missing on both sides) and builds records only when some row fails.
     """
 
-    __slots__ = ("name", "fixed", "ns", "lhs", "rhs")
+    __slots__ = ("fixed", "key", "values", "checks")
 
-    def __init__(self, name: str, fixed: tuple[tuple[str, object], ...], ns: Sequence[int],
-                 lhs: Iterable[object], rhs: Iterable[object]) -> None:
-        self.name, self.fixed, self.ns, rows = name, fixed, ns, len(ns)
-        self.lhs, self.rhs = (side if type(side) is list and len(side) == rows
-                              else list(islice(chain(side, repeat(_MISSING)), rows))
-                              for side in (lhs, rhs))
+    def __init__(self, fixed: tuple[tuple[str, object], ...], values: Sequence[object],
+                 *checks: tuple[str, Iterable[object], Iterable[object]], key: str = "n") -> None:
+        self.fixed, self.key, self.values, rows = fixed, key, values, len(values)
+        self.checks = [
+            (name, lhs if type(lhs) is list and len(lhs) == rows else _padded(lhs, rows),
+             rhs if type(rhs) is list and len(rhs) == rows else _padded(rhs, rows))
+            for name, lhs, rhs in checks]
 
     def __len__(self) -> int:
-        return len(self.ns)
+        return len(self.values) * len(self.checks)
 
     def __iter__(self) -> Iterator[IdentityCheck]:
-        params = zip(*map(repeat, self.fixed), zip(repeat("n"), self.ns))
-        return map(tuple.__new__, repeat(IdentityCheck),
-                   zip(repeat(self.name), params, self.lhs, self.rhs))
-
-    def fails(self) -> bool:
-        return any(map(ne, self.lhs, self.rhs))
+        params = list(zip(*map(repeat, self.fixed), zip(repeat(self.key), self.values)))
+        return chain.from_iterable(zip(*(
+            map(tuple.__new__, repeat(IdentityCheck), zip(repeat(name), params, lhs, rhs))
+            for name, lhs, rhs in self.checks)))
 
     def failures(self) -> list[IdentityCheck]:
         """The records of the rows whose sides differ, in order."""
-        return [check for check in self if check[2] != check[3]] if self.fails() else []
+        for _, lhs, rhs in self.checks:
+            if any(map(ne, lhs, rhs)):
+                return [check for check in self if check[2] != check[3]]
+        return []
 
 
-def _records(items: Iterable[IdentityCheck | _Run]) -> Iterator[IdentityCheck]:
-    # The one flattener: a suite body's runs and single records as records, in order.
-    return chain.from_iterable((item,) if isinstance(item, IdentityCheck) else item
-                               for item in items)
+def _padded(side: Iterable[object], rows: int) -> list[object]:
+    # A side as a list of `rows` values: cut past the rows, `_MISSING` past its end.
+    return list(islice(chain(side, repeat(_MISSING)), rows))
+
+
+# The one flattener: a suite body's runs as their records, in order.
+_records: Callable[[Iterable[_Run]], Iterator[IdentityCheck]] = chain.from_iterable
 
 
 def _plain(e: int, n: int) -> int:
@@ -143,9 +151,9 @@ def _alt_vandermonde_rows(b: int, c: int, ns: Sequence[int], signed: list[list[i
                           top: int) -> _Run:
     # alt-vandermonde's one body, a run over n of ns <= top: n's signed row times C(c-k, b-k).
     row = [binomial(c - k, b - k) for k in range(top + 1)]
-    return _Run("alt-vandermonde", (("b", b), ("c", c)), ns,
-                [sum(map(mul, terms, row)) for terms in signed],
-                [binomial(c - n, b) for n in ns])
+    return _Run((("b", b), ("c", c)), ns,
+                ("alt-vandermonde", [sum(map(mul, terms, row)) for terms in signed],
+                 [binomial(c - n, b) for n in ns]))
 
 
 def check_alt_vandermonde(b: int, c: int, n: int) -> IdentityCheck:
@@ -172,9 +180,9 @@ def _interior_sum_rows(d: int, k: int, js: Iterable[int], ns: Sequence[int],
     # interior-sum's one body, a run over n per j of js: with t = d-1-k, the sum over i <= t
     # of C(t, i) * interior(i-1+j, n), the weights against n's stored interiors from e = j-1.
     weights = [binomial(d - 1 - k, i) for i in range(d - k)]
-    return (_Run("interior-sum", (("d", d), ("k", k), ("j", j)), ns,
-                 [sum(map(mul, weights, row[j:j + d - k])) for row in interiors],
-                 [_plain(d - k + j - 2, n - j) for n in ns]) for j in js)
+    return (_Run((("d", d), ("k", k), ("j", j)), ns,
+                 ("interior-sum", [sum(map(mul, weights, row[j:j + d - k])) for row in interiors],
+                  [_plain(d - k + j - 2, n - j) for n in ns])) for j in js)
 
 
 def check_interior_sum(d: int, k: int, j: int, n: int) -> IdentityCheck:
@@ -230,9 +238,9 @@ def _census_rows(identity: str, r: int, d: int, ns: Sequence[int],
     classes = [(k, m) for k in range(r + 1) for m in range(d - r + k + 1)]
     ks, ms = [k for k, _ in classes], [m for _, m in classes]
     weights = [multiplicity(r, d, k, m) for k, m in classes]
-    return _Run(identity, (("r", r), ("d", d)), ns,
-                [sum(map(mul, weights, map(interior, ks, ms, repeat(n)))) for n in ns],
-                [rectified(r, d, n - back) for n in ns])
+    return _Run((("r", r), ("d", d)), ns,
+                (identity, [sum(map(mul, weights, map(interior, ks, ms, repeat(n)))) for n in ns],
+                 [rectified(r, d, n - back) for n in ns]))
 
 
 def _census_points(identity: str) -> _Points:
@@ -270,39 +278,49 @@ def check_vertex_star_sum(r: int, d: int, n: int) -> IdentityCheck:
                                   _rectified)))
 
 
+def _subset_convolution_rows(d: int, rs: Sequence[int]) -> _Run:
+    # subset-convolution's one body, a run over r of rs.
+    return _Run((("d", d),), rs,
+                ("subset-convolution",
+                 [sum((-1) ** k * binomial(d + 1, r - k) * binomial(d + 1 - r + k, k + 1)
+                      for k in range(r + 1)) for r in rs],
+                 [binomial(d + 1, r + 1) for r in rs]), key="r")
+
+
 def check_subset_convolution(d: int, r: int) -> IdentityCheck:
     """Alternating two-binomial convolution collapses to a vertex count.
 
     sum (-1)**k C(d+1, r-k) C(d+1-r+k, k+1) = C(d+1, r+1).
     """
-    lhs = sum(
-        (-1) ** k * binomial(d + 1, r - k) * binomial(d + 1 - r + k, k + 1)
-        for k in range(r + 1)
-    )
-    rhs = binomial(d + 1, r + 1)
-    return IdentityCheck("subset-convolution", (("d", d), ("r", r)), lhs, rhs)
+    return next(iter(_subset_convolution_rows(d, (r,))))
+
+
+def _pascal_alternating_rows(rs: Sequence[int]) -> _Run:
+    # pascal-alternating-row's one body, a run over r of rs.
+    return _Run((), rs, ("pascal-alternating-row",
+                         [sum((-1) ** k * binomial(r + 1, r - k) for k in range(r + 1))
+                          for r in rs], repeat(1)), key="r")
 
 
 def check_pascal_alternating_row(r: int) -> IdentityCheck:
     """Partial alternating row sum of Pascal's triangle equals 1."""
-    lhs = sum((-1) ** k * binomial(r + 1, r - k) for k in range(r + 1))
-    return IdentityCheck("pascal-alternating-row", (("r", r),), lhs, 1)
+    return next(iter(_pascal_alternating_rows((r,))))
 
 
 GridRanges = Mapping[str, Mapping[str, Sequence[int]]]
 
-# A grid iterator: every run or check of one identity over its grid section.
-_Points = Callable[[Mapping[str, Sequence[int]]], Iterator[_Run | IdentityCheck]]
+# A grid iterator: every run of one identity over its grid section.
+_Points = Callable[[Mapping[str, Sequence[int]]], Iterator[_Run]]
 
 # Identity name -> (its default ranges, keyed by the keys its grid section
 # sets, and an iterator over its grid that reads exactly those keys), in
 # suite order.  Each iterator looks up when called what it evaluates: the
-# checker of its identity, or, for the four store identities, the body each
-# checker runs at one point and what its stores and sums call (the census
-# pair `_rectified_interior` and `_rectified`, through the run's stores when
-# `identity_checks` gives them, interior-sum `_interior`, `binomial` and
-# `_plain`, alt-vandermonde `binomial`); so a replaced module-level function
-# is honored.
+# body its identity's checker runs at one point (`_subset_convolution_rows`,
+# `_pascal_alternating_rows` and the four store bodies) and what its stores
+# and sums call (the census pair `_rectified_interior` and `_rectified`,
+# through the run's stores when `identity_checks` gives them, interior-sum
+# `_interior`, `binomial` and `_plain`, the others `binomial`); so a
+# replaced module-level function is honored.
 REGISTRY: dict[str, tuple[dict[str, range], _Points]] = {
     "alt-vandermonde": ({"b": range(1, 13), "c": range(1, 13), "n": range(1, 13)},
                         _alt_vandermonde_points),
@@ -313,11 +331,10 @@ REGISTRY: dict[str, tuple[dict[str, range], _Points]] = {
     "vertex-star-sum": ({"r": range(0, 5), "d": range(1, 8), "n": range(2, 11)},
                         _census_points("vertex-star-sum")),
     "subset-convolution": ({"d": range(1, 13), "r": range(0, 13)}, lambda g: (
-        check_subset_convolution(d, r) for d in g["d"] for r in g["r"] if r <= d
+        _subset_convolution_rows(d, [r for r in g["r"] if r <= d]) for d in g["d"]
     )),
-    "pascal-alternating-row": ({"r": range(0, 21)}, lambda g: (
-        check_pascal_alternating_row(r) for r in g["r"]
-    )),
+    "pascal-alternating-row": ({"r": range(0, 21)},
+                               lambda g: iter([_pascal_alternating_rows(g["r"])])),
 }
 
 
@@ -326,8 +343,8 @@ def identity_checks(grid: GridRanges) -> Iterator[IdentityCheck]:
     return _records(_identity_runs(grid))
 
 
-def _identity_runs(grid: GridRanges) -> Iterator[_Run | IdentityCheck]:
-    # The identities suite's one body: each identity's runs and records, in suite order;
+def _identity_runs(grid: GridRanges) -> Iterator[_Run]:
+    # The identities suite's one body: each identity's runs, in suite order;
     # both census identities read one store of interiors and one of rectified values.
     stores = cache(_rectified_interior), cache(_rectified)
     for name, (_, points) in REGISTRY.items():

@@ -1088,18 +1088,17 @@ class TestVerify:
             assert (check[2] != check[3]) == (not check.ok), (lhs, rhs)
 
     def test_column_comparisons_reach_verify_as_runs(self):
-        # Of the 16,351 records of `verify --suite all`, 15,753 come from runs,
-        # which `verify` counts and decides without building them; the rest
-        # are single records.
+        # Every item of every suite body is a run, which `verify` counts and
+        # decides without building its records: 16,351 checks in 1,046 runs.
         given = {"grid": identities.default_grid(), "d_max": None, "n_max": None,
                  "a_max": None, "b_max": None}
         shapes = {}
         for suite, (body, options) in checks.SUITES.items():
             items = list(body(*(given[option] for option in options)))
-            runs = [item for item in items if not isinstance(item, IdentityCheck)]
-            shapes[suite] = (len(items) - len(runs), sum(map(len, runs)))
-        assert shapes == {"identities": (111, 3761), "oracle": (105, 5404),
-                          "decompositions": (382, 6588)}
+            assert {type(item) for item in items} == {identities._Run}, suite
+            shapes[suite] = (len(items), sum(map(len, items)))
+        assert shapes == {"identities": (341, 3872), "oracle": (107, 5509),
+                          "decompositions": (598, 6970)}
 
     def test_every_record_name_has_a_fault_that_fails_it(self):
         # A record no test sees fail could be disabled unnoticed: each name
@@ -1211,19 +1210,16 @@ class TestVerify:
         # side C(d+1, r) instead of C(d+1, r+1).
         from polytopenums.exact import binomial
 
-        def broken(d, r):
-            lhs = sum(
-                (-1) ** k * binomial(d + 1, r - k) * binomial(d + 1 - r + k, k + 1)
-                for k in range(r + 1)
-            )
-            return IdentityCheck(
-                "subset-convolution", (("d", d), ("r", r)), lhs, binomial(d + 1, r)
-            )
+        def broken(d, rs):
+            lhs = [sum((-1) ** k * binomial(d + 1, r - k) * binomial(d + 1 - r + k, k + 1)
+                       for k in range(r + 1)) for r in rs]
+            return identities._Run((("d", d),), rs, ("subset-convolution", lhs,
+                                                     [binomial(d + 1, r) for r in rs]), key="r")
 
-        monkeypatch.setattr(identities, "check_subset_convolution", broken)
+        monkeypatch.setattr(identities, "_subset_convolution_rows", broken)
         code, out = run_cli(capsys, "verify", "--suite", "identities")
         assert code == 1
-        assert "FAIL subset-convolution [d=4 r=1]" in out
+        assert "  FAIL subset-convolution [d=4 r=1] lhs=10 rhs=5\n" in out
         assert out.rstrip().endswith("verify: FAIL")
 
     @pytest.mark.parametrize("flag", ["--d-max", "--n-max", "--a-max", "--b-max"])
@@ -1248,14 +1244,14 @@ class TestVerify:
 
     def test_a_suite_of_runs_with_no_rows_is_refused(self, capsys, monkeypatch):
         # The refusal counts rows, not items: runs with no rows leave a suite empty.
-        empty = identities._Run("x", (), range(0), [], [])
+        empty = identities._Run((), range(0), ("x", [], []))
         monkeypatch.setitem(checks.SUITES, "oracle",
                             (lambda d_max, n_max: iter([empty, empty]), ("d_max", "n_max")))
         expect_usage_error("verify", "--suite", "oracle")
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "suite oracle has no checks within the given bounds" in captured.err
-        one = identities._Run("x", (), range(1, 2), [1], [1])
+        one = identities._Run((), range(1, 2), ("x", [1], [1]))
         monkeypatch.setitem(checks.SUITES, "oracle",
                             (lambda d_max, n_max: iter([empty, one, empty]), ("d_max", "n_max")))
         assert run_cli(capsys, "verify", "--suite", "oracle") == (

@@ -75,7 +75,7 @@ BEYOND_DEFAULT_GRID = {
 }
 
 
-# The literal per-point sums of the four store identities, as the checkers'
+# The literal per-point sums of the six identities, as the checkers'
 # docstrings state them: references independent of the one body each identity
 # has in `identities` and of its stores.
 def plain(e, n):
@@ -126,6 +126,17 @@ naive_face_interior_sum = naive_census(
     lambda r, d, k, m: binomial(d + 1, r - k) * binomial(d + 1 - r + k, m + 1), 0)
 naive_vertex_star_sum = naive_census(
     "vertex-star-sum", lambda r, d, k, m: binomial(r + 1, r - k) * binomial(d - r, m - k), 1)
+
+
+def naive_subset_convolution(d, r):
+    lhs = sum((-1) ** k * binomial(d + 1, r - k) * binomial(d + 1 - r + k, k + 1)
+              for k in range(r + 1))
+    return IdentityCheck("subset-convolution", (("d", d), ("r", r)), lhs, binomial(d + 1, r + 1))
+
+
+def naive_pascal_alternating_row(r):
+    lhs = sum((-1) ** k * binomial(r + 1, r - k) for k in range(r + 1))
+    return IdentityCheck("pascal-alternating-row", (("r", r),), lhs, 1)
 
 
 class TestAltVandermonde:
@@ -234,6 +245,14 @@ class TestClosedSums:
             assert check.lhs == check.rhs == 1
         for r in range(21):
             assert check_pascal_alternating_row(r).ok
+
+    def test_one_point_checkers_are_the_literal_sums(self):
+        # The grid iterator keeps r <= d; a one-point subset-convolution still
+        # answers past it.
+        for d in range(15):
+            for r in range(15):
+                assert check_subset_convolution(d, r) == naive_subset_convolution(d, r), (d, r)
+            assert check_pascal_alternating_row(d) == naive_pascal_alternating_row(d)
 
 
 class TestSuiteRunner:
@@ -361,9 +380,9 @@ class TestSuiteRunner:
                 if not check.ok] == []
 
 
-# Each store-backed grid iterator's records, point by point from the literal
-# sums above, in the iterator's order.
-STORE_POINTS = {
+# Each grid iterator's records, point by point from the literal sums above, in
+# the iterator's order.
+POINTS = {
     "alt-vandermonde": lambda g: [naive_alt_vandermonde(b, c, n) for b in g["b"] for c in g["c"]
                                   if c >= b for n in g["n"]],
     "interior-sum": lambda g: [naive_interior_sum(d, k, j, n) for d in g["d"] for k in range(d)
@@ -372,27 +391,30 @@ STORE_POINTS = {
                                     for d in g["d"] for n in g["n"]],
     "vertex-star-sum": lambda g: [naive_vertex_star_sum(r, d, n) for r in g["r"]
                                   for d in g["d"] for n in g["n"]],
+    "subset-convolution": lambda g: [naive_subset_convolution(d, r) for d in g["d"]
+                                     for r in g["r"] if r <= d],
+    "pascal-alternating-row": lambda g: [naive_pascal_alternating_row(r) for r in g["r"]],
 }
 
 
 class TestIdentityStores:
-    @pytest.mark.parametrize("name", list(STORE_POINTS))
+    @pytest.mark.parametrize("name", list(POINTS))
     def test_default_grid_records_are_the_point_checkers(self, name):
         grid = default_grid()[name]
-        assert list(identities._records(REGISTRY[name][1](grid))) == STORE_POINTS[name](grid)
+        assert list(identities._records(REGISTRY[name][1](grid))) == POINTS[name](grid)
 
     @settings(max_examples=60)
     @given(st.data())
     def test_drawn_grid_records_are_the_point_checkers(self, data):
         # Ranges as a grid file writes them, lo..hi with 0 <= lo <= hi, from
         # single values to runs past the default grid at any offset.
-        name = data.draw(st.sampled_from(list(STORE_POINTS)), label="identity")
+        name = data.draw(st.sampled_from(list(POINTS)), label="identity")
         grid = {}
         for key, top in BEYOND_DEFAULT_GRID[name].items():
             lo = data.draw(st.integers(0, min(top, 16)), label=f"{key} lo")
             hi = data.draw(st.integers(lo, min(top, lo + 8)), label=f"{key} hi")
             grid[key] = range(lo, hi + 1)
-        assert list(identities._records(REGISTRY[name][1](grid))) == STORE_POINTS[name](grid)
+        assert list(identities._records(REGISTRY[name][1](grid))) == POINTS[name](grid)
 
     def test_one_patched_interior_fails_exactly_the_sums_that_read_it(self, monkeypatch):
         # The interior-sum iterator stores the interiors it reads, but looks
@@ -404,7 +426,7 @@ class TestIdentityStores:
                             lambda e, n: real(e, n) + ((e, n) == (2, 6)))
         grid = default_grid()["interior-sum"]
         records = list(identities._records(REGISTRY["interior-sum"][1](grid)))
-        assert records == STORE_POINTS["interior-sum"](grid)
+        assert records == POINTS["interior-sum"](grid)
         assert {check.params for check in records if not check.ok} == {
             (("d", d), ("k", k), ("j", j), ("n", 6))
             for d in grid["d"] for k in range(d) for j in grid["j"] if 0 <= 3 - j <= d - 1 - k}
@@ -422,7 +444,7 @@ class TestCensusStore:
                                         unique=True), label=key)
                 for key, top in (("r", 8), ("d", 12), ("n", 30))}
         records = list(identities._records(REGISTRY[name][1](grid)))
-        assert records == STORE_POINTS[name](grid)
+        assert records == POINTS[name](grid)
         assert [check.describe() for check in records if not check.ok] == []
 
     def test_each_run_computes_each_interior_once(self, monkeypatch):
@@ -507,36 +529,48 @@ def side_rows(spec, rows):
     return [values] * rows if kind == "repeat" else (values + [MISSING] * rows)[:rows]
 
 
-def expected_records(name, fixed, ns, lhs, rhs):
-    return [IdentityCheck(name, (*fixed, ("n", n)), left, right)
-            for n, left, right in zip(ns, side_rows(lhs, len(ns)), side_rows(rhs, len(ns)))]
+def expected_records(fixed, key, values, specs):
+    # Row by row, each check's record in turn, built per row with no run.
+    rows = [(name, side_rows(lhs, len(values)), side_rows(rhs, len(values)))
+            for name, lhs, rhs in specs]
+    return [IdentityCheck(name, (*fixed, (key, value)), lhs[i], rhs[i])
+            for i, value in enumerate(values) for name, lhs, rhs in rows]
 
 
 class TestRuns:
     @settings(max_examples=300)
-    @given(ns=st.lists(st.integers(0, 40), max_size=6), fixed=st.sampled_from([(), (("d", 2),)]),
-           sides=st.lists(st.tuples(SIDES, SIDES), min_size=2, max_size=2))
-    def test_a_run_is_its_records_and_fails_exactly_their_failing_rows(self, ns, fixed, sides):
+    @given(values=st.lists(st.integers(0, 40), max_size=6),
+           fixed=st.sampled_from([(), (("d", 2),)]), key=st.sampled_from(["n", "r"]),
+           sides=st.lists(st.tuples(SIDES, SIDES), min_size=1, max_size=2))
+    def test_a_run_is_its_records_and_fails_exactly_their_failing_rows(self, values, fixed, key,
+                                                                       sides):
         # Each row is decided by `!=`, as `verify` decides a record, so a row
         # missing on both sides fails: list `==` would pass it by identity.
-        runs, records = [], []
-        for name, (lhs, rhs) in zip(("x", "y"), sides):
-            runs.append(identities._Run(name, fixed, ns, side(lhs), side(rhs)))
-            records.append(expected_records(name, fixed, ns, lhs, rhs))
-        for run, want in zip(runs, records):
-            assert len(run) == len(ns) and list(run) == list(run) == want
-            assert run.failures() == [check for check in run if check[2] != check[3]] == [
-                check for check in want if check[2] is MISSING or check[3] is MISSING
-                or check[2] != check[3]]
-        pair = checks._Interleaved(*runs)
-        want = [check for row in zip(*records) for check in row]
-        assert len(pair) == 2 * len(ns) and list(pair) == want
-        assert pair.failures() == [check for check in pair if check[2] != check[3]] == [
-            check for check in want if check[2] != check[3]]
-        assert bool(pair) == bool(ns) == bool(runs[0])
+        specs = [(name, lhs, rhs) for name, (lhs, rhs) in zip(("x", "y"), sides)]
+        built = [(name, side(lhs), side(rhs)) for name, lhs, rhs in specs]
+        run = (identities._Run(fixed, values, *built) if key == "n"
+               else identities._Run(fixed, values, *built, key=key))
+        want = expected_records(fixed, key, values, specs)
+        assert len(run) == len(specs) * len(values) == len(want)
+        assert list(run) == list(run) == want
+        assert run.failures() == [check for check in run if check[2] != check[3]] == [
+            check for check in want if check[2] is MISSING or check[3] is MISSING
+            or check[2] != check[3]]
+        assert bool(run) == bool(values)
 
     def test_a_row_missing_on_both_sides_fails(self):
-        run = identities._Run("x", (), [1, 2], [MISSING, 1], itertools.repeat(MISSING))
+        run = identities._Run((), [1, 2], ("x", [MISSING, 1], itertools.repeat(MISSING)))
         assert [check.params for check in run.failures()] == [(("n", 1),), (("n", 2),)]
-        assert identities._Run("x", (), [1], [1, 2], [1]).failures() == []
+        assert identities._Run((), [1], ("x", [1, 2], [1])).failures() == []
 
+    @pytest.mark.parametrize("params", [
+        {"d": 3}, {"d": 3, "r": 1}, {"d": 2, "a": 1, "b": 0}, {"polytope": hypersimplex(4, 2)},
+    ], ids=["one", "two", "three", "polytope"])
+    def test_a_single_check_is_a_one_row_run_keyed_by_its_last_param(self, params):
+        run = checks._check("x", [1, 2], [1, 2], **params)
+        assert type(run) is identities._Run and len(run) == 1
+        assert list(run) == [IdentityCheck("x", tuple(params.items()), [1, 2], [1, 2])]
+        assert run.failures() == []
+        for lhs, rhs in ((MISSING, [1]), ([1], MISSING), (MISSING, MISSING), ([1], [2])):
+            assert checks._check("x", lhs, rhs, **params).failures() == [
+                IdentityCheck("x", tuple(params.items()), lhs, rhs)]
